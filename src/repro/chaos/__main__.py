@@ -23,61 +23,14 @@ from repro.chaos.schedule import (
     generate_schedule,
 )
 from repro.errors import UnrecoverableClusterError
-from repro.net.topology import ClusterSpec
+from repro.net.cluster import add_cluster_arguments, spec_keywords
+from repro.net.topology import pipeline_spec
 
 
-def build_spec(args: argparse.Namespace) -> ClusterSpec:
-    """A chaos-tuned cluster spec: same workload and sharded layout as
-    the cluster CLI (one pipeline lane per engine when there are three
-    or more, placed by consistent hashing), compressed transport
-    timeouts so partitions and kills resolve in test-scale wall time."""
-    from repro.apps.pipeline import build_pipeline_app, lane_key, lane_suffix
-    from repro.net.topology import sharded_placement
-
-    engines = [f"e{i}" for i in range(args.engines)]
-    lanes = 1 if args.engines <= 2 else args.engines
-    app_args = {"window": args.window}
-    placement = {}
-    if lanes > 1:
-        app_args["lanes"] = lanes
-        app = build_pipeline_app(**app_args)
-        placement = sharded_placement(app.component_names(), engines,
-                                      group_key=lane_key)
-    workload = {}
-    per, rem = divmod(args.messages, lanes)
-    for lane in range(lanes):
-        n = per + (1 if lane < rem else 0)
-        if n:
-            workload[f"readings{lane_suffix(lane)}"] = {
-                "n_messages": n,
-                "mean_interarrival_ms": args.mean_ms,
-            }
-    return ClusterSpec(
-        app="pipeline",
-        app_args=app_args,
-        engines=engines,
-        placement=placement,
-        replicas=args.replicas,
-        followers_per_group=getattr(args, "followers", None),
-        master_seed=args.master_seed,
-        speed=args.speed,
-        checkpoint_interval_ms=args.checkpoint_ms,
-        heartbeat_interval_ms=args.heartbeat_ms,
-        heartbeat_miss_limit=args.heartbeat_miss,
-        workload=workload,
-        recovery_target_ms=args.recovery_target,
-        audit=args.audit,
-        audit_every=args.audit_every,
-        connect_timeout_s=0.5,
-        handshake_timeout_s=0.5,
-        backoff_min_s=0.02,
-        backoff_max_s=0.2,
-        fence_attempts=10,
-        fence_gap_s=0.1,
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: Optional[List[str]] = None,
+         namespace: Optional[argparse.Namespace] = None) -> int:
+    """``namespace`` carries values ``repro.net.cluster --chaos`` has
+    already parsed; options it does not hold get their defaults."""
     known = sorted(SCENARIOS) + sorted(EXTRA_SCENARIOS)
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos",
@@ -86,9 +39,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "TCP fault proxy, and verify the recovered output "
                     "byte-identical to the simulated reference.",
     )
+    add_cluster_arguments(parser, "c")
     parser.add_argument("--seed", type=int, default=0,
                         help="schedule seed; also picks the scenario "
                              "(seed %% n rotates through them)")
+    parser.add_argument("--master-seed", type=int, default=7,
+                        help="workload/application seed (the chaos "
+                             "--seed only drives the fault schedule)")
     parser.add_argument("--scenario", default=None, choices=known,
                         help="force a scenario instead of the rotation")
     parser.add_argument("--schedule", default=None, metavar="FILE",
@@ -101,47 +58,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="only run the in-simulator replay")
     parser.add_argument("--skip-sim", action="store_true",
                         help="skip the in-simulator replay")
-    parser.add_argument("--engines", type=int, default=2)
-    parser.add_argument("--replicas", type=int, default=1, choices=(0, 1))
-    parser.add_argument("--followers", type=int, default=None, metavar="K",
-                        help="followers per replication group (overrides "
-                             "--replicas)")
-    parser.add_argument("--messages", type=int, default=240)
-    parser.add_argument("--mean-ms", type=float, default=1.0)
-    parser.add_argument("--window", type=int, default=10)
-    parser.add_argument("--master-seed", type=int, default=7,
-                        help="workload/application seed (the chaos "
-                             "--seed only drives the fault schedule)")
-    parser.add_argument("--speed", type=float, default=0.1)
-    parser.add_argument("--checkpoint-ms", type=float, default=25.0)
-    parser.add_argument("--heartbeat-ms", type=float, default=10.0)
-    parser.add_argument("--heartbeat-miss", type=int, default=3)
-    parser.add_argument("--recovery-target", type=float, default=None,
-                        metavar="MS",
-                        help="recovery-time objective in simulated ms; "
-                             "engines adapt their checkpoint cadence to "
-                             "keep worst-case replay under it")
-    parser.add_argument("--audit", nargs="?", const="heal", default="off",
-                        choices=("off", "raise", "heal"),
-                        help="divergence audit mode on every engine "
-                             "(bare --audit means heal); corrupt "
-                             "schedules force heal when left off")
-    parser.add_argument("--audit-every", type=int, default=1,
-                        help="audit once per N checkpoint captures")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="live-run wall-clock deadline in seconds")
-    parser.add_argument("--record", default=None, metavar="DIR",
-                        help="write a .replay flight-recorder bundle of "
-                             "the run (see docs/timetravel.md); invariant "
-                             "failures always record a reproducer bundle")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="write the full metrics registry as JSON "
-                             "at shutdown")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine-readable report on stdout")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, namespace)
 
-    spec = build_spec(args)
+    # The cluster CLI's workload and layout, with transport timeouts
+    # compressed so partitions and kills resolve in test-scale wall time.
+    spec = pipeline_spec(
+        master_seed=args.master_seed,
+        connect_timeout_s=0.5,
+        handshake_timeout_s=0.5,
+        backoff_min_s=0.02,
+        backoff_max_s=0.2,
+        fence_attempts=10,
+        fence_gap_s=0.1,
+        **spec_keywords(args),
+    )
     schedule = None
     if args.schedule:
         schedule = ChaosSchedule.from_json(Path(args.schedule).read_text())

@@ -1,7 +1,7 @@
 """Chaos runner: drive a seeded schedule against a live cluster.
 
 :class:`ChaosDriver` is the actuator bridge.  It plugs into
-:func:`repro.net.cluster.run_networked`'s lifecycle hooks and converts
+:class:`repro.net.cluster.ClusterHarness`'s lifecycle hooks and converts
 each :class:`~repro.chaos.schedule.ChaosEvent` into real-world actions
 at the scheduled moment: process faults are POSIX signals (SIGKILL /
 SIGSTOP / SIGCONT) on the spawned children, link faults are policy
@@ -141,7 +141,7 @@ class ChaosDriver:
         actions.sort(key=lambda action: action[0])
         return actions
 
-    # -- lifecycle hooks (called by run_networked) -----------------------
+    # -- lifecycle hooks (called by ClusterHarness) ----------------------
     async def start(self) -> None:
         await self.proxy.start()
 

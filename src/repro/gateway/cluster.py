@@ -41,24 +41,23 @@ import argparse
 import asyncio
 import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.net import codec
 from repro.net.cluster import (
-    GO_LEAD_S,
-    READY_TIMEOUT_S,
-    CoordinatorHost,
+    ClusterHarness,
+    add_cluster_arguments,
+    check_kill_arguments,
     free_port,
-    spawn_children,
+    spawn_children,  # noqa: F401 - bench/wl_gw_steady.py spans it by name
+    spec_keywords,
     with_addresses,
 )
-from repro.net.server import ProcessRuntime
 from repro.net.topology import (
     ClusterSpec,
     build_deployment,
+    pipeline_spec,
     plan_cluster_nodes,
     stream_of,
 )
@@ -138,170 +137,79 @@ async def run_gateway_cluster(
     """One live gateway run; returns streams, reference, and diagnostics.
 
     ``spec`` must carry addresses and a gateway config (see
-    :func:`~repro.net.cluster.with_addresses`).  With ``kill_engine``
-    set, that engine's process is SIGKILLed once ``kill_fraction`` of
-    the planned submissions have been admitted.  ``chaos`` is an
-    optional :class:`~repro.chaos.runner.ChaosDriver` whose proxy has
-    been planned to front the gateway (see :func:`gateway_front`).
+    :func:`~repro.net.cluster.with_addresses`).  A gateway in front of
+    the coordinator's ingresses and ``plan``'s client fleet drive the
+    load.  With ``kill_engine`` set, that engine's process is SIGKILLed
+    once ``kill_fraction`` of the planned submissions have been
+    admitted; the run is complete when the fleet has finished, the
+    admission shadow log has been replayed, and every sink's count
+    equals the replay's.  ``chaos`` is an optional
+    :class:`~repro.chaos.runner.ChaosDriver` whose proxy has been
+    planned to front the gateway (see :func:`gateway_front`).
     """
-    started = time.monotonic()
-    runtime = ProcessRuntime("coordinator", spec)
-    listen_host, listen_port = spec.listen_addr("coordinator")
-    server = await asyncio.start_server(
-        runtime._handle_conn, listen_host, listen_port
-    )
-    if chaos is not None:
-        await chaos.start()
-    host = CoordinatorHost(spec, runtime)
+    cluster = ClusterHarness(spec, chaos, deadline_s)
+    host, runtime = cluster.host, cluster.runtime
+    metrics = host.deployment.metrics
     for consumer in host.consumers.values():
         consumer.birth_of = _birth_of
     gateway = GatewayServer(
         "gateway",
         ingresses=dict(host.deployment.ingresses),
         inject=runtime.rtk.inject,
-        metrics=host.deployment.metrics,
+        metrics=metrics,
         config=GatewayConfig.from_spec(spec),
         congested=runtime.transport.congested,
     )
-    await gateway.start()
-
-    spec_file = tempfile.NamedTemporaryFile(
-        "w", suffix=".json", prefix="gateway-spec-", delete=False
-    )
-    spec_path = Path(spec_file.name)
-    with spec_file:
-        spec_file.write(spec.to_json())
-
-    children = spawn_children(spec, spec_path)
-    if chaos is not None:
-        chaos.attach(children)
-    result: Dict = {"killed": None, "complete": False, "error": None}
-    loop = asyncio.get_running_loop()
-    pump: Optional[asyncio.Task] = None
     client_stats: List = []
     reference: Dict[str, List[Tuple]] = {}
     shadow: Dict[str, List[Tuple]] = {}
-    try:
-        for child in children.values():
-            ok = await loop.run_in_executor(
-                None, child.ready.wait, READY_TIMEOUT_S
-            )
-            if not ok:
-                raise RuntimeError(
-                    f"child {child.name} not READY within "
-                    f"{READY_TIMEOUT_S}s (rc={child.proc.poll()})"
-                )
+    kill_at = max(1, int(plan.total_messages * kill_fraction))
 
-        t0 = time.time() + GO_LEAD_S
-        for name in children:
-            runtime.transport.channel_to(f"proc:{name}").enqueue(
-                runtime.peer_id, codec.GoSignal(t0=t0, speed=spec.speed)
-            )
-        runtime.clock.set_epoch(t0)
-        if chaos is not None:
-            chaos.on_go(t0)
-        host.start()
-        pump = loop.create_task(runtime.rtk.run(), name="pump:coordinator")
+    def kill_due() -> Optional[Dict]:
+        accepted = gateway.accepted()
+        return {"at_accepted": accepted} if accepted >= kill_at else None
 
-        factory = payload_factory or gateway_payload_factory()
-        clients = build_clients(plan, spec.gateway_addr(), factory)
-        client_t0 = time.monotonic() + (t0 - time.time()) + CLIENT_LEAD_S
-        client_tasks = [
-            loop.create_task(c.run(client_t0), name=f"client:{c.client_id}")
-            for c in clients
-        ]
-        fleet = asyncio.gather(*client_tasks, return_exceptions=True)
-
-        kill_at = max(1, int(plan.total_messages * kill_fraction))
-        deadline = time.monotonic() + deadline_s
-        while not fleet.done():
-            if pump.done():
-                pump.result()  # surfaces TransportError etc.
-                raise RuntimeError("coordinator pump exited early")
-            if (kill_engine is not None and result["killed"] is None
-                    and gateway.accepted() >= kill_at):
-                children[f"engine-{kill_engine}"].kill()
-                result["killed"] = {
-                    "engine": kill_engine,
-                    "at_accepted": gateway.accepted(),
-                    "at_s": round(time.monotonic() - started, 3),
-                }
-            if time.monotonic() >= deadline:
+    async with cluster:
+        await gateway.start()
+        try:
+            clients = build_clients(plan, spec.gateway_addr(),
+                                    payload_factory
+                                    or gateway_payload_factory())
+            client_t0 = (time.monotonic() + (cluster.t0 - time.time())
+                         + CLIENT_LEAD_S)
+            fleet = asyncio.gather(*(c.run(client_t0) for c in clients),
+                                   return_exceptions=True)
+            if not await cluster.poll(fleet.done, kill_engine, kill_due):
                 fleet.cancel()
                 raise RuntimeError(
                     f"clients still running at the {deadline_s}s deadline"
                 )
-            await asyncio.sleep(0.05)
-        for outcome in fleet.result():
-            if isinstance(outcome, BaseException):
-                raise outcome
-            client_stats.append(outcome)
+            for outcome in fleet.result():
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                client_stats.append(outcome)
 
-        # Freeze the admitted-work record and replay it (CPU-bound, in
-        # a worker thread) while the live consumers finish draining.
-        shadow = {input_id: list(entries)
-                  for input_id, entries in gateway.shadow.items()}
-        reference = await loop.run_in_executor(
-            None, replay_reference, spec, shadow
-        )
-        ref_counts = {sink: len(s) for sink, s in reference.items()}
-        while time.monotonic() < deadline:
-            if pump.done():
-                pump.result()
-                raise RuntimeError("coordinator pump exited early")
-            if host.counts() == ref_counts:
-                result["complete"] = True
-                break
-            await asyncio.sleep(0.05)
-        else:
-            raise RuntimeError(
-                f"consumers at {host.counts()} of {ref_counts} at the "
-                f"{deadline_s}s deadline"
+            # Freeze the admitted-work record and replay it (CPU-bound,
+            # in a worker thread) while the live consumers finish
+            # draining.
+            shadow = {input_id: list(entries)
+                      for input_id, entries in gateway.shadow.items()}
+            reference = await asyncio.get_running_loop().run_in_executor(
+                None, replay_reference, spec, shadow
             )
-    except Exception as exc:  # noqa: BLE001 - reported in the result
-        result["error"] = f"{type(exc).__name__}: {exc}"
-    finally:
-        for name, child in children.items():
-            if child.proc.poll() is None:
-                try:
-                    runtime.transport.channel_to(f"proc:{name}").enqueue(
-                        runtime.peer_id, codec.Shutdown("run complete")
-                    )
-                except Exception:  # noqa: BLE001 - best-effort shutdown
-                    pass
-        await asyncio.sleep(0.3)
-        if pump is not None:
-            runtime.rtk.stop()
-            try:
-                await pump
-            except Exception as exc:  # noqa: BLE001
-                if result["error"] is None:
-                    result["error"] = f"{type(exc).__name__}: {exc}"
-        epoch_resets = sum(
-            ch.epoch_resets for ch in runtime.transport._channels.values()
-        )
-        await gateway.close()
-        if chaos is not None:
-            await chaos.close()
-        await runtime.transport.close()
-        server.close()
-        await server.wait_closed()
-        exit_codes = {name: child.reap() for name, child in children.items()}
-        try:
-            spec_path.unlink()
-        except OSError:
-            pass
+            ref_counts = {sink: len(s) for sink, s in reference.items()}
+            if not await cluster.poll(lambda: host.counts() == ref_counts):
+                raise RuntimeError(
+                    f"consumers at {host.counts()} of {ref_counts} at the "
+                    f"{deadline_s}s deadline"
+                )
+            cluster.result["complete"] = True
+        finally:
+            await gateway.close()
 
-    metrics = host.deployment.metrics
     samples = metrics.latency_count()
-    result.update(
-        counts=host.counts(),
-        streams=host.streams(),
+    cluster.result.update(
         reference=reference,
-        stutter=host.stutter(),
-        elapsed_s=round(time.monotonic() - started, 3),
-        child_exit_codes=exit_codes,
-        epoch_resets=epoch_resets,
         gateway=gateway.report(),
         clients=fleet_summary(client_stats),
         exactly_once_violations=exactly_once_violations(
@@ -314,11 +222,8 @@ async def run_gateway_cluster(
             "p999_us": _pct(metrics, 99.9, samples),
         },
         shadow=shadow,
-        metrics=metrics.dump_json(),
     )
-    if chaos is not None:
-        result["chaos"] = chaos.report()
-    return result
+    return cluster.result
 
 
 def _birth_of(payload: Any) -> Optional[int]:
@@ -360,30 +265,29 @@ def gateway_front(spec: ClusterSpec):
 # ----------------------------------------------------------------------
 
 
-def build_gateway_spec(args: argparse.Namespace,
-                       plan: ClientPlan) -> ClusterSpec:
-    span_ms = max(400.0, plan.duration_s() * 1000.0)
-    return ClusterSpec(
-        app="pipeline",
-        app_args={"window": args.window},
-        engines=[f"e{i}" for i in range(args.engines)],
-        replicas=args.replicas,
-        followers_per_group=getattr(args, "followers", None),
-        master_seed=args.seed,
-        # One tick per nanosecond: latency percentiles in real us.
+def gateway_spec(plan: ClientPlan, max_inflight: int = 1024,
+                 max_inflight_bytes: int = 8 * 1024 * 1024,
+                 client_rate: float = 2000.0, client_burst: float = 200.0,
+                 retry_ms: float = 50.0, **fields) -> ClusterSpec:
+    """A gateway-fed pipeline spec for ``plan``'s fleet.
+
+    No seeded workload, and one tick per real nanosecond so latency
+    percentiles come out in real microseconds.  The named keywords are
+    the admission limits (global in-flight caps, per-client token
+    bucket, BUSY retry hint); ``fields`` go to
+    :func:`~repro.net.topology.pipeline_spec`.
+    """
+    return pipeline_spec(
         speed=1.0,
-        checkpoint_interval_ms=args.checkpoint_ms,
-        heartbeat_interval_ms=args.heartbeat_ms,
-        heartbeat_miss_limit=args.heartbeat_miss,
-        workload={},
         gateway={
-            "max_inflight_msgs": args.max_inflight,
-            "max_inflight_bytes": args.max_inflight_bytes,
-            "rate_msgs_per_s": args.client_rate,
-            "rate_burst": args.client_burst,
-            "retry_ms": args.retry_ms,
-            "span_ms": span_ms,
+            "max_inflight_msgs": max_inflight,
+            "max_inflight_bytes": max_inflight_bytes,
+            "rate_msgs_per_s": client_rate,
+            "rate_burst": client_burst,
+            "retry_ms": retry_ms,
+            "span_ms": max(400.0, plan.duration_s() * 1000.0),
         },
+        **fields,
     )
 
 
@@ -393,30 +297,22 @@ def run_trial(label: str, spec: ClusterSpec, plan: ClientPlan,
               chaos_seed: Optional[int] = None,
               record_dir: Optional[str] = None) -> Dict:
     """One addressed live run + verification; returns the trial report."""
+    run_spec = with_addresses(spec)
+    chaos = None
+    if chaos_seed is not None:
+        from repro.chaos.runner import ChaosDriver
+        from repro.chaos.schedule import generate_schedule
 
-    async def _run() -> Dict:
-        run_spec = with_addresses(spec)
-        chaos = None
-        if chaos_seed is not None:
-            from repro.chaos.runner import ChaosDriver
-            from repro.chaos.schedule import generate_schedule
-
-            run_spec2, proxy = gateway_front(run_spec)
-            schedule = generate_schedule(
-                chaos_seed, run_spec2, scenario="gateway_client_reset"
-            )
-            chaos = ChaosDriver(schedule, proxy, run_spec2)
-            return await run_gateway_cluster(
-                run_spec2, plan, kill_engine=kill_engine,
-                kill_fraction=kill_fraction, deadline_s=deadline_s,
-                chaos=chaos,
-            )
-        return await run_gateway_cluster(
-            run_spec, plan, kill_engine=kill_engine,
-            kill_fraction=kill_fraction, deadline_s=deadline_s,
+        run_spec, proxy = gateway_front(run_spec)
+        schedule = generate_schedule(
+            chaos_seed, run_spec, scenario="gateway_client_reset"
         )
-
-    result = asyncio.run(_run())
+        chaos = ChaosDriver(schedule, proxy, run_spec)
+    result = asyncio.run(run_gateway_cluster(
+        run_spec, plan, kill_engine=kill_engine,
+        kill_fraction=kill_fraction, deadline_s=deadline_s, chaos=chaos,
+    ))
+    result.pop("arrival_ticks")  # bulky; nothing here judges it
     shadow = result.pop("shadow", {})
     if record_dir is not None and shadow:
         # Gateway bundles replay the admission shadow log (the spec has
@@ -451,7 +347,10 @@ def run_trial(label: str, spec: ClusterSpec, plan: ClientPlan,
     return result
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: Optional[List[str]] = None,
+         namespace: Optional[argparse.Namespace] = None) -> int:
+    """``namespace`` carries values ``repro.net.cluster --gateway`` has
+    already parsed; options it does not hold get their defaults."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.gateway.cluster",
         description="Drive a real cluster through the public ingress "
@@ -459,28 +358,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "output against a pure-sim replay of the gateway's "
                     "admission log.",
     )
-    parser.add_argument("--engines", type=int, default=2)
-    parser.add_argument("--replicas", type=int, default=1, choices=(0, 1))
-    parser.add_argument("--followers", type=int, default=None, metavar="K",
-                        help="followers per replication group (overrides "
-                             "--replicas)")
-    parser.add_argument("--messages", type=int, default=240,
-                        help="total submissions across all clients")
-    parser.add_argument("--clients", type=int, default=16)
-    parser.add_argument("--rate", type=float, default=400.0,
-                        help="aggregate open-loop offered rate in "
-                             "msgs/sec (<= 0: synchronized burst)")
-    parser.add_argument("--window", type=int, default=10)
+    add_cluster_arguments(parser, "g")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--checkpoint-ms", type=float, default=25.0)
-    parser.add_argument("--heartbeat-ms", type=float, default=10.0)
-    parser.add_argument("--heartbeat-miss", type=int, default=3)
-    parser.add_argument("--kill-active", action="store_true",
-                        help="SIGKILL an engine mid-stream; clients "
-                             "must not notice (zero reconnects) and the "
-                             "output must stay byte-identical")
-    parser.add_argument("--kill-engine", default=None)
-    parser.add_argument("--kill-fraction", type=float, default=0.4)
     parser.add_argument("--client-reset", type=int, default=None,
                         metavar="SEED",
                         help="run the seeded gateway_client_reset chaos "
@@ -494,25 +373,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="per-client token bucket refill (msgs/sec)")
     parser.add_argument("--client-burst", type=float, default=200.0)
     parser.add_argument("--retry-ms", type=float, default=50.0)
-    parser.add_argument("--skip-clean", action="store_true")
-    parser.add_argument("--record", default=None, metavar="DIR",
-                        help="write a .replay flight-recorder bundle per "
-                             "trial under DIR (see docs/timetravel.md)")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="write the full metrics registry as JSON "
-                             "at shutdown")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-trial wall-clock deadline in seconds")
-    parser.add_argument("--json", action="store_true", dest="as_json")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, namespace)
 
-    if args.followers is not None and args.followers < 0:
-        parser.error("--followers must be >= 0")
-    effective_followers = (args.followers if args.followers is not None
-                           else args.replicas)
-    if args.kill_active and effective_followers < 1:
-        parser.error("--kill-active requires at least one follower "
-                     "(--followers >= 1 or --replicas 1)")
+    check_kill_arguments(parser, args)
     kill_engine = None
     if args.kill_active:
         kill_engine = args.kill_engine or "e0"
@@ -525,7 +388,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         rate_msgs_per_s=args.rate,
         seed=args.seed,
     )
-    spec = build_gateway_spec(args, plan)
+    spec = gateway_spec(
+        plan,
+        max_inflight=args.max_inflight,
+        max_inflight_bytes=args.max_inflight_bytes,
+        client_rate=args.client_rate,
+        client_burst=args.client_burst,
+        retry_ms=args.retry_ms,
+        master_seed=args.seed,
+        **spec_keywords(args, seeded=False),
+    )
     deadline_s = args.timeout or max(60.0, 6.0 * plan.duration_s() + 30.0)
 
     trials: List[Tuple[str, Optional[str], Optional[int]]] = []

@@ -18,6 +18,11 @@ the networked runtime.  It:
    :func:`~repro.tools.verify_determinism.verify_trace_equivalence` —
    byte-identical ``(seq, vt, payload)`` streams or a nonzero exit.
 
+Steps 2-4 are one :class:`ClusterHarness` lifecycle, which the
+gateway-fed runs of :mod:`repro.gateway.cluster` and the chaos runs of
+:mod:`repro.chaos.runner` go through as well; :func:`run_networked`
+adds only the kill trigger and the completion test.
+
 The coordinator is itself a cluster member: it reuses
 :class:`~repro.net.server.ProcessRuntime` for its server half and pumps
 its own simulator, which hosts the Poisson producers — workload arrivals
@@ -39,10 +44,9 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import repro
-from repro.apps.pipeline import build_pipeline_app, lane_key, lane_suffix
 from repro.errors import WiringError
 from repro.net import codec
 from repro.net.server import ProcessRuntime
@@ -52,13 +56,12 @@ from repro.net.topology import (
     attach_workload,
     build_deployment,
     component_placement,
+    pipeline_spec,
     plan_cluster_nodes,
     reference_run,
-    sharded_placement,
     sink_upstream_engines,
     stream_of,
 )
-from repro.sim.kernel import ms
 from repro.tools.verify_determinism import verify_trace_equivalence
 
 #: Seconds each child gets to bind its socket and print READY.
@@ -67,6 +70,13 @@ READY_TIMEOUT_S = 20.0
 #: Lead time between the GO broadcast and the shared tick-zero epoch,
 #: so control channels can connect before anyone's clock starts.
 GO_LEAD_S = 0.75
+
+#: Period of the coordinator's poll loop (kill trigger, done predicate).
+POLL_S = 0.05
+
+#: Wall seconds between the Shutdown broadcast and stopping the pump,
+#: so in-flight frames and acks drain.
+DRAIN_S = 0.3
 
 
 class CoordinatorHost:
@@ -118,7 +128,10 @@ class ChildProcess:
             cmd, stdout=subprocess.PIPE, stderr=None, env=env,
             text=True, bufsize=1,
         )
-        self.ready = threading.Event()
+        self.ready = False
+        #: Set at READY and at stdout EOF, so a READY waiter wakes as
+        #: soon as the child is either up or gone.
+        self._ready_or_gone = threading.Event()
         #: Parsed AUDIT report printed at clean shutdown (None if the
         #: child crashed or ran without audit/cadence enabled).
         self.audit: Optional[Dict] = None
@@ -132,7 +145,8 @@ class ChildProcess:
         for line in self.proc.stdout:
             line = line.rstrip("\n")
             if line == "READY":
-                self.ready.set()
+                self.ready = True
+                self._ready_or_gone.set()
             elif line.startswith("AUDIT "):
                 try:
                     self.audit = json.loads(line[len("AUDIT "):])
@@ -141,6 +155,19 @@ class ChildProcess:
                           file=sys.stderr, flush=True)
             elif line:
                 print(f"[{self.name}] {line}", file=sys.stderr, flush=True)
+        self.proc.wait()
+        self._ready_or_gone.set()
+
+    def wait_ready(self) -> None:
+        """Block until READY; raise once the child exits or times out."""
+        self._ready_or_gone.wait(READY_TIMEOUT_S)
+        if not self.ready:
+            rc = self.proc.poll()
+            raise RuntimeError(
+                f"child {self.name} exited with rc={rc} before READY"
+                if rc is not None else
+                f"child {self.name} not READY within {READY_TIMEOUT_S}s"
+            )
 
     def kill(self) -> None:
         self.proc.kill()
@@ -192,21 +219,210 @@ def with_addresses(spec: ClusterSpec) -> ClusterSpec:
     return run_spec
 
 
+def child_command(spec_path: Path, name: str) -> List[str]:
+    """The argv that hosts process ``name`` of the spec at ``spec_path``."""
+    return [sys.executable, "-m", "repro.net.server",
+            "--spec", str(spec_path), "--name", name]
+
+
 def spawn_children(spec: ClusterSpec, spec_path: Path
                    ) -> Dict[str, ChildProcess]:
+    """Spawn every non-coordinator process; all of them or none."""
     src_root = Path(repro.__file__).resolve().parents[1]
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (str(src_root) if not existing
                          else str(src_root) + os.pathsep + existing)
     children: Dict[str, ChildProcess] = {}
-    for name in plan_cluster_nodes(spec):
-        if name == "coordinator":
-            continue
-        cmd = [sys.executable, "-m", "repro.net.server",
-               "--spec", str(spec_path), "--name", name]
-        children[name] = ChildProcess(name, cmd, env)
+    try:
+        for name in plan_cluster_nodes(spec):
+            if name != "coordinator":
+                children[name] = ChildProcess(
+                    name, child_command(spec_path, name), env)
+    except BaseException:
+        for child in children.values():
+            child.kill()
+            child.reap()
+        raise
     return children
+
+
+class ClusterHarness:
+    """One live cluster's lifecycle, however it is driven.
+
+    Constructing the harness builds the coordinator's in-process share
+    (``runtime``, ``host``) and opens nothing.  ``async with`` enters
+    with the cluster running — coordinator socket bound, chaos proxy
+    started, children spawned and past the READY barrier, GO epoch
+    ``t0`` broadcast, pump task started — and leaves with it shut down,
+    reaped, and the common diagnostics in ``result``.  A bring-up that
+    fails part-way releases what it had opened and re-raises.
+
+    The body is the driver.  It starts whatever offers load (seeded
+    producers are already running; a gateway and its clients are the
+    body's own), then awaits :meth:`poll` with the two things only it
+    knows: when the kill is due and when the run is done.  An
+    ``Exception`` escaping the body is reported as ``result["error"]``,
+    not raised.
+
+    ``chaos`` is an optional :class:`~repro.chaos.runner.ChaosDriver`:
+    ``start()`` once the coordinator's socket is up (its fault-proxy
+    listeners must accept before any child dials), ``attach(children)``
+    after spawning, ``on_go(t0)`` with the epoch, ``close()`` on the
+    way out.
+    """
+
+    def __init__(self, spec: ClusterSpec, chaos=None,
+                 deadline_s: float = 60.0):
+        self.spec = spec
+        self.chaos = chaos
+        self.deadline_s = deadline_s
+        self.started = time.monotonic()
+        self.runtime = ProcessRuntime("coordinator", spec)
+        self.host = CoordinatorHost(spec, self.runtime)
+        self.result: Dict = {"killed": None, "complete": False, "error": None}
+        self.children: Dict[str, ChildProcess] = {}
+        self.t0 = 0.0
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._spec_path: Optional[Path] = None
+        self._pump: Optional[asyncio.Task] = None
+        self._deadline = 0.0
+
+    async def __aenter__(self) -> "ClusterHarness":
+        try:
+            await self._bring_up()
+        except BaseException:
+            await self._shut_down()
+            raise
+        return self
+
+    async def _bring_up(self) -> None:
+        runtime, spec, chaos = self.runtime, self.spec, self.chaos
+        self._server = await asyncio.start_server(
+            runtime._handle_conn, *spec.listen_addr("coordinator")
+        )
+        if chaos is not None:
+            await chaos.start()
+        with tempfile.NamedTemporaryFile(
+            "w", suffix=".json", prefix="cluster-spec-", delete=False
+        ) as spec_file:
+            self._spec_path = Path(spec_file.name)
+            spec_file.write(spec.to_json())
+        self.children = spawn_children(spec, self._spec_path)
+        if chaos is not None:
+            chaos.attach(self.children)
+        loop = asyncio.get_running_loop()
+        await asyncio.gather(*(loop.run_in_executor(None, child.wait_ready)
+                               for child in self.children.values()))
+
+        # GO: one shared epoch for every tick clock in the cluster.
+        self.t0 = time.time() + GO_LEAD_S
+        for name in self.children:
+            runtime.transport.channel_to(f"proc:{name}").enqueue(
+                runtime.peer_id, codec.GoSignal(t0=self.t0, speed=spec.speed)
+            )
+        runtime.clock.set_epoch(self.t0)
+        if chaos is not None:
+            chaos.on_go(self.t0)
+        self.host.start()
+        self._pump = loop.create_task(runtime.rtk.run(),
+                                      name="pump:coordinator")
+        self._deadline = time.monotonic() + self.deadline_s
+
+    async def poll(self, done: Callable[[], bool],
+                   kill_engine: Optional[str] = None,
+                   kill_due: Optional[Callable[[], Optional[Dict]]] = None,
+                   ) -> bool:
+        """Wait for ``done()``; False if the run's deadline comes first.
+
+        With ``kill_engine`` set, that engine's process is SIGKILLed the
+        first time ``kill_due()`` returns a dict (the trigger's own
+        fields for ``result["killed"]``) instead of None.
+        """
+        while time.monotonic() < self._deadline:
+            if self._pump.done():
+                self._pump.result()  # surfaces TransportError etc.
+                raise RuntimeError("coordinator pump exited early")
+            if kill_engine is not None and self.result["killed"] is None:
+                trigger = kill_due()
+                if trigger is not None:
+                    self.children[f"engine-{kill_engine}"].kill()
+                    self.result["killed"] = {
+                        "engine": kill_engine,
+                        "at_s": round(time.monotonic() - self.started, 3),
+                        **trigger,
+                    }
+            if done():
+                return True
+            await asyncio.sleep(POLL_S)
+        return False
+
+    async def __aexit__(self, exc_type, exc, tb) -> bool:
+        reported = isinstance(exc, Exception)
+        if reported:
+            self.result["error"] = f"{type(exc).__name__}: {exc}"
+        await self._shut_down()
+        return reported
+
+    async def _shut_down(self) -> None:
+        """Release whatever bring-up got as far as opening."""
+        runtime, result, children = self.runtime, self.result, self.children
+        if self._pump is None:
+            # Never reached GO: the children are parked before their own
+            # pumps and would not act on a Shutdown.
+            for child in children.values():
+                child.kill()
+        else:
+            for name, child in children.items():
+                if child.proc.poll() is None:
+                    try:
+                        runtime.transport.channel_to(f"proc:{name}").enqueue(
+                            runtime.peer_id, codec.Shutdown("run complete")
+                        )
+                    except Exception:  # noqa: BLE001 - best-effort shutdown
+                        pass
+            await asyncio.sleep(DRAIN_S)
+            runtime.rtk.stop()
+            try:
+                await self._pump
+            except Exception as exc:  # noqa: BLE001
+                if result["error"] is None:
+                    result["error"] = f"{type(exc).__name__}: {exc}"
+        channels = runtime.transport._channels
+        result.update(
+            epoch_resets=sum(ch.epoch_resets for ch in channels.values()),
+            incarnations={dst: ch._known_incarnation
+                          for dst, ch in channels.items()},
+            channel_counters=runtime.transport.channel_counters(),
+        )
+        if self.chaos is not None:
+            await self.chaos.close()
+        await runtime.transport.close()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        exit_codes = {name: child.reap() for name, child in children.items()}
+        if self._spec_path is not None:
+            try:
+                self._spec_path.unlink()
+            except OSError:
+                pass
+
+        host = self.host
+        result.update(
+            counts=host.counts(),
+            streams=host.streams(),
+            arrival_ticks=host.arrival_ticks(),
+            stutter=host.stutter(),
+            elapsed_s=round(time.monotonic() - self.started, 3),
+            child_exit_codes=exit_codes,
+            audit_reports={name: child.audit
+                           for name, child in children.items()
+                           if child.audit is not None},
+            metrics=host.deployment.metrics.dump_json(),
+        )
+        if self.chaos is not None:
+            result["chaos"] = self.chaos.report()
 
 
 async def run_networked(
@@ -220,191 +436,26 @@ async def run_networked(
     """One multi-process run; returns streams and diagnostics.
 
     ``spec`` must already carry addresses (see :func:`with_addresses`).
-    With ``kill_engine`` set, that engine's process is SIGKILLed once
-    ``kill_fraction`` of the expected outputs have been delivered.
-
-    ``chaos`` is an optional driver (``repro.chaos.runner.ChaosDriver``)
-    hooked into the lifecycle: ``await chaos.start()`` once the
-    coordinator's own socket is up (its fault-proxy listeners must
-    accept before any child dials), ``chaos.attach(children)`` after
-    spawning, ``chaos.on_go(t0)`` when the shared epoch is set, and
-    ``await chaos.close()`` on the way out.
+    The spec's seeded producers drive the load.  With ``kill_engine``
+    set, that engine's process is SIGKILLed once ``kill_fraction`` of
+    the expected outputs have been delivered; the run is complete when
+    every sink's count equals ``ref_counts``.
     """
-    started = time.monotonic()
-    runtime = ProcessRuntime("coordinator", spec)
-    listen_host, listen_port = spec.listen_addr("coordinator")
-    server = await asyncio.start_server(
-        runtime._handle_conn, listen_host, listen_port
-    )
-    if chaos is not None:
-        await chaos.start()
-    host = CoordinatorHost(spec, runtime)
+    cluster = ClusterHarness(spec, chaos, deadline_s)
+    counts = cluster.host.counts
+    kill_at = max(1, int(sum(ref_counts.values()) * kill_fraction))
 
-    spec_file = tempfile.NamedTemporaryFile(
-        "w", suffix=".json", prefix="cluster-spec-", delete=False
-    )
-    spec_path = Path(spec_file.name)
-    with spec_file:
-        spec_file.write(spec.to_json())
+    def kill_due() -> Optional[Dict]:
+        delivered = sum(counts().values())
+        if delivered < kill_at:
+            return None
+        return {"at_outputs": delivered,
+                "at_ticks": cluster.runtime.clock.ticks()}
 
-    children = spawn_children(spec, spec_path)
-    if chaos is not None:
-        chaos.attach(children)
-    result: Dict = {
-        "killed": None,
-        "complete": False,
-        "error": None,
-    }
-    loop = asyncio.get_running_loop()
-    pump: Optional[asyncio.Task] = None
-    try:
-        for child in children.values():
-            ok = await loop.run_in_executor(
-                None, child.ready.wait, READY_TIMEOUT_S
-            )
-            if not ok:
-                raise RuntimeError(
-                    f"child {child.name} not READY within "
-                    f"{READY_TIMEOUT_S}s (rc={child.proc.poll()})"
-                )
-
-        # GO: one shared epoch for every tick clock in the cluster.
-        t0 = time.time() + GO_LEAD_S
-        for name in children:
-            runtime.transport.channel_to(f"proc:{name}").enqueue(
-                runtime.peer_id, codec.GoSignal(t0=t0, speed=spec.speed)
-            )
-        runtime.clock.set_epoch(t0)
-        if chaos is not None:
-            chaos.on_go(t0)
-        host.start()
-        pump = loop.create_task(runtime.rtk.run(), name="pump:coordinator")
-
-        total_expected = sum(ref_counts.values())
-        kill_at = max(1, int(total_expected * kill_fraction))
-        deadline = time.monotonic() + deadline_s
-        while time.monotonic() < deadline:
-            if pump.done():
-                pump.result()  # surfaces TransportError etc.
-                raise RuntimeError("coordinator pump exited early")
-            counts = host.counts()
-            if (kill_engine is not None and result["killed"] is None
-                    and sum(counts.values()) >= kill_at):
-                victim = children[f"engine-{kill_engine}"]
-                victim.kill()
-                result["killed"] = {
-                    "engine": kill_engine,
-                    "at_outputs": sum(counts.values()),
-                    "at_s": round(time.monotonic() - started, 3),
-                    "at_ticks": runtime.clock.ticks(),
-                }
-            if counts == ref_counts:
-                result["complete"] = True
-                break
-            await asyncio.sleep(0.05)
-    except Exception as exc:  # noqa: BLE001 - reported in the result
-        result["error"] = f"{type(exc).__name__}: {exc}"
-    finally:
-        for name, child in children.items():
-            if child.proc.poll() is None:
-                try:
-                    runtime.transport.channel_to(f"proc:{name}").enqueue(
-                        runtime.peer_id, codec.Shutdown("run complete")
-                    )
-                except Exception:  # noqa: BLE001 - best-effort shutdown
-                    pass
-        await asyncio.sleep(0.3)
-        if pump is not None:
-            runtime.rtk.stop()
-            try:
-                await pump
-            except Exception as exc:  # noqa: BLE001
-                if result["error"] is None:
-                    result["error"] = f"{type(exc).__name__}: {exc}"
-        epoch_resets = sum(
-            ch.epoch_resets for ch in runtime.transport._channels.values()
-        )
-        incarnations = {
-            dst: ch._known_incarnation
-            for dst, ch in runtime.transport._channels.items()
-        }
-        channel_counters = runtime.transport.channel_counters()
-        if chaos is not None:
-            await chaos.close()
-        await runtime.transport.close()
-        server.close()
-        await server.wait_closed()
-        exit_codes = {name: child.reap() for name, child in children.items()}
-        try:
-            spec_path.unlink()
-        except OSError:
-            pass
-
-    result.update(
-        counts=host.counts(),
-        streams=host.streams(),
-        arrival_ticks=host.arrival_ticks(),
-        stutter=host.stutter(),
-        elapsed_s=round(time.monotonic() - started, 3),
-        child_exit_codes=exit_codes,
-        epoch_resets=epoch_resets,
-        incarnations=incarnations,
-        channel_counters=channel_counters,
-        audit_reports={name: child.audit
-                       for name, child in children.items()
-                       if child.audit is not None},
-        metrics=host.deployment.metrics.dump_json(),
-    )
-    if chaos is not None:
-        result["chaos"] = chaos.report()
-    return result
-
-
-def build_spec(args: argparse.Namespace) -> ClusterSpec:
-    """The cluster spec for the CLI knobs.
-
-    With three or more engines the pipeline is *sharded*: one lane per
-    engine, lanes placed by consistent hashing (whole lanes travel
-    together), and the message budget split across the lane inputs — so
-    every engine leads a replication group with an independent output
-    stream, the shape the group-failover scenarios need.  One or two
-    engines keep the legacy single-lane contiguous layout.
-    """
-    engines = [f"e{i}" for i in range(args.engines)]
-    lanes = 1 if args.engines <= 2 else args.engines
-    app_args = {"window": args.window}
-    placement: Dict[str, str] = {}
-    if lanes > 1:
-        app_args["lanes"] = lanes
-        app = build_pipeline_app(**app_args)
-        placement = sharded_placement(app.component_names(), engines,
-                                      group_key=lane_key)
-    workload: Dict[str, Dict] = {}
-    per, rem = divmod(args.messages, lanes)
-    for lane in range(lanes):
-        n = per + (1 if lane < rem else 0)
-        if n:
-            workload[f"readings{lane_suffix(lane)}"] = {
-                "n_messages": n,
-                "mean_interarrival_ms": args.mean_ms,
-            }
-    return ClusterSpec(
-        app="pipeline",
-        app_args=app_args,
-        engines=engines,
-        placement=placement,
-        replicas=args.replicas,
-        followers_per_group=getattr(args, "followers", None),
-        master_seed=args.seed,
-        speed=args.speed,
-        checkpoint_interval_ms=args.checkpoint_ms,
-        heartbeat_interval_ms=args.heartbeat_ms,
-        heartbeat_miss_limit=args.heartbeat_miss,
-        workload=workload,
-        recovery_target_ms=args.recovery_target,
-        audit=args.audit,
-        audit_every=args.audit_every,
-    )
+    async with cluster:
+        cluster.result["complete"] = await cluster.poll(
+            lambda: counts() == ref_counts, kill_engine, kill_due)
+    return cluster.result
 
 
 def default_victim(spec: ClusterSpec) -> str:
@@ -461,14 +512,129 @@ def group_liveness(spec: ClusterSpec, result: Dict,
     }
 
 
-def _trial(label: str, spec: ClusterSpec, ref_counts: Dict[str, int],
-           kill_engine: Optional[str], kill_fraction: float,
-           deadline_s: float) -> Dict:
-    run_spec = with_addresses(spec)
-    return asyncio.run(run_networked(
-        run_spec, ref_counts, kill_engine=kill_engine,
-        kill_fraction=kill_fraction, deadline_s=deadline_s,
-    ))
+#: The options two or more of the cluster CLIs take: (flag, argparse
+#: keywords, CLIs).  ``n`` is ``repro.net.cluster``, ``g`` is
+#: ``repro.gateway.cluster``, ``c`` is ``repro.chaos``.  Options of one
+#: CLI only are declared in its own ``main``.
+CLUSTER_OPTIONS = [
+    ("--engines", dict(type=int, default=2), "ngc"),
+    ("--replicas", dict(
+        type=int, default=1, choices=(0, 1),
+        help="passive replicas per engine (0 disables checkpointing "
+             "and failover)"), "ngc"),
+    ("--followers", dict(
+        type=int, default=None, metavar="K",
+        help="followers per replication group (overrides --replicas; "
+             "K >= 2 gives each engine a rank-ordered succession "
+             "line)"), "ngc"),
+    ("--messages", dict(
+        type=int, default=240,
+        help="seeded readings, or total submissions across all gateway "
+             "clients"), "ngc"),
+    ("--mean-ms", dict(
+        type=float, default=1.0,
+        help="mean Poisson interarrival (simulated ms)"), "nc"),
+    ("--window", dict(type=int, default=10,
+                      help="aggregator report window"), "ngc"),
+    ("--speed", dict(type=float, default=0.1,
+                     help="simulated ticks per real nanosecond"), "nc"),
+    ("--checkpoint-ms", dict(type=float, default=25.0), "ngc"),
+    ("--heartbeat-ms", dict(type=float, default=10.0), "ngc"),
+    ("--heartbeat-miss", dict(type=int, default=3), "ngc"),
+    ("--recovery-target", dict(
+        type=float, default=None, metavar="MS",
+        help="recovery-time objective in simulated ms; engines adapt "
+             "checkpoint cadence so worst-case replay stays under it "
+             "(--checkpoint-ms becomes the initial interval)"), "nc"),
+    ("--audit", dict(
+        nargs="?", const="heal", default="off",
+        choices=("off", "raise", "heal"),
+        help="run the continuous divergence audit on every engine "
+             "(bare --audit means heal; chaos schedules that corrupt "
+             "state force heal when left off)"), "nc"),
+    ("--audit-every", dict(
+        type=int, default=1,
+        help="audit once per N checkpoint captures"), "nc"),
+    ("--kill-active", dict(
+        action="store_true",
+        help="SIGKILL an engine process mid-stream and require "
+             "byte-identical recovered output (and, behind the "
+             "gateway, zero client reconnects)"), "ng"),
+    ("--kill-engine", dict(
+        default=None, help="which engine to kill (default: first)"), "ng"),
+    ("--kill-fraction", dict(
+        type=float, default=0.4,
+        help="kill once this fraction of the expected outputs "
+             "(gateway: of the planned admissions) is reached"), "ng"),
+    ("--skip-clean", dict(action="store_true",
+                          help="skip the no-failure run"), "ng"),
+    ("--clients", dict(
+        type=int, default=16,
+        help="gateway mode: number of concurrent external "
+             "clients"), "ng"),
+    ("--rate", dict(
+        type=float, default=400.0,
+        help="gateway mode: aggregate open-loop offered rate in "
+             "msgs/sec across all clients (<= 0: synchronized "
+             "burst)"), "ng"),
+    ("--timeout", dict(
+        type=float, default=None,
+        help="per-run wall-clock deadline in seconds"), "ngc"),
+    ("--record", dict(
+        default=None, metavar="DIR",
+        help="write a .replay flight-recorder bundle of the run (see "
+             "docs/timetravel.md); chaos invariant failures always "
+             "record a reproducer bundle"), "ngc"),
+    ("--metrics-out", dict(
+        default=None, metavar="PATH",
+        help="write the full metrics registry as JSON at "
+             "shutdown"), "ngc"),
+    ("--json", dict(action="store_true", dest="as_json",
+                    help="machine-readable report on stdout"), "ngc"),
+]
+
+
+def add_cluster_arguments(parser: argparse.ArgumentParser, cli: str) -> None:
+    """Declare the :data:`CLUSTER_OPTIONS` that CLI ``cli`` takes."""
+    for flag, keywords, clis in CLUSTER_OPTIONS:
+        if cli in clis:
+            parser.add_argument(flag, **keywords)
+
+
+def spec_keywords(args: argparse.Namespace, seeded: bool = True) -> Dict:
+    """:func:`~repro.net.topology.pipeline_spec` keywords for the shared
+    options; ``seeded=False`` leaves out the ones a gateway-fed spec
+    has no use for (its ``--messages`` come from clients)."""
+    keywords = dict(
+        engines=args.engines,
+        window=args.window,
+        replicas=args.replicas,
+        followers_per_group=args.followers,
+        checkpoint_interval_ms=args.checkpoint_ms,
+        heartbeat_interval_ms=args.heartbeat_ms,
+        heartbeat_miss_limit=args.heartbeat_miss,
+    )
+    if seeded:
+        keywords.update(
+            messages=args.messages,
+            mean_ms=args.mean_ms,
+            speed=args.speed,
+            recovery_target_ms=args.recovery_target,
+            audit=args.audit,
+            audit_every=args.audit_every,
+        )
+    return keywords
+
+
+def check_kill_arguments(parser: argparse.ArgumentParser,
+                         args: argparse.Namespace) -> None:
+    """``parser.error`` on follower/kill options that cannot work."""
+    if args.followers is not None and args.followers < 0:
+        parser.error("--followers must be >= 0")
+    followers = (args.followers if args.followers is not None
+                 else args.replicas)
+    if args.kill_active and followers < 1:
+        parser.error("--kill-active requires --replicas or --followers >= 1")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -479,50 +645,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "simulated reference (optionally killing the "
                     "active engine mid-stream).",
     )
-    parser.add_argument("--engines", type=int, default=2)
-    parser.add_argument("--replicas", type=int, default=1, choices=(0, 1),
-                        help="passive replicas per engine (0 disables "
-                             "checkpointing and failover)")
-    parser.add_argument("--followers", type=int, default=None, metavar="K",
-                        help="followers per replication group (overrides "
-                             "--replicas; K >= 2 gives each engine a "
-                             "rank-ordered succession line)")
-    parser.add_argument("--kill-active", action="store_true",
-                        help="SIGKILL an engine process mid-stream and "
-                             "require byte-identical recovered output")
-    parser.add_argument("--kill-engine", default=None,
-                        help="which engine to kill (default: first)")
-    parser.add_argument("--kill-fraction", type=float, default=0.4,
-                        help="kill once this fraction of expected "
-                             "outputs arrived")
-    parser.add_argument("--messages", type=int, default=240)
-    parser.add_argument("--mean-ms", type=float, default=1.0,
-                        help="mean Poisson interarrival (simulated ms)")
-    parser.add_argument("--window", type=int, default=10,
-                        help="aggregator report window")
+    add_cluster_arguments(parser, "n")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--speed", type=float, default=0.1,
-                        help="simulated ticks per real nanosecond")
-    parser.add_argument("--checkpoint-ms", type=float, default=25.0)
-    parser.add_argument("--heartbeat-ms", type=float, default=10.0)
-    parser.add_argument("--heartbeat-miss", type=int, default=3)
-    parser.add_argument("--recovery-target", type=float, default=None,
-                        metavar="MS",
-                        help="recovery-time objective in simulated ms; "
-                             "engines adapt checkpoint cadence so "
-                             "worst-case replay stays under it "
-                             "(--checkpoint-ms becomes the initial "
-                             "interval)")
-    parser.add_argument("--audit", nargs="?", const="heal", default="off",
-                        choices=("off", "raise", "heal"),
-                        help="run the continuous divergence audit on "
-                             "every engine (bare --audit means heal)")
-    parser.add_argument("--audit-every", type=int, default=1,
-                        help="audit once per N checkpoint captures")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-run wall-clock deadline in seconds")
-    parser.add_argument("--skip-clean", action="store_true",
-                        help="skip the no-failure networked run")
     parser.add_argument("--chaos", type=int, default=None, metavar="SEED",
                         help="instead of the clean/kill trials, run the "
                              "seeded chaos schedule SEED against this "
@@ -536,96 +660,30 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "submit over the wire and the output is "
                              "verified against a pure-sim replay of the "
                              "gateway's admission log")
-    parser.add_argument("--clients", type=int, default=16,
-                        help="gateway mode: number of concurrent "
-                             "external clients")
-    parser.add_argument("--rate", type=float, default=400.0,
-                        help="gateway mode: aggregate open-loop offered "
-                             "rate in msgs/sec across all clients")
-    parser.add_argument("--record", default=None, metavar="DIR",
-                        help="write a .replay flight-recorder bundle of "
-                             "the run (see docs/timetravel.md)")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="write the full metrics registry as JSON "
-                             "at shutdown")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine-readable report on stdout")
     args = parser.parse_args(argv)
 
     if args.gateway:
+        # The gateway CLI parses nothing more; it fills in its own
+        # options' defaults around the values parsed here.
+        ignored = ["--chaos"] + [flag for flag, _keywords, clis
+                                 in CLUSTER_OPTIONS if "g" not in clis]
+        for flag in ignored:
+            dest = flag[2:].replace("-", "_")
+            if getattr(args, dest) != parser.get_default(dest):
+                parser.error(f"{flag} has no effect with --gateway")
         from repro.gateway.cluster import main as gateway_main
 
-        gateway_argv = [
-            "--engines", str(args.engines),
-            "--replicas", str(args.replicas),
-            "--messages", str(args.messages),
-            "--clients", str(args.clients),
-            "--rate", str(args.rate),
-            "--window", str(args.window),
-            "--seed", str(args.seed),
-            "--checkpoint-ms", str(args.checkpoint_ms),
-            "--heartbeat-ms", str(args.heartbeat_ms),
-            "--heartbeat-miss", str(args.heartbeat_miss),
-        ]
-        if args.followers is not None:
-            gateway_argv += ["--followers", str(args.followers)]
-        if args.kill_active:
-            gateway_argv.append("--kill-active")
-            if args.kill_engine:
-                gateway_argv += ["--kill-engine", args.kill_engine]
-            gateway_argv += ["--kill-fraction", str(args.kill_fraction)]
-        if args.timeout is not None:
-            gateway_argv += ["--timeout", str(args.timeout)]
-        if args.record is not None:
-            gateway_argv += ["--record", args.record]
-        if args.metrics_out is not None:
-            gateway_argv += ["--metrics-out", args.metrics_out]
-        if args.as_json:
-            gateway_argv.append("--json")
-        return gateway_main(gateway_argv)
+        return gateway_main([], args)
 
     if args.chaos is not None:
         from repro.chaos.__main__ import main as chaos_main
 
-        chaos_argv = [
-            "--seed", str(args.chaos),
-            "--engines", str(args.engines),
-            "--replicas", str(args.replicas),
-            "--messages", str(args.messages),
-            "--mean-ms", str(args.mean_ms),
-            "--window", str(args.window),
-            "--master-seed", str(args.seed),
-            "--speed", str(args.speed),
-            "--checkpoint-ms", str(args.checkpoint_ms),
-            "--heartbeat-ms", str(args.heartbeat_ms),
-            "--heartbeat-miss", str(args.heartbeat_miss),
-        ]
-        if args.followers is not None:
-            chaos_argv += ["--followers", str(args.followers)]
-        if args.recovery_target is not None:
-            chaos_argv += ["--recovery-target", str(args.recovery_target)]
-        if args.audit != "off":
-            chaos_argv += ["--audit", args.audit]
-        if args.audit_every != 1:
-            chaos_argv += ["--audit-every", str(args.audit_every)]
-        if args.timeout is not None:
-            chaos_argv += ["--timeout", str(args.timeout)]
-        if args.record is not None:
-            chaos_argv += ["--record", args.record]
-        if args.metrics_out is not None:
-            chaos_argv += ["--metrics-out", args.metrics_out]
-        if args.as_json:
-            chaos_argv.append("--json")
-        return chaos_main(chaos_argv)
+        # There --seed picks the fault schedule, --master-seed the workload.
+        args.master_seed, args.seed = args.seed, args.chaos
+        return chaos_main([], args)
 
-    followers = (args.followers if args.followers is not None
-                 else args.replicas)
-    if args.kill_active and followers < 1:
-        parser.error("--kill-active requires --replicas or --followers >= 1")
-    if args.followers is not None and args.followers < 0:
-        parser.error("--followers must be >= 0")
-
-    spec = build_spec(args)
+    check_kill_arguments(parser, args)
+    spec = pipeline_spec(master_seed=args.seed, **spec_keywords(args))
     kill_engine = None
     if args.kill_active:
         kill_engine = args.kill_engine or default_victim(spec)
@@ -667,8 +725,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{label}: launching "
               f"{len(plan_cluster_nodes(spec)) - 1} child process(es) ...",
               file=sys.stderr, flush=True)
-        result = _trial(label, spec, ref_counts, victim,
-                        args.kill_fraction, deadline_s)
+        result = asyncio.run(run_networked(
+            with_addresses(spec), ref_counts, kill_engine=victim,
+            kill_fraction=args.kill_fraction, deadline_s=deadline_s,
+        ))
         verdict = verify_trace_equivalence(
             reference, result.pop("streams"), trial=label,
             require_complete=True,

@@ -23,7 +23,12 @@ from typing import Dict, List, Optional, Tuple
 
 import re
 
-from repro.apps.pipeline import build_pipeline_app, lane_key, reading_factory
+from repro.apps.pipeline import (
+    build_pipeline_app,
+    lane_key,
+    lane_suffix,
+    reading_factory,
+)
 from repro.errors import SpecValidationError, WiringError
 from repro.runtime.app import Application, Deployment
 from repro.runtime.engine import EngineConfig
@@ -281,6 +286,45 @@ class ClusterSpec:
             span = max(span, int(params["n_messages"]
                                  * ms(params["mean_interarrival_ms"])))
         return span
+
+
+def pipeline_spec(engines: int = 2, messages: int = 0, mean_ms: float = 1.0,
+                  window: int = 10, **fields) -> ClusterSpec:
+    """The pipeline-app spec every CLI and bench tool builds.
+
+    ``messages`` seeded readings arrive ``mean_ms`` apart (simulated
+    ms); ``messages=0`` leaves the workload empty for a gateway-fed run,
+    whose clients submit to the single ``readings`` input.  ``fields``
+    are further :class:`ClusterSpec` fields, passed through.
+
+    With three or more engines a seeded pipeline is *sharded*: one lane
+    per engine, lanes placed by consistent hashing (whole lanes travel
+    together), and the message budget split across the lane inputs — so
+    every engine leads a replication group with an independent output
+    stream, the shape the group-failover scenarios need.  One or two
+    engines, and gateway-fed runs, keep the single-lane contiguous
+    layout.
+    """
+    engine_ids = [f"e{i}" for i in range(engines)]
+    lanes = engines if engines > 2 and messages else 1
+    app_args = {"window": window}
+    placement: Dict[str, str] = {}
+    if lanes > 1:
+        app_args["lanes"] = lanes
+        app = build_pipeline_app(**app_args)
+        placement = sharded_placement(app.component_names(), engine_ids,
+                                      group_key=lane_key)
+    workload: Dict[str, Dict] = {}
+    per, rem = divmod(messages, lanes)
+    for lane in range(lanes):
+        n = per + (1 if lane < rem else 0)
+        if n:
+            workload[f"readings{lane_suffix(lane)}"] = {
+                "n_messages": n,
+                "mean_interarrival_ms": mean_ms,
+            }
+    return ClusterSpec(app="pipeline", app_args=app_args, engines=engine_ids,
+                       placement=placement, workload=workload, **fields)
 
 
 #: name -> Application builder.  Extend to run other apps on the net

@@ -1,22 +1,17 @@
 """``python -m repro.tools.bench_net``: the wire + scheduler perf
 trajectory, written to ``BENCH_net.json`` and ``BENCH_sched.json``.
 
-Two measurements, committed alongside every change to the wire path or
-the dispatch loop so the repository carries its own perf history:
+Two measurements; the committed snapshots are the repository's own
+perf history:
 
 1. **Streaming wire path** — a message stream crosses a real localhost
-   socket to a protocol-faithful receiver, twice.  The *baseline* mode
-   is the pre-batching wire path, frozen in this harness because the
-   live code no longer works that way: one ``FRAME_ITEM`` per message
-   assembled with four allocations, the tagged-dict canonical
-   serializer (whose per-key sort was the encoder hot spot), and a
-   receiver that answers and flushes one ACK per item — exactly the
-   historical ``channel._converse`` / ``server._item_loop`` pair.  The
-   *batched* mode is the shipped :class:`~repro.net.channel
-   .OutboundChannel`: scratch-buffer frame assembly, ``FRAME_BATCH``
-   packing, and one coalesced ACK per frame.  Reported per mode:
-   msgs/sec, bytes per frame write (≈ bytes per syscall), ack frames
-   per delivered item, and p50/p99 enqueue-to-ack latency.
+   socket from the shipped :class:`~repro.net.channel.OutboundChannel`
+   (scratch-buffer frame assembly, ``FRAME_BATCH`` packing) to a
+   protocol-faithful receiver that answers one coalesced ACK per frame.
+   Reported: msgs/sec, bytes per frame write (≈ bytes per syscall), ack
+   frames per delivered item, and p50/p99 enqueue-to-ack latency.  The
+   pre-batching sender this was first measured against (3.78x slower)
+   is in git history and in the committed ``BENCH_net.json``.
 2. **Scheduler dispatch** — the stock pipeline deployment runs purely
    in simulation and we report dispatched messages per wall second,
    which is dominated by the dispatch/silence hot loop
@@ -32,109 +27,19 @@ import argparse
 import asyncio
 import json
 import statistics
-import struct
 import time
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Dict, List
 
 from repro.core.message import SilenceAdvance
 from repro.net import codec
 from repro.net.channel import OutboundChannel
-
-_LEN = struct.Struct(">I")
 
 #: Messages enqueued between cooperative yields: the pump injects sim
 #: events in bursts, and the socket loop coalesces whatever accumulated.
 _ENQUEUE_CHUNK = 256
 
 
-# ----------------------------------------------------------------------
-# The frozen pre-batching wire path (bench-local; see module docstring).
-# ----------------------------------------------------------------------
-def _legacy_encode(obj: Any) -> Any:
-    """The historical tagged-dict canonical transform (every dict pays a
-    per-key ``json.dumps`` for sort ordering — the old encoder hot spot)."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, tuple):
-        return {"__t__": "t", "v": [_legacy_encode(x) for x in obj]}
-    if isinstance(obj, list):
-        return [_legacy_encode(x) for x in obj]
-    if isinstance(obj, dict):
-        items = [[_legacy_encode(k), _legacy_encode(v)]
-                 for k, v in obj.items()]
-        items.sort(key=lambda kv: json.dumps(kv[0], sort_keys=True))
-        return {"__t__": "d", "v": items}
-    raise TypeError(f"unsupported bench payload {type(obj).__name__}")
-
-
-def _legacy_frame(frame_tag: int, body: Any) -> bytes:
-    """Historical four-allocation frame assembly (one frame per call)."""
-    blob = json.dumps(_legacy_encode(body), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    return (_LEN.pack(2 + len(blob))
-            + bytes([codec.WIRE_VERSION]) + bytes([frame_tag]) + blob)
-
-
-async def _legacy_stream(port: int, n_messages: int) -> Dict:
-    """Drive the frozen per-item sender loop against ``port``."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(codec.encode_hello("bench:legacy", "sink"))
-    await writer.drain()
-    frame = await codec.read_frame(reader)
-    assert frame is not None and frame[0] == codec.FRAME_WELCOME
-
-    enqueued_at: List[float] = []
-    latencies_us: List[float] = []
-    stats = {"frames_sent": 0, "bytes_sent": 0, "acks_received": 0,
-             "batches_sent": 0}
-    acked_through = 0
-
-    async def consume_acks() -> None:
-        nonlocal acked_through
-        while acked_through < n_messages:
-            frame = await codec.read_frame(reader)
-            if frame is None:
-                return
-            if frame[0] != codec.FRAME_ACK:
-                continue
-            stats["acks_received"] += 1
-            upto = int(frame[1].get("upto", 0))
-            now = time.perf_counter()
-            for seq in range(acked_through, upto):
-                latencies_us.append((now - enqueued_at[seq]) * 1e6)
-            acked_through = max(acked_through, upto)
-
-    started = time.perf_counter()
-    acks = asyncio.get_running_loop().create_task(consume_acks())
-    for seq in range(n_messages):
-        enqueued_at.append(time.perf_counter())
-        msg = SilenceAdvance(0, seq)
-        frame = _legacy_frame(
-            codec.FRAME_ITEM,
-            {"seq": seq, "src": "bench-src", "dst": "sink",
-             "msg": codec.encode_message(msg)},
-        )
-        writer.write(frame)
-        stats["frames_sent"] += 1
-        stats["bytes_sent"] += len(frame)
-        if seq % _ENQUEUE_CHUNK == _ENQUEUE_CHUNK - 1:
-            await writer.drain()
-            await asyncio.sleep(0)
-    await writer.drain()
-    await acks
-    wall_s = time.perf_counter() - started
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except (ConnectionError, OSError):
-        pass
-    return _mode_result(n_messages, wall_s, stats, latencies_us)
-
-
-# ----------------------------------------------------------------------
-# The shipped batched wire path.
-# ----------------------------------------------------------------------
 async def _batched_stream(port: int, n_messages: int) -> Dict:
     """Drive a real :class:`OutboundChannel` (batch frames, scratch
     encoder) against ``port``."""
@@ -167,17 +72,10 @@ async def _batched_stream(port: int, n_messages: int) -> Dict:
 
 
 class _Receiver:
-    """Protocol-faithful receiving end, switchable ack policy.
+    """Protocol-faithful receiving end: like the server, it answers one
+    cumulative ACK per received frame."""
 
-    ``ack_per_item=True`` reproduces the historical server loop: every
-    item is answered with its own ACK frame and an immediate flush.
-    False matches the current server: one cumulative ACK per received
-    frame.  Batch bodies decode either way (the decoder reads both the
-    tagged legacy encoding and the current plain one).
-    """
-
-    def __init__(self, ack_per_item: bool):
-        self.ack_per_item = ack_per_item
+    def __init__(self):
         self.expected = 0
         self.server = None
         self.port = None
@@ -213,12 +111,8 @@ class _Receiver:
                     seq = int(item["seq"])
                     if seq >= self.expected:
                         self.expected = seq + 1
-                    if self.ack_per_item:
-                        writer.write(encoder.encode_ack(self.expected))
-                        await writer.drain()
-                if not self.ack_per_item:
-                    writer.write(encoder.encode_ack(self.expected))
-                    await writer.drain()
+                writer.write(encoder.encode_ack(self.expected))
+                await writer.drain()
         except (ConnectionError, OSError, codec.TransportError):
             pass
         finally:
@@ -254,30 +148,18 @@ def _mode_result(n_messages: int, wall_s: float, counters: Dict,
     }
 
 
-async def _run_mode(n_messages: int, batched: bool) -> Dict:
-    receiver = _Receiver(ack_per_item=not batched)
+async def _stream_to_receiver(n_messages: int) -> Dict:
+    receiver = _Receiver()
     await receiver.start()
     try:
-        if batched:
-            return await _batched_stream(receiver.port, n_messages)
-        return await _legacy_stream(receiver.port, n_messages)
+        return await _batched_stream(receiver.port, n_messages)
     finally:
         await receiver.stop()
 
 
 def bench_wire(n_messages: int) -> Dict:
-    """Frozen pre-batching path vs the shipped batched path."""
-    baseline = asyncio.run(_run_mode(n_messages, batched=False))
-    batched = asyncio.run(_run_mode(n_messages, batched=True))
-    return {
-        "baseline": baseline,
-        "batched": batched,
-        "speedup_msgs_per_sec": round(
-            batched["msgs_per_sec"] / baseline["msgs_per_sec"], 2),
-        "ack_frames_per_item_drop": round(
-            baseline["ack_frames_per_item"]
-            - batched["ack_frames_per_item"], 4),
-    }
+    """The shipped batched wire path over a localhost socket."""
+    return {"batched": asyncio.run(_stream_to_receiver(n_messages))}
 
 
 def bench_scheduler(span_ms: float) -> Dict:

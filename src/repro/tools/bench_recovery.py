@@ -146,27 +146,23 @@ def bench_group_failover(
     the ``3xK`` shapes measure group-local failover while the other
     groups keep streaming.
     """
-    import argparse
     import asyncio
 
     from repro.net.cluster import (
-        build_spec,
         default_victim,
         run_networked,
         with_addresses,
     )
-    from repro.net.topology import reference_run, sink_upstream_engines
+    from repro.net.topology import (
+        pipeline_spec,
+        reference_run,
+        sink_upstream_engines,
+    )
 
     shapes_out: Dict[str, Dict] = {}
     for engines, followers in shapes:
-        args = argparse.Namespace(
-            engines=engines, replicas=1, followers=followers,
-            messages=messages, mean_ms=1.0, window=10, seed=7,
-            speed=speed, checkpoint_ms=25.0, heartbeat_ms=10.0,
-            heartbeat_miss=3, recovery_target=None,
-            audit="off", audit_every=1,
-        )
-        spec = build_spec(args)
+        spec = pipeline_spec(engines=engines, messages=messages,
+                             speed=speed, followers_per_group=followers)
         reference = reference_run(spec)
         ref_counts = {sink: len(s) for sink, s in reference.items()}
         victim = default_victim(spec)

@@ -43,8 +43,8 @@ from repro.gateway.client import (
     fleet_summary,
 )
 from repro.gateway.cluster import (
-    build_gateway_spec,
     gateway_payload_factory,
+    gateway_spec,
     run_trial,
 )
 
@@ -61,27 +61,12 @@ _OVERLOAD_MAX_INFLIGHT = 32
 _OVERLOAD_BUCKET = (50.0, 2.0)
 
 
-def _spec_args(window: int, seed: int, max_inflight: int,
-               client_rate: float, client_burst: float
-               ) -> argparse.Namespace:
-    """The knob namespace ``build_gateway_spec`` consumes."""
-    return argparse.Namespace(
-        engines=2, replicas=1, window=window, seed=seed,
-        checkpoint_ms=25.0, heartbeat_ms=10.0, heartbeat_miss=3,
-        max_inflight=max_inflight, max_inflight_bytes=8 * 1024 * 1024,
-        client_rate=client_rate, client_burst=client_burst,
-        retry_ms=25.0,
-    )
-
-
 def _steady_phase(quick: bool, seed: int, timeout: float) -> Dict:
     clients, messages, rate = _STEADY["quick" if quick else "full"]
     plan = ClientPlan(n_clients=clients, total_messages=messages,
                       rate_msgs_per_s=rate, seed=seed)
-    spec = build_gateway_spec(
-        _spec_args(window=10, seed=seed, max_inflight=1024,
-                   client_rate=4 * rate, client_burst=2 * rate), plan,
-    )
+    spec = gateway_spec(plan, client_rate=4 * rate, client_burst=2 * rate,
+                        retry_ms=25.0, master_seed=seed)
     started = time.monotonic()
     result = run_trial("loadgen-steady", spec, plan, None, 0.4, timeout)
     wall_s = time.monotonic() - started
@@ -112,12 +97,9 @@ def _overload_phase(quick: bool, seed: int, timeout: float) -> Dict:
     plan = ClientPlan(n_clients=clients, total_messages=messages,
                       rate_msgs_per_s=0.0, seed=seed)  # burst
     bucket_rate, bucket_burst = _OVERLOAD_BUCKET
-    spec = build_gateway_spec(
-        _spec_args(window=10, seed=seed,
-                   max_inflight=_OVERLOAD_MAX_INFLIGHT,
-                   client_rate=bucket_rate, client_burst=bucket_burst),
-        plan,
-    )
+    spec = gateway_spec(plan, max_inflight=_OVERLOAD_MAX_INFLIGHT,
+                        client_rate=bucket_rate, client_burst=bucket_burst,
+                        retry_ms=25.0, master_seed=seed)
     started = time.monotonic()
     result = run_trial("loadgen-overload", spec, plan, None, 0.4, timeout)
     wall_s = time.monotonic() - started

@@ -8,6 +8,7 @@ from repro.net.topology import (
     assign_addresses,
     build_deployment,
     contiguous_placement,
+    pipeline_spec,
     plan_cluster_nodes,
     reference_run,
 )
@@ -208,3 +209,29 @@ class TestSpecValidation:
         spec = small_spec(followers_per_group=2)
         spec.validate()
         assert ClusterSpec.from_json(spec.to_json()) == spec
+
+
+class TestPipelineSpec:
+    def test_three_engines_shard_the_seeded_budget_one_lane_each(self):
+        spec = pipeline_spec(engines=3, messages=10, mean_ms=2.0,
+                             master_seed=5)
+        assert spec.engines == ["e0", "e1", "e2"]
+        assert spec.app_args == {"window": 10, "lanes": 3}
+        assert sorted(p["n_messages"] for p in spec.workload.values()) \
+            == [3, 3, 4]
+        assert {p["mean_interarrival_ms"]
+                for p in spec.workload.values()} == {2.0}
+        assert set(spec.placement.values()) == set(spec.engines)
+        assert spec.master_seed == 5
+        spec.validate()
+
+    def test_two_engines_and_gateway_fed_specs_stay_single_lane(self):
+        seeded = pipeline_spec(engines=2, messages=7)
+        assert seeded.app_args == {"window": 10}
+        assert seeded.placement == {}
+        assert seeded.workload == {"readings": {
+            "n_messages": 7, "mean_interarrival_ms": 1.0}}
+        fed = pipeline_spec(engines=3, window=4, gateway={"span_ms": 400.0})
+        assert fed.app_args == {"window": 4}
+        assert fed.placement == {} and fed.workload == {}
+        assert fed.gateway_enabled()
