@@ -33,12 +33,14 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import inspect
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from types import GeneratorType
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.component import Component, HandlerSpec
+from repro.core.estimators import QueueCorrelatedDelayEstimator
 from repro.core.message import (
     CallReply,
     CallRequest,
@@ -110,6 +112,8 @@ class BusyInfo:
     dequeue_vt: int
     #: Index of the execution segment currently running (generators).
     segment: int = 0
+    #: Cost model of that segment (``handler_spec.cost.segment(segment)``).
+    seg_cost: Any = None
     #: Virtual time reached so far (end of the last finished segment).
     partial_vt: int = 0
     #: Accumulated actual (simulated-real) execution ticks.
@@ -153,6 +157,10 @@ class ComponentRuntime:
         self.in_wires: Dict[int, InWireState] = {}
         self.out_senders: Dict[int, TickStreamSender] = {}
         self.out_specs: Dict[int, WireSpec] = {}
+        # Out-wires whose delay estimator reads the recent-emission count
+        # (decided at wiring, WireSpec being frozen: estimators are ABCs,
+        # and an isinstance against one costs three calls per emission).
+        self._load_correlated: set = set()
         self.silence = SilenceMap()
 
         self._busy: Optional[BusyInfo] = None
@@ -170,6 +178,12 @@ class ComponentRuntime:
         self._handler_specs = {
             name: dataclasses.replace(spec, cost=spec.cost.clone())
             for name, spec in type(component).handler_specs().items()
+        }
+
+        # Processor work-item label of each handler, by method name.
+        self._segment_labels = {
+            spec.method_name: f"{component.name}:{spec.method_name}"
+            for spec in self._handler_specs.values()
         }
 
         # Reply routing for two-way calls issued by this component.
@@ -191,11 +205,11 @@ class ComponentRuntime:
         # Wires with an outstanding replay: their arrivals may carry old
         # virtual times, so local freshness assumptions are suspended.
         self._replay_pending: set = set()
-        # Lazy min-heap of (head MessageKey, wire_id) over the pending
-        # queues: per-wire virtual times strictly increase, so each
-        # wire's head is its minimum and the heap top (after discarding
-        # stale entries) is the global dispatch candidate.
-        self._head_heap: List[Tuple[MessageKey, int]] = []
+        # Lazy min-heap of head MessageKeys over the pending queues:
+        # per-wire virtual times strictly increase, so each wire's head
+        # is its minimum and the heap top (after discarding stale
+        # entries) is the global dispatch candidate.
+        self._head_heap: List[MessageKey] = []
         # Wires flagged external at wiring time.  The hosting layer may
         # clear ``wire.external`` in place later (networked deployments
         # drop the local-clock freshness bound), so the fast paths check
@@ -256,6 +270,8 @@ class ComponentRuntime:
             raise WiringError(f"duplicate out-wire {spec.wire_id}")
         self.out_senders[spec.wire_id] = TickStreamSender(spec.wire_id)
         self.out_specs[spec.wire_id] = spec
+        if isinstance(spec.delay_estimator, QueueCorrelatedDelayEstimator):
+            self._load_correlated.add(spec.wire_id)
 
     def add_reply_wire(self, spec: WireSpec) -> None:
         """Register a wire on which this component receives call replies.
@@ -296,12 +312,13 @@ class ComponentRuntime:
         self._replay_pending.discard(msg.wire_id)
         if msg.vt < self._max_arrived_vt:
             self.services.metrics.count("out_of_order_arrivals")
-        self._max_arrived_vt = max(self._max_arrived_vt, msg.vt)
-        wire.pending.append(msg)
-        if len(wire.pending) == 1:
+        else:
+            self._max_arrived_vt = msg.vt
+        if not wire.pending:
             # New head: appends to a non-empty queue never change the
             # head (per-wire virtual times strictly increase).
-            heapq.heappush(self._head_heap, (msg.key(), msg.wire_id))
+            heapq.heappush(self._head_heap, msg.key())
+        wire.pending.append(msg)
         self.silence.advance(msg.wire_id, msg.vt)
         self._probe_outstanding[msg.wire_id] = False
         if self.observer is not None:
@@ -385,7 +402,7 @@ class ComponentRuntime:
             return
         best = self._best_candidate()
         if best is None:
-            self._clear_delay()
+            self._delay_key = None
             self.policy.on_idle(self)
             return
         msg, wire = best
@@ -398,23 +415,25 @@ class ComponentRuntime:
         top = self._clean_head()
         if top is None:
             return None
-        wire = self.in_wires[top[1]]
+        wire = self.in_wires[top.wire_id]
         return wire.pending[0], wire
 
-    def _clean_head(self) -> Optional[Tuple[MessageKey, int]]:
-        """The live (head key, wire_id) heap top, discarding stale entries.
+    def _clean_head(self) -> Optional[MessageKey]:
+        """The live head key on top of the heap, discarding stale entries.
 
         An entry is live iff it still names the head of its wire's
         pending queue; anything else (dispatched head, emptied queue) is
         stale and dropped on sight.
         """
         heap = self._head_heap
+        in_wires = self.in_wires
         while heap:
-            key, wire_id = heap[0]
-            wire = self.in_wires.get(wire_id)
-            if (wire is not None and wire.pending
-                    and wire.pending[0].key() == key):
-                return heap[0]
+            key = heap[0]
+            pending = in_wires[key.wire_id].pending
+            if pending:
+                head = pending[0]
+                if head.seq == key.seq and head.vt == key.vt:
+                    return key
             heapq.heappop(heap)
         return None
 
@@ -427,24 +446,19 @@ class ComponentRuntime:
         blocking = self.silence.blocking_wires(msg.vt, excluding=msg.wire_id)
         self.policy.on_pessimism_delay(self, blocking, msg.vt)
 
-    def _clear_delay(self) -> None:
-        self._delay_key = None
-
     def _dispatch(self, msg: DataMessage, wire: InWireState) -> None:
         if self.observer is not None:
             self.observer.on_dispatch(self, msg)
-        if self._delay_key == msg.key():
-            held = self.services.sim.now - self._delay_start
-            self.services.metrics.add("pessimism_delay_ticks", held)
-        self._clear_delay()
+        if self._delay_key is not None:
+            if self._delay_key == msg.key():
+                held = self.services.sim.now - self._delay_start
+                self.services.metrics.add("pessimism_delay_ticks", held)
+            self._delay_key = None
         wire.pending.popleft()
         if wire.pending and self.deterministic:
-            heapq.heappush(
-                self._head_heap,
-                (wire.pending[0].key(), wire.spec.wire_id),
-            )
+            heapq.heappush(self._head_heap, wire.pending[0].key())
         handler_spec = wire.handler_spec
-        dequeue_vt = max(msg.vt, self.component_vt)
+        dequeue_vt = msg.vt if msg.vt > self.component_vt else self.component_vt
         features = handler_spec.cost.features(msg.payload)
         busy = BusyInfo(
             message=msg,
@@ -462,25 +476,26 @@ class ComponentRuntime:
     def _start_segment(self, busy: BusyInfo, resume_value: Any,
                        first: bool = False) -> None:
         """Occupy the processor for one execution segment, then run code."""
-        seg_cost = busy.handler_spec.cost.segment(busy.segment)
-        nominal = seg_cost.true_nominal(busy.features)
-        actual = self.services.jitter.actual_duration(
-            self.services.rng, nominal, busy.features
+        services = self.services
+        spec = busy.handler_spec
+        features = busy.features
+        seg_cost = busy.seg_cost = spec.cost.segment(busy.segment)
+        actual = services.jitter.actual_duration(
+            services.rng, seg_cost.true_nominal(features), features
         )
         busy.actual_ticks += actual
-        busy.started_real = self.services.sim.now
+        busy.started_real = services.sim.now
         busy.actual_current = actual
         self.processor.execute(
             actual,
-            lambda: self._run_segment_code(busy, resume_value, first),
-            label=f"{self.component.name}:{busy.handler_spec.method_name}",
+            partial(self._run_segment_code, busy, resume_value, first),
+            label=self._segment_labels[spec.method_name],
         )
 
     def _run_segment_code(self, busy: BusyInfo, resume_value: Any,
                           first: bool) -> None:
         """Run the handler code for the segment that just finished."""
-        seg_cost = busy.handler_spec.cost.segment(busy.segment)
-        est = seg_cost.estimated(busy.features, busy.dequeue_vt)
+        est = busy.seg_cost.estimated(busy.features, busy.dequeue_vt)
         segment_end_vt = busy.partial_vt + est
 
         self._in_handler = True
@@ -488,7 +503,7 @@ class ComponentRuntime:
             if first:
                 handler = getattr(self.component, busy.handler_spec.method_name)
                 result = handler(busy.message.payload)
-                if inspect.isgenerator(result):
+                if isinstance(result, GeneratorType):
                     busy.generator = result
                     step = self._advance_generator(busy, None)
                 else:
@@ -565,15 +580,12 @@ class ComponentRuntime:
         Load-correlated estimators get the deterministic recent-emission
         count of the wire; plain estimators just see the features.
         """
-        from repro.core.estimators import QueueCorrelatedDelayEstimator
-
-        estimator = spec.delay_estimator
-        if isinstance(estimator, QueueCorrelatedDelayEstimator):
+        if spec.wire_id in self._load_correlated:
             sender = self.out_senders[spec.wire_id]
-            return estimator.estimate_with_load(
+            return spec.delay_estimator.estimate_with_load(
                 features, sender.recent_count(at_vt)
             )
-        return estimator.estimate(features)
+        return spec.delay_estimator.estimate(features)
 
     def _flush_outbox(self, vt_base: int, busy: BusyInfo) -> None:
         outbox, self._outbox = self._outbox, []
@@ -712,7 +724,7 @@ class ComponentRuntime:
         The bound never reaches the full estimate while the segment is
         still running, so it stays a fact regardless of jitter.
         """
-        seg_cost = busy.handler_spec.cost.segment(busy.segment)
+        seg_cost = busy.seg_cost
         seg_est = seg_cost.estimated(busy.features, busy.dequeue_vt)
         if busy.awaiting_reply:
             # Suspended on a call: output no earlier than the next
@@ -747,7 +759,7 @@ class ComponentRuntime:
             return NEVER
         if not any(w.external for w in self._external_flagged):
             head = self._clean_head()
-            head_min = head[0].vt if head is not None else NEVER
+            head_min = head.vt if head is not None else NEVER
             return min(head_min, self.silence.min_horizon() + 1)
         now = self.services.sim.now
         earliest = NEVER
@@ -922,13 +934,13 @@ class ComponentRuntime:
                 decode_message(item) for item in items
             )
         self._head_heap = [
-            (wire.pending[0].key(), wid)
-            for wid, wire in self.in_wires.items()
+            wire.pending[0].key()
+            for wire in self.in_wires.values()
             if wire.pending
         ]
         heapq.heapify(self._head_heap)
         self._busy = None
-        self._clear_delay()
+        self._delay_key = None
         for wid in self._probe_outstanding:
             self._probe_outstanding[wid] = False
             self._probe_not_before[wid] = 0

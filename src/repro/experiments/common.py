@@ -67,8 +67,8 @@ class Fig1Params:
                 else "deterministic")
 
 
-def run_fig1(params: Fig1Params) -> MetricSet:
-    """Run the Figure 1 configuration once; return its metrics."""
+def build_fig1(params: Fig1Params) -> Deployment:
+    """The Figure 1 deployment, wired and with its producers, not yet run."""
     sender_class = make_sender_class(
         per_iteration_true=params.per_iteration,
         estimator=params.estimator,
@@ -97,6 +97,12 @@ def run_fig1(params: Fig1Params) -> MetricSet:
         deployment.add_poisson_producer(
             f"ext{i}", factory, mean_interarrival=params.mean_interarrival
         )
+    return deployment
+
+
+def run_fig1(params: Fig1Params) -> MetricSet:
+    """Run the Figure 1 configuration once; return its metrics."""
+    deployment = build_fig1(params)
     deployment.run(until=params.duration)
     return deployment.metrics
 

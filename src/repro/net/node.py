@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import sys
+from functools import partial
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import FenceDeliveryError
@@ -102,7 +103,7 @@ class NetTransport:
         node = self._local.get(dst_id)
         if node is not None:
             if node.alive:
-                self.sim.call_soon(lambda: self._deliver_local(dst_id, item),
+                self.sim.call_soon(partial(self._deliver_local, dst_id, item),
                                    f"net-local:{dst_id}")
             # else: fail-stop — traffic to a locally dead node is lost.
             return

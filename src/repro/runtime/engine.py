@@ -80,7 +80,8 @@ class EngineConfig:
     #: trimmed) only once every follower acknowledged it, so any single
     #: surviving follower can still replay from its chain.
     replica_ids: tuple = ()
-    #: Enable drift-triggered determinism-fault re-calibration.
+    #: Enable drift-triggered determinism-fault re-calibration.  Read
+    #: once per component, when ``add_component`` wires its runtime.
     calibrate: bool = False
     #: Drift-monitor window (samples) and relative threshold.
     drift_window: int = 200
@@ -294,7 +295,7 @@ class ExecutionEngine:
             send_control=self._send_control,
             metrics=self.metrics,
             prescient=self.config.prescient,
-            on_sample=self._on_sample,
+            on_sample=self._on_sample if self.config.calibrate else None,
         )
         if self.config.mode == "deterministic":
             policy = self.config.policy_factory()
@@ -398,16 +399,23 @@ class ExecutionEngine:
         """Dispatch one item arriving from the network."""
         if not self.alive:
             return
-        if isinstance(item, CallReply):
-            name = self._reply_dst_local.get(item.wire_id)
-            if name is None:
-                raise TransportError(
-                    f"{self.engine_id}: reply on unknown wire {item.wire_id}"
-                )
-            self.runtimes[name].on_reply_msg(item)
-        elif isinstance(item, DataMessage):
-            name = self._require_dst(item.wire_id)
-            self.runtimes[name].on_data(item)
+        if isinstance(item, DataMessage):
+            if isinstance(item, CallReply):
+                name = self._reply_dst_local.get(item.wire_id)
+                if name is None:
+                    raise TransportError(
+                        f"{self.engine_id}: reply on unknown wire "
+                        f"{item.wire_id}"
+                    )
+                self.runtimes[name].on_reply_msg(item)
+            else:
+                name = self._wire_dst_local.get(item.wire_id)
+                if name is None:
+                    raise TransportError(
+                        f"{self.engine_id}: data on unknown wire "
+                        f"{item.wire_id}"
+                    )
+                self.runtimes[name].on_data(item)
         elif isinstance(item, SilenceAdvance):
             name = self._wire_dst_local.get(item.wire_id)
             if name is not None:
@@ -426,14 +434,6 @@ class ExecutionEngine:
             self._on_checkpoint_ack(item)
         else:
             raise TransportError(f"{self.engine_id}: unexpected item {item!r}")
-
-    def _require_dst(self, wire_id: int) -> str:
-        name = self._wire_dst_local.get(wire_id)
-        if name is None:
-            raise TransportError(
-                f"{self.engine_id}: data on unknown wire {wire_id}"
-            )
-        return name
 
     def _require_src(self, wire_id: int) -> str:
         name = self._wire_src_local.get(wire_id)
@@ -607,8 +607,6 @@ class ExecutionEngine:
     # Calibration / determinism faults (paper II.G.4)
     # ------------------------------------------------------------------
     def _on_sample(self, runtime, handler_spec, features, estimated, actual) -> None:
-        if not self.config.calibrate:
-            return
         key = (runtime.component.name, handler_spec.input_name)
         tuning = self._tunings.get(key)
         if tuning is None:

@@ -19,6 +19,7 @@ This module builds both layers from scratch:
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import TransportError
@@ -59,6 +60,7 @@ class RawLink:
         self.fault = fault or LinkFault()
         self.serialize_ticks = int(serialize_ticks)
         self._free_at = 0
+        self._label = f"link:{name}"
         #: Diagnostics.
         self.frames_sent = 0
         self.frames_dropped = 0
@@ -74,23 +76,24 @@ class RawLink:
         dropped frames still pay (and report) their queue wait.
         """
         self.frames_sent += 1
+        sim, rng, fault = self.sim, self.rng, self.fault
         queue_wait = 0
         if self.serialize_ticks:
-            start = max(self.sim.now, self._free_at)
+            start = max(sim.now, self._free_at)
             self._free_at = start + self.serialize_ticks
-            queue_wait = self._free_at - self.sim.now
-        if self.fault.down or self.rng.random() < self.fault.loss_prob:
+            queue_wait = self._free_at - sim.now
+        if fault.down or rng.random() < fault.loss_prob:
             self.frames_dropped += 1
             return queue_wait
         copies = 1
-        if self.rng.random() < self.fault.dup_prob:
+        if rng.random() < fault.dup_prob:
             copies = 2
             self.frames_duplicated += 1
         for _ in range(copies):
-            delay = queue_wait + self.delay.sample(self.rng)
-            if self.fault.reorder_extra is not None:
-                delay += self.fault.reorder_extra.sample(self.rng)
-            self.sim.after(delay, lambda f=frame: deliver(f), f"link:{self.name}")
+            delay = queue_wait + self.delay.sample(rng)
+            if fault.reorder_extra is not None:
+                delay += fault.reorder_extra.sample(rng)
+            sim.after(delay, partial(deliver, frame), self._label)
         return queue_wait
 
 
@@ -122,13 +125,17 @@ class ReliableChannel:
         self._epoch = 0
         # Sender state.
         self._send_seq = 0
+        # Unacked items by seq.  Acks are cumulative, so the keys are
+        # always a contiguous range ending at _send_seq.
         self._unacked: Dict[int, Any] = {}
         # RTT estimation (Jacobson smoothing, Karn's rule: retransmitted
         # frames give no samples).  Queueing on a serialized link inflates
         # the measured RTT and with it the timeout, so congestion damps
         # retransmission instead of feeding it.
         self._srtt: Optional[float] = None
-        self._tx_meta: Dict[int, tuple] = {}  # seq -> (last_tx, retransmitted)
+        # seq -> (last_tx, retransmitted, armed retransmit timer) of the
+        # latest transmission of each unacked frame.
+        self._tx_meta: Dict[int, tuple] = {}
         # Fast retransmit: repeated acks for the same prefix mean the
         # next frame was lost while later ones arrived.
         self._last_ack_value = -1
@@ -165,26 +172,19 @@ class ReliableChannel:
         """
         if not first:
             self.retransmissions += 1
-        item = self._unacked[seq]
-        frame = ("data", self._epoch, seq, item)
+            self._tx_meta[seq][2].cancel()  # this transmission supersedes it
+        frame = ("data", self._epoch, seq, self._unacked[seq])
         queue_wait = self.data_link.transmit(frame, self._on_frame)
-        _prev = self._tx_meta.get(seq)
-        token = (_prev[2] + 1) if _prev else 0
-        self._tx_meta[seq] = (self.sim.now, not first, token)
         backoff = min(self._effective_rto() * (2 ** (attempt - 1)),
                       self.max_backoff * self.rto)
-        epoch = self._epoch
-
-        def _check() -> None:
-            if epoch != self._epoch or seq not in self._unacked:
-                return
-            meta = self._tx_meta.get(seq)
-            if meta is None or meta[2] != token:
-                return  # a newer transmission owns the timer now
-            self._transmit_frame(seq, attempt + 1, first=False)
-
-        self.sim.after(queue_wait + backoff, _check,
-                       f"retx:{self.name}:{seq}")
+        # The timer lives exactly as long as this transmission is the
+        # frame's latest and unacked: the ack, a newer transmission and
+        # reset() each cancel it, so when it fires the frame is overdue.
+        timer = self.sim.after(
+            queue_wait + backoff,
+            partial(self._transmit_frame, seq, attempt + 1, False),
+            f"retx:{self.name}:{seq}")
+        self._tx_meta[seq] = (self.sim.now, not first, timer)
 
     # -- receiver side ---------------------------------------------------
     def _on_frame(self, frame) -> None:
@@ -213,18 +213,19 @@ class ReliableChannel:
         self.ack_link.transmit(frame, self._on_frame)
 
     def _on_ack(self, next_expected: int) -> None:
-        acked = [s for s in self._unacked if s < next_expected]
-        for seq in acked:
+        seq = self._send_seq - len(self._unacked)  # lowest outstanding
+        while seq < next_expected:
             del self._unacked[seq]
-            last_tx, retransmitted, _token = self._tx_meta.pop(
-                seq, (None, True, 0))
-            if not retransmitted and last_tx is not None:
+            last_tx, retransmitted, timer = self._tx_meta.pop(seq)
+            timer.cancel()
+            if not retransmitted:
                 # Karn's rule: only unambiguous samples train the RTT.
                 sample = float(self.sim.now - last_tx)
                 if self._srtt is None:
                     self._srtt = sample
                 else:
                     self._srtt = 0.875 * self._srtt + 0.125 * sample
+            seq += 1
         # Fast retransmit: three acks for the same prefix while the next
         # frame is outstanding mean it was lost (later frames arrived).
         if next_expected == self._last_ack_value:
@@ -247,6 +248,8 @@ class ReliableChannel:
         self._epoch += 1
         self._send_seq = 0
         self._unacked.clear()
+        for _last_tx, _retransmitted, timer in self._tx_meta.values():
+            timer.cancel()
         self._tx_meta.clear()
         self._recv_expected = 0
         self._recv_buffer.clear()

@@ -22,6 +22,7 @@ paper's 20 µs curiosity-probe cost even between co-located components.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.message import CuriosityProbe, SilenceAdvance
@@ -88,22 +89,17 @@ class Network:
     # -- delivery ----------------------------------------------------------
     def send(self, src_id: str, dst_id: str, item: Any) -> None:
         """Send ``item`` from node to node."""
+        control = isinstance(item, (CuriosityProbe, SilenceAdvance))
         if src_id == dst_id:
-            delay = self._item_delay(item, local=True)
-            self.sim.after(delay, lambda: self._deliver(dst_id, item),
+            self.sim.after(self.control_delay if control else self.local_delay,
+                           partial(self._deliver, dst_id, item),
                            f"local:{dst_id}")
-            return
-        extra = self._item_delay(item, local=False)
-        if extra:
-            self.sim.after(extra, lambda: self._channel_send(src_id, dst_id, item),
+        elif control and self.control_delay:
+            self.sim.after(self.control_delay,
+                           partial(self._channel_send, src_id, dst_id, item),
                            f"ctl:{src_id}->{dst_id}")
         else:
             self._channel_send(src_id, dst_id, item)
-
-    def _item_delay(self, item: Any, local: bool) -> int:
-        if isinstance(item, (CuriosityProbe, SilenceAdvance)):
-            return self.control_delay
-        return self.local_delay if local else 0
 
     def _channel_send(self, src_id: str, dst_id: str, item: Any) -> None:
         self._channel(src_id, dst_id).send(item)
@@ -116,7 +112,7 @@ class Network:
             rng = self.rng_registry.stream(f"link:{src_id}->{dst_id}")
             channel = ReliableChannel(
                 self.sim, rng, f"{src_id}->{dst_id}",
-                deliver=lambda it, d=dst_id: self._deliver(d, it),
+                deliver=partial(self._deliver, dst_id),
                 delay=params.delay, fault=params.fault, rto=params.rto,
                 serialize_ticks=params.serialize_ticks,
             )

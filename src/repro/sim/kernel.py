@@ -11,8 +11,13 @@ the TART reproduction leans on heavily:
 * **Integer time.**  Time is measured in integer ticks (1 tick = 1 ns, as
   in the paper), so there is no floating-point drift between runs.
 * **Cancellable events.**  Schedulers need to retract timers (e.g. a
-  curiosity probe made redundant by an arriving silence advance); events
-  carry a cancelled flag rather than being removed from the heap.
+  curiosity probe made redundant by an arriving silence advance, a
+  retransmit timer whose frame was acked); events carry a cancelled flag
+  rather than being removed from the heap, and a cancelled entry is
+  dropped when it surfaces without ever counting as executed.
+* **A heap ``heapq`` orders in C.**  Heap entries are ``(time, seq,
+  event)`` tuples; ``seq`` is unique, so tuple comparison is decided by
+  the two ints and never reaches the :class:`Event` handle.
 
 The kernel deliberately has no notion of processes or channels; those are
 built on top (see :mod:`repro.runtime`).  Keeping the kernel minimal makes
@@ -21,8 +26,8 @@ its determinism easy to audit.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Dict, List, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -52,11 +57,12 @@ def seconds(n: float) -> int:
 
 
 class Event:
-    """A scheduled callback.
+    """Handle of a scheduled callback.
 
-    Events compare by ``(time, seq)``; ``seq`` is a kernel-wide counter
+    Events fire in ``(time, seq)`` order; ``seq`` is a kernel-wide counter
     assigned when the event is scheduled, making the execution order a
-    deterministic function of the scheduling order.
+    deterministic function of the scheduling order.  The handle itself
+    is never compared: the heap orders ``(time, seq, event)`` tuples.
     """
 
     __slots__ = ("time", "seq", "fn", "label", "cancelled")
@@ -69,11 +75,9 @@ class Event:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
+        """Prevent the event from firing.  Safe to call more than once,
+        and a no-op on an event that already fired."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -91,8 +95,10 @@ class Simulator:
     """
 
     def __init__(self, trace_hook: Optional[Callable[[int, str], None]] = None):
-        self._now = 0
-        self._heap: List[Event] = []
+        #: Current simulated time in ticks.  A plain attribute because it
+        #: is read several times per event; only the kernel writes it.
+        self.now = 0
+        self._heap: List[Tuple[int, int, Event]] = []
         self._seq = 0
         self._running = False
         self._trace_hook = trace_hook
@@ -104,13 +110,8 @@ class Simulator:
     # Clock
     # ------------------------------------------------------------------
     @property
-    def now(self) -> int:
-        """Current simulated time in ticks."""
-        return self._now
-
-    @property
     def events_executed(self) -> int:
-        """Number of events executed so far (diagnostic)."""
+        """Number of events fired so far; cancelled events never count."""
         return self._event_count
 
     # ------------------------------------------------------------------
@@ -122,24 +123,26 @@ class Simulator:
         ``time`` must not be in the past.  Returns the :class:`Event`,
         which may later be cancelled.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event '{label}' at {time}, now is {self._now}"
+                f"cannot schedule event '{label}' at {time}, now is {self.now}"
             )
-        ev = Event(int(time), self._seq, fn, label)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return ev
+        return self.after(int(time) - self.now, fn, label)
 
     def after(self, delay: int, fn: Callable[[], None], label: str = "") -> Event:
         """Schedule ``fn`` after a non-negative ``delay`` in ticks."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event '{label}'")
-        return self.at(self._now + int(delay), fn, label)
+        time = self.now + int(delay)
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(time, seq, fn, label)
+        heappush(self._heap, (time, seq, ev))
+        return ev
 
     def call_soon(self, fn: Callable[[], None], label: str = "") -> Event:
         """Schedule ``fn`` at the current time, after pending same-time events."""
-        return self.at(self._now, fn, label)
+        return self.after(0, fn, label)
 
     # ------------------------------------------------------------------
     # Execution
@@ -149,15 +152,16 @@ class Simulator:
 
         Returns ``False`` when the heap is exhausted.
         """
-        while self._heap:
-            ev = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _seq, ev = heappop(heap)
             if ev.cancelled:
                 continue
-            if ev.time < self._now:  # pragma: no cover - defensive
+            if time < self.now:  # pragma: no cover - defensive
                 raise SimulationError("event heap time went backwards")
-            self._now = ev.time
+            self.now = time
             if self._trace_hook is not None:
-                self._trace_hook(ev.time, ev.label)
+                self._trace_hook(time, ev.label)
             self._event_count += 1
             ev.fn()
             return True
@@ -169,41 +173,52 @@ class Simulator:
         When ``until`` is given, all events strictly before it are
         executed and the clock is advanced to ``until``; events at or
         after ``until`` stay queued so the simulation can be resumed.
+        Cancelled events are discarded as they surface and count neither
+        toward ``max_events`` nor toward :attr:`events_executed`.
+
+        The loop repeats :meth:`step`'s firing sequence inline: it is the
+        innermost loop of every simulation, and a call per event is a
+        tenth of the kernel's cost.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         try:
+            heap = self._heap
             executed = 0
-            while self._heap:
+            while heap:
                 if max_events is not None and executed >= max_events:
                     return
-                nxt = self._peek()
-                if nxt is None:
+                time, _seq, ev = heap[0]
+                if ev.cancelled:
+                    heappop(heap)
+                    continue
+                if until is not None and time >= until:
                     break
-                if until is not None and nxt.time >= until:
-                    break
-                self.step()
+                heappop(heap)
+                if time < self.now:  # pragma: no cover - defensive
+                    raise SimulationError("event heap time went backwards")
+                self.now = time
+                if self._trace_hook is not None:
+                    self._trace_hook(time, ev.label)
+                self._event_count += 1
+                ev.fn()
                 executed += 1
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
 
-    def _peek(self) -> Optional[Event]:
-        """Return the next live event without executing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
-
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for _time, _seq, ev in self._heap if not ev.cancelled)
 
     def next_event_time(self) -> Optional[int]:
         """Time of the next live event, or ``None`` if the heap is empty."""
-        ev = self._peek()
-        return ev.time if ev is not None else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
 
 class Timer:
@@ -255,14 +270,11 @@ class Processor:
         self._sim = sim
         self.name = name
         self._busy_until = 0
-        self._busy = False
+        #: Whether the processor is currently executing a work item.
+        self.busy = False
+        self._on_done: Optional[Callable[[], None]] = None
         #: Total ticks spent executing work (utilisation accounting).
         self.busy_ticks = 0
-
-    @property
-    def busy(self) -> bool:
-        """Whether the processor is currently executing a work item."""
-        return self._busy
 
     @property
     def busy_until(self) -> int:
@@ -276,19 +288,20 @@ class Processor:
         queueing.  This keeps queue policy (the interesting part) out of
         the substrate.
         """
-        if self._busy:
+        if self.busy:
             raise SimulationError(f"processor {self.name} is busy")
         if duration < 0:
             raise SimulationError(f"negative work duration {duration}")
-        self._busy = True
+        self.busy = True
         self._busy_until = self._sim.now + duration
         self.busy_ticks += duration
+        self._on_done = on_done
+        self._sim.after(duration, self._finish, f"{self.name}:{label}")
 
-        def _done() -> None:
-            self._busy = False
-            on_done()
-
-        self._sim.after(duration, _done, f"{self.name}:{label}")
+    def _finish(self) -> None:
+        on_done, self._on_done = self._on_done, None
+        self.busy = False
+        on_done()
 
     def utilization(self) -> float:
         """Fraction of elapsed simulated time spent busy."""
@@ -391,23 +404,19 @@ class PooledProcessor:
     def __init__(self, pool: ProcessorPool, thread_name: str):
         self._pool = pool
         self.name = thread_name
-        self._busy = False
-
-    @property
-    def busy(self) -> bool:
-        """Whether this thread has work queued or running."""
-        return self._busy
+        #: Whether this thread has work queued or running.
+        self.busy = False
 
     def execute(self, duration: int, on_done: Callable[[], None],
                 label: str = "work") -> None:
         """Submit one work item; ``on_done`` fires after it has both
         acquired a CPU and run for ``duration`` ticks."""
-        if self._busy:
+        if self.busy:
             raise SimulationError(f"thread {self.name} already has work")
         if duration < 0:
             raise SimulationError(f"negative work duration {duration}")
-        self._busy = True
+        self.busy = True
         self._pool._submit(self.name, duration, on_done)
 
     def _job_done(self) -> None:
-        self._busy = False
+        self.busy = False

@@ -13,7 +13,7 @@ messages are ordered by ``(vt, wire_id, seq)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Ticks per microsecond (1 tick = 1 ns).
 TICKS_PER_US = 1_000
@@ -37,13 +37,13 @@ def format_vt(vt: int) -> str:
     return f"{whole}us"
 
 
-@dataclass(frozen=True, order=True)
-class MessageKey:
+class MessageKey(NamedTuple):
     """Total order over messages: virtual time, then wire id, then seq.
 
     ``wire_id`` is the globally unique id assigned at wiring time, so the
     order is identical on every replica and on every replay — the
-    deterministic tie-break the paper requires.
+    deterministic tie-break the paper requires.  A tuple, so the
+    scheduler's heaps order keys without calling back into Python.
     """
 
     vt: int

@@ -122,3 +122,85 @@ class TestFastRetransmit:
         # 300 sends over 15ms; with fast retransmit, delivery finishes
         # within a comfortable margin of the send window.
         assert received == list(range(300))
+
+
+class TestRetransmitTimerLifetime:
+    """A retransmit timer lives exactly as long as its transmission is the
+    frame's latest and unacked; nothing of a finished or dead epoch may
+    linger in the kernel as phantom work."""
+
+    def _channel(self, **kwargs):
+        labels = []
+        sim = Simulator(trace_hook=lambda _t, label: labels.append(label))
+        received = []
+        channel = ReliableChannel(sim, random.Random(3), "c",
+                                  deliver=received.append, **kwargs)
+        return sim, channel, received, labels
+
+    def test_clean_channel_quiesces_with_nothing_pending(self):
+        sim, channel, received, labels = self._channel(
+            delay=Constant(us(100)))
+        for i in range(5):
+            channel.send(i)
+        # Stop well before the earliest retransmit deadline (>= 400 us).
+        sim.run(until=us(250))
+        assert received == list(range(5))
+        assert channel.in_flight == 0
+        assert sim.pending() == 0
+        assert sim.next_event_time() is None
+        # The acked frames' timers never fired, not even as no-ops.
+        sim.run()
+        assert not [label for label in labels if label.startswith("retx:")]
+        assert sim.now == us(250)
+
+    def test_reset_cancels_the_dead_epochs_timers(self):
+        fault = LinkFault()
+        sim, channel, received, labels = self._channel(
+            delay=Constant(us(100)), fault=fault)
+        # An outage: every frame is dropped on the wire, so the armed
+        # retransmit timers are the only events in the kernel.
+        fault.down = True
+        for i in range(4):
+            channel.send(i)
+        assert channel.in_flight == 4
+        assert sim.pending() == 4
+        channel.reset()
+        assert channel.in_flight == 0
+        assert sim.pending() == 0
+        assert sim.next_event_time() is None
+        # The new epoch starts clean and works.
+        fault.down = False
+        channel.send("fresh")
+        sim.run()
+        assert received == ["fresh"]
+        assert not [label for label in labels if label.startswith("retx:")]
+
+    def test_fast_retransmit_supersedes_the_original_timer(self):
+        fault = LinkFault()
+        sim, channel, received, labels = self._channel(
+            delay=Constant(us(100)), fault=fault)
+        fault.loss_prob = 1.0
+        channel.send(0)
+        fault.loss_prob = 0.0
+        for i in range(1, 8):
+            channel.send(i)
+        sim.run()
+        assert received == list(range(8))
+        # Dup-acks resent frame 0 at 200 us, before its original timer
+        # (400 us) was due; the resends' own timers died with the ack.
+        assert "retx:c:0" not in labels
+        assert sim.pending() == 0
+        # The last event is the last ack's arrival, not a stale timer.
+        assert sim.now == us(600)
+
+    def test_ack_handling_is_linear_in_acked_frames(self):
+        # One cumulative ack for a large backlog: every frame's state is
+        # released and every timer cancelled in a single walk.
+        sim, channel, received, labels = self._channel(
+            delay=Constant(us(100)), serialize_ticks=us(1))
+        for i in range(500):
+            channel.send(i)
+        sim.run(until=ms(2))
+        assert received == list(range(500))
+        assert channel.in_flight == 0
+        assert sim.pending() == 0
