@@ -42,7 +42,7 @@ def test_codec_encode_decode_throughput(benchmark):
 
 def test_frame_split_throughput(benchmark):
     messages = _sample_messages(1_000)
-    wire = b"".join(codec.encode_item(i, "a", "b", m)
+    wire = b"".join(codec.encode_item(i, "a", m)
                     for i, m in enumerate(messages))
 
     def split():

@@ -167,6 +167,11 @@ WIRE_MESSAGE_TYPES: Tuple[Type, ...] = (
 )
 
 
+#: class -> its field names; ``dataclasses.fields`` rebuilds the tuple
+#: on every call and this runs once per message sent.
+_FIELD_NAMES: Dict[Type, Tuple[str, ...]] = {}
+
+
 def message_fields(msg: Any) -> Dict[str, Any]:
     """Shallow field dict of one wire message, in declaration order.
 
@@ -174,4 +179,8 @@ def message_fields(msg: Any) -> Dict[str, Any]:
     payloads, so arbitrary payload values survive a round-trip through
     ``cls(**message_fields(msg))`` unchanged.
     """
-    return {f.name: getattr(msg, f.name) for f in dataclasses.fields(msg)}
+    names = _FIELD_NAMES.get(type(msg))
+    if names is None:
+        names = tuple(f.name for f in dataclasses.fields(msg))
+        _FIELD_NAMES[type(msg)] = names
+    return {name: getattr(msg, name) for name in names}

@@ -25,8 +25,7 @@ the simulated :class:`~repro.runtime.link.ReliableChannel`:
 * **Batched wire path.**  The send loop drains once per *burst*: every
   item pending at that moment is packed into ``FRAME_BATCH`` frames
   (``batch_max_items`` per frame, singletons stay plain ``FRAME_ITEM``)
-  assembled through a per-channel :class:`~repro.net.codec.FrameEncoder`
-  scratch buffer — one body serialization and one syscall carry many
+  of struct-packed item records — one frame and one syscall carry many
   messages.  The receiver coalesces acknowledgements to one cumulative
   ACK per frame; the ack consumer rejects any ``upto`` outside the
   ``[frontier, next_seq]`` window, so a stale host answering after a
@@ -106,14 +105,13 @@ class OutboundChannel:
         self.handshake_timeout = float(handshake_timeout)
         self.batch_max_items = max(1, int(batch_max_items))
         self._jitter = backoff_jitter_rng(jitter_seed, peer_id, dst_node)
-        #: Reusable scratch buffer for frame assembly (hot path).
         self._encoder = codec.FrameEncoder()
         #: Observer of the advancing ack frontier (benchmarks measure
         #: enqueue-to-ack latency through it); called with ``upto``.
         self._ack_watcher = ack_watcher
         #: Items accepted but not yet assigned a sequence number.
         self._pending: Deque[Tuple[str, Any]] = deque()
-        #: (seq, ITEM body dict) sent but not yet acknowledged; resends
+        #: (seq, in-memory item) sent but not yet acknowledged; resends
         #: re-pack these into fresh batch frames.
         self._unacked: Deque[Tuple[int, Dict[str, Any]]] = deque()
         self._next_seq = 0
@@ -372,19 +370,17 @@ class OutboundChannel:
 
     def _send_burst(self, writer, bodies: List[Dict[str, Any]],
                     resend: bool = False) -> None:
-        """Write one burst of ITEM bodies as batch frames (no drain).
+        """Write one burst of items as batch frames (no drain).
 
         Chunks of ``batch_max_items`` become ``FRAME_BATCH`` frames; a
-        lone item stays a plain ``FRAME_ITEM``.  Frames are assembled in
-        the channel's scratch encoder, so a burst costs one body
-        serialization per *frame* instead of four allocations per item.
+        lone item stays a plain ``FRAME_ITEM``.
         """
         encoder = self._encoder
         cap = self.batch_max_items
         for start in range(0, len(bodies), cap):
             chunk = bodies[start:start + cap]
             if len(chunk) == 1:
-                frame = encoder.encode(codec.FRAME_ITEM, chunk[0])
+                frame = encoder.encode(codec.FRAME_ITEM, {"items": chunk})
             else:
                 frame = encoder.encode_batch(chunk)
                 self.batches_sent += 1
@@ -462,7 +458,7 @@ class OutboundChannel:
                 frame_tag, body = frame
                 if frame_tag != codec.FRAME_ACK:
                     continue
-                upto = int(body.get("upto", 0))
+                upto = body["upto"]
                 if upto < self._ack_frontier or upto > self._next_seq:
                     # Out of the [frontier, next_seq] window: a stale
                     # host answering after a promotion, or a corrupt
@@ -522,7 +518,7 @@ async def send_fence_once(address: Tuple[str, int], peer_id: str,
                                            timeout=timeout)
             if frame is not None and frame[0] == codec.FRAME_WELCOME:
                 writer.write(codec.encode_item(
-                    0, peer_id, engine_id, codec.FenceRequest(engine_id)
+                    0, peer_id, codec.FenceRequest(engine_id)
                 ))
                 await writer.drain()
                 return True
@@ -571,8 +567,7 @@ async def send_corrupt_once(address: Tuple[str, int], peer_id: str,
                                            timeout=timeout)
             if frame is not None and frame[0] == codec.FRAME_WELCOME:
                 writer.write(codec.encode_item(
-                    0, peer_id, control,
-                    codec.CorruptRequest(engine_id, component),
+                    0, peer_id, codec.CorruptRequest(engine_id, component),
                 ))
                 await writer.drain()
                 return True

@@ -25,10 +25,12 @@ simply hung up, which forces the sender to re-handshake and cycle to
 the node's next address candidate (where its promoted successor lives).
 
 Items arrive as singleton ITEM frames or as BATCH frames carrying many
-ITEM bodies.  Acknowledgements are *coalesced*: one cumulative ACK is
-written per received frame — a batch of N items costs one ack write
-instead of the historical N — and the ack carries the connection's next
-expected sequence number either way.
+item records, and are delivered to the node the connection's HELLO
+named — a record carries no destination of its own.  Acknowledgements
+are *coalesced*: one cumulative ACK is written per received frame — a
+batch of N items costs one ack write instead of the historical N — and
+the ack carries the connection's next expected sequence number either
+way.
 
 Receiver-side dedup state is keyed by (sender peer, destination node,
 destination *incarnation*): a promoted node starts with a clean slate,
@@ -42,6 +44,7 @@ import argparse
 import asyncio
 import sys
 import uuid
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
@@ -52,6 +55,11 @@ from repro.net.heartbeat import ReplicaHost
 from repro.net.node import ControlNode, EngineHost, NetTransport
 from repro.net.topology import ClusterSpec
 from repro.sim.kernel import Simulator
+
+
+#: Messages the server acts on itself instead of delivering to a node.
+_CONTROL_TYPES = frozenset({codec.GoSignal, codec.Shutdown,
+                            codec.FenceRequest, codec.CorruptRequest})
 
 
 class ProcessRuntime:
@@ -83,21 +91,17 @@ class ProcessRuntime:
     # -- inbound protocol ------------------------------------------------
     async def _handle_conn(self, reader, writer) -> None:
         try:
-            frame = await asyncio.wait_for(codec.read_frame(reader),
-                                           timeout=10.0)
+            try:
+                frame = await asyncio.wait_for(codec.read_frame(reader),
+                                               timeout=10.0)
+            except codec.WireVersionError as exc:
+                await self._reject_proto(writer, exc.version)
+                return
             if frame is None or frame[0] != codec.FRAME_HELLO:
                 return
             proto = frame[1].get("proto")
             if proto != codec.WIRE_VERSION:
-                # Version negotiation is enforced: answer with a
-                # structured reject so the peer can log why, then hang
-                # up before any WELCOME leaks an incarnation.
-                self.proto_rejects += 1
-                writer.write(codec.encode_error(
-                    f"unsupported wire protocol {proto!r}; "
-                    f"{self.name} speaks {codec.WIRE_VERSION}"
-                ))
-                await writer.drain()
+                await self._reject_proto(writer, proto)
                 return
             peer = str(frame[1].get("peer", ""))
             dst = str(frame[1].get("dst", ""))
@@ -126,6 +130,18 @@ class ProcessRuntime:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
+    async def _reject_proto(self, writer, proto) -> None:
+        """Version negotiation is enforced: answer a HELLO of another
+        wire version (by its frame header or its ``proto`` field) with a
+        structured reject so the peer can log why, then hang up before
+        any WELCOME leaks an incarnation."""
+        self.proto_rejects += 1
+        writer.write(codec.encode_error(
+            f"unsupported wire protocol {proto!r}; "
+            f"{self.name} speaks {codec.WIRE_VERSION}"
+        ))
+        await writer.drain()
+
     async def _item_loop(self, reader, writer, peer: str, key) -> None:
         encoder = codec.FrameEncoder()
         while True:
@@ -133,13 +149,9 @@ class ProcessRuntime:
             if frame is None:
                 return
             tag, body = frame
-            if tag == codec.FRAME_ITEM:
-                items = (body,)
-            elif tag == codec.FRAME_BATCH:
-                items = codec.batch_items(body)
-            else:
+            if tag != codec.FRAME_ITEM and tag != codec.FRAME_BATCH:
                 continue
-            for item in items:
+            for item in codec.batch_items(body):
                 if not self._accept_item(item, peer, key):
                     # Destination died under this connection: hang up so
                     # the sender re-handshakes and finds the promoted
@@ -150,51 +162,53 @@ class ProcessRuntime:
             writer.write(encoder.encode_ack(self._recv_expected.get(key, 0)))
             await writer.drain()
 
-    def _accept_item(self, body, peer: str, key) -> bool:
-        """Dedup + deliver one ITEM body; False when the target is gone."""
-        dst_node = str(body.get("dst", ""))
+    def _accept_item(self, item, peer: str, key) -> bool:
+        """Dedup + deliver one item; False when the target is gone.
+
+        The destination is the one the connection's HELLO named
+        (``key[1]``) — an item cannot address any other node — and its
+        liveness is tested per item: a fence earlier in the same batch
+        must stop the items behind it.
+        """
+        dst_node = key[1]
         target = self.transport.local_node(dst_node)
         if target is None or not target.alive:
             return False
-        seq = int(body.get("seq", 0))
-        expected = self._recv_expected.get(key, 0)
-        if seq >= expected:
+        seq = item["seq"]
+        if seq >= self._recv_expected.get(key, 0):
             # Fresh (seq == expected) — or the sender is ahead of
             # us, which only a lost dedup entry can cause: resync to
             # the sender rather than black-holing its stream.
             self._recv_expected[key] = seq + 1
-            msg = codec.decode_message(body.get("msg"))
-            if not self._control_message(msg):
-                self.transport.note_item_source(
-                    str(body.get("src", "")), peer
-                )
+            msg = codec.decode_message(item["msg"])
+            if type(msg) in _CONTROL_TYPES:
+                self._control_message(msg)
+            else:
+                self.transport.note_item_source(item["src"], peer)
                 self.rtk.inject(
-                    lambda m=msg, d=dst_node: self.transport.deliver(d, m)
-                )
+                    partial(self.transport.deliver, dst_node, msg))
         return True
 
-    def _control_message(self, msg) -> bool:
-        """Handle cluster-control messages synchronously.
+    def _control_message(self, msg) -> None:
+        """Handle one cluster-control message (``_CONTROL_TYPES``)
+        synchronously.
 
         GO and Shutdown cannot go through the pump — it is not running
         before GO and must be stopped by Shutdown.  The fence is also
         immediate: its entire point is to silence the engine *now*, not
         at the pump's convenience.
         """
-        if isinstance(msg, codec.GoSignal):
+        if type(msg) is codec.GoSignal:
             self.go_t0 = msg.t0
             self.clock.speed = float(msg.speed)
             self.go.set()
-            return True
-        if isinstance(msg, codec.Shutdown):
+        elif type(msg) is codec.Shutdown:
             self.stopping.set()
-            return True
-        if isinstance(msg, codec.FenceRequest):
+        elif type(msg) is codec.FenceRequest:
             node = self.transport.local_node(msg.engine_id)
             if node is not None and node.alive:
                 node.halt()
-            return True
-        if isinstance(msg, codec.CorruptRequest):
+        else:
             # Chaos fault: plant an untracked state mutation.  Injected
             # through the pump so the corruption lands at a well-defined
             # simulated instant, like every other state change.
@@ -209,8 +223,6 @@ class ProcessRuntime:
                       file=sys.stderr, flush=True)
 
             self.rtk.inject(_corrupt)
-            return True
-        return False
 
     # -- lifecycle -------------------------------------------------------
     async def serve(self, host_factory: Optional[Callable] = None,

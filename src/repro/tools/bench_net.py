@@ -6,7 +6,7 @@ perf history:
 
 1. **Streaming wire path** — a message stream crosses a real localhost
    socket from the shipped :class:`~repro.net.channel.OutboundChannel`
-   (scratch-buffer frame assembly, ``FRAME_BATCH`` packing) to a
+   (``FRAME_BATCH`` packing of item records) to a
    protocol-faithful receiver that answers one coalesced ACK per frame.
    Reported: msgs/sec, bytes per frame write (≈ bytes per syscall), ack
    frames per delivered item, and p50/p99 enqueue-to-ack latency.  The
@@ -41,8 +41,8 @@ _ENQUEUE_CHUNK = 256
 
 
 async def _batched_stream(port: int, n_messages: int) -> Dict:
-    """Drive a real :class:`OutboundChannel` (batch frames, scratch
-    encoder) against ``port``."""
+    """Drive a real :class:`OutboundChannel` (batch frames) against
+    ``port``."""
     enqueued_at: List[float] = []
     latencies_us: List[float] = []
     acked_through = 0
@@ -101,14 +101,10 @@ class _Receiver:
                 if frame is None:
                     return
                 tag, body = frame
-                if tag == codec.FRAME_ITEM:
-                    items = (body,)
-                elif tag == codec.FRAME_BATCH:
-                    items = codec.batch_items(body)
-                else:
+                if tag != codec.FRAME_ITEM and tag != codec.FRAME_BATCH:
                     continue
-                for item in items:
-                    seq = int(item["seq"])
+                for item in codec.batch_items(body):
+                    seq = item["seq"]
                     if seq >= self.expected:
                         self.expected = seq + 1
                 writer.write(encoder.encode_ack(self.expected))

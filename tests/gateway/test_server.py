@@ -244,3 +244,52 @@ def test_wire_version_mismatch_is_refused():
             await gateway.close()
 
     asyncio.run(scenario())
+
+
+def _raw_frame(frame_tag, body: bytes) -> bytes:
+    payload = bytes([codec.WIRE_VERSION, frame_tag]) + body
+    return len(payload).to_bytes(4, "big") + payload
+
+
+def test_garbage_on_the_public_port_is_rejected_not_crashed(caplog):
+    """Malformed bodies — before or after the handshake — close the
+    connection and count as ``gateway.rejected``; none of them escapes
+    the connection handler as an unhandled exception."""
+    garbage = [
+        _raw_frame(codec.FRAME_GW_SUBMIT, b"{not json"),
+        _raw_frame(codec.FRAME_GW_SUBMIT, b"\xff\xfe"),
+        _raw_frame(codec.FRAME_GW_SUBMIT, b'{"__t__":"t"}'),
+        _raw_frame(codec.FRAME_GW_SUBMIT, b'{"__t__":"zz"}'),
+        _raw_frame(codec.FRAME_GW_SUBMIT, b"[" * 50_000),
+        _raw_frame(codec.FRAME_BATCH, b"\xff" * 20),
+        _raw_frame(codec.FRAME_ACK, b"{}"),
+    ]
+
+    async def scenario():
+        dep, gateway, _ = make_world()
+        _, port = await gateway.start()
+        try:
+            for i, frame in enumerate(garbage):
+                # As the very first frame ...
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port)
+                writer.write(frame)
+                await writer.drain()
+                assert await asyncio.wait_for(
+                    codec.read_frame(reader), timeout=5.0) is None
+                writer.close()
+                # ... and inside an established session.
+                reader, writer, (tag, _) = await connect(port, f"t:{i}")
+                assert tag == codec.FRAME_GW_WELCOME
+                writer.write(frame)
+                await writer.drain()
+                assert await asyncio.wait_for(
+                    codec.read_frame(reader), timeout=5.0) is None
+                writer.close()
+            return gateway.metrics.counter("gateway.rejected")
+        finally:
+            await gateway.close()
+
+    rejected = asyncio.run(scenario())
+    assert rejected == 2 * len(garbage)
+    assert "exception" not in caplog.text.lower()

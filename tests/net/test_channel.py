@@ -74,14 +74,10 @@ class FakeHost:
                 if frame is None:
                     return
                 tag, body = frame
-                if tag == codec.FRAME_ITEM:
-                    bodies = (body,)
-                elif tag == codec.FRAME_BATCH:
-                    bodies = codec.batch_items(body)
-                else:
+                if tag not in (codec.FRAME_ITEM, codec.FRAME_BATCH):
                     continue
-                for item in bodies:
-                    seq = int(item["seq"])
+                for item in codec.batch_items(body):
+                    seq = item["seq"]
                     if seq >= self.expected:
                         self.expected = seq + 1
                         self.items.append((seq, item["src"],
@@ -383,6 +379,11 @@ def test_counters_snapshot_shape():
     assert counters["items_sent"] == 1
     assert counters["items_acked"] == 1
     assert counters["items_resent"] == 0
+    # A lone item goes out as one plain ITEM frame: 6 bytes of frame
+    # header, a 14-byte record header, "src", a 16-byte silence tail.
+    assert counters["frames_sent"] == 1
+    assert counters["batches_sent"] == 0
+    assert counters["bytes_sent"] == 6 + 14 + 3 + 16
     assert counters["connect_failures"] == 0
     assert counters["epoch_resets"] == 0
 

@@ -2,6 +2,8 @@
 version negotiation, batch delivery, ack coalescing, torn frames."""
 
 import asyncio
+import json
+import time
 
 from repro.core.message import SilenceAdvance
 from repro.net import codec
@@ -108,7 +110,7 @@ def test_batch_frame_delivers_items_with_one_ack():
         # A duplicate singleton replay of seq 1 is deduplicated but
         # still acked (cumulative, one ack per frame).
         writer.write(codec.encode_item(
-            1, "src", "sink", SilenceAdvance(wire_id=1, through_vt=1)))
+            1, "src", SilenceAdvance(wire_id=1, through_vt=1)))
         await writer.drain()
         ack2 = await codec.read_frame(reader)
         writer.close()
@@ -135,7 +137,7 @@ def test_torn_item_frame_counts_as_reset_not_eof():
         await writer.drain()
         assert (await codec.read_frame(reader))[0] == codec.FRAME_WELCOME
         raw = codec.encode_item(
-            0, "src", "sink", SilenceAdvance(wire_id=1, through_vt=0))
+            0, "src", SilenceAdvance(wire_id=1, through_vt=0))
         writer.write(raw[: len(raw) - 2])  # header + partial payload
         await writer.drain()
         writer.close()
@@ -147,3 +149,139 @@ def test_torn_item_frame_counts_as_reset_not_eof():
     runtime = asyncio.run(scenario())
     assert runtime.torn_frames == 1
     assert runtime.proto_rejects == 0
+
+
+def _v1_frame(frame_tag, body):
+    """A frame as wire version 1 wrote it: every body canonical JSON."""
+    payload = bytes([1, frame_tag]) + json.dumps(
+        body, sort_keys=True, separators=(",", ":")).encode()
+    return len(payload).to_bytes(4, "big") + payload
+
+
+async def _handshaken(port, dst):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(codec.encode_hello("peer-x", dst))
+    await writer.drain()
+    assert (await codec.read_frame(reader))[0] == codec.FRAME_WELCOME
+    return reader, writer
+
+
+def test_v1_hello_gets_structured_error():
+    """A peer still on wire version 1 is told so, not just hung up on."""
+    async def scenario():
+        runtime = ProcessRuntime("engine-e0", ClusterSpec())
+        runtime.transport.register(StubNode())
+        server, port = await _serve(runtime)
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(_v1_frame(codec.FRAME_HELLO, {
+            "peer": "old-peer", "dst": "sink", "proto": 1}))
+        await writer.drain()
+        frame = await codec.read_frame(reader)
+        eof = await codec.read_frame(reader)
+        writer.close()
+        server.close()
+        await server.wait_closed()
+        return runtime, frame, eof
+
+    runtime, frame, eof = asyncio.run(scenario())
+    assert frame is not None
+    tag, body = frame
+    assert tag == codec.FRAME_ERROR
+    assert "unsupported wire protocol 1" in body["error"]
+    assert body["proto"] == codec.WIRE_VERSION == 2
+    assert eof is None  # no WELCOME, no incarnation leaked
+    assert runtime.proto_rejects == 1
+
+
+def test_items_reach_only_the_handshaken_node():
+    """Two nodes hosted, HELLO for one: nothing a peer can put on that
+    connection is delivered to the other (a v1 item named its own
+    ``dst``, and the server looked it up per item)."""
+    async def scenario():
+        runtime = ProcessRuntime("engine-e0", ClusterSpec())
+        chosen, other = StubNode("chosen"), StubNode("other")
+        runtime.transport.register(chosen)
+        runtime.transport.register(other)
+        server, port = await _serve(runtime)
+        pump = asyncio.get_running_loop().create_task(runtime.rtk.run())
+        runtime.clock.set_epoch(time.time())
+        reader, writer = await _handshaken(port, "chosen")
+        writer.write(codec.FrameEncoder().encode_batch([
+            codec.item_body(i, "src", "other",
+                            SilenceAdvance(wire_id=1, through_vt=i))
+            for i in range(2)]))
+        writer.write(codec.encode_item(
+            2, "other", SilenceAdvance(wire_id=1, through_vt=2)))
+        await writer.drain()
+        await wait_until(lambda: len(chosen.received) == 3)
+        # The v1 form of "deliver this to the other node" is no longer
+        # a frame at all: the connection is dropped.
+        writer.write(_v1_frame(codec.FRAME_ITEM, {
+            "seq": 3, "src": "src", "dst": "other",
+            "msg": {"k": 4, "f": {"wire_id": 1, "through_vt": 3}}}))
+        await writer.drain()
+        while await codec.read_frame(reader) is not None:
+            pass  # drain the acks up to the hang-up
+        writer.close()
+        runtime.rtk.stop()
+        await pump
+        server.close()
+        await server.wait_closed()
+        return runtime, chosen, other
+
+    runtime, chosen, other = asyncio.run(scenario())
+    assert [m.through_vt for m in chosen.received] == [0, 1, 2]
+    assert other.received == []
+    assert list(runtime._recv_expected) == [
+        ("peer-x", "chosen", runtime.transport.incarnations["chosen"])]
+
+
+def test_fence_inside_a_batch_stops_the_items_behind_it():
+    class Engine(StubNode):
+        def halt(self):
+            self.alive = False
+
+    async def scenario():
+        runtime = ProcessRuntime("engine-e0", ClusterSpec())
+        engine = Engine("e0")
+        runtime.transport.register(engine)
+        server, port = await _serve(runtime)
+        reader, writer = await _handshaken(port, "e0")
+        messages = [SilenceAdvance(wire_id=1, through_vt=0),
+                    codec.FenceRequest("e0"),
+                    SilenceAdvance(wire_id=1, through_vt=2)]
+        writer.write(codec.FrameEncoder().encode_batch([
+            codec.item_body(i, "src", "e0", m)
+            for i, m in enumerate(messages)]))
+        await writer.drain()
+        closed = await codec.read_frame(reader)  # hung up, never acked
+        writer.close()
+        server.close()
+        await server.wait_closed()
+        return runtime, engine, closed
+
+    runtime, engine, closed = asyncio.run(scenario())
+    assert closed is None
+    assert not engine.alive
+    key = ("peer-x", "e0", runtime.transport.incarnations["e0"])
+    assert runtime._recv_expected[key] == 2  # the third item was refused
+
+
+def test_garbage_item_frame_hangs_up_without_crashing_the_handler():
+    async def scenario():
+        runtime = ProcessRuntime("engine-e0", ClusterSpec())
+        runtime.transport.register(StubNode())
+        server, port = await _serve(runtime)
+        reader, writer = await _handshaken(port, "sink")
+        payload = bytes([codec.WIRE_VERSION, codec.FRAME_BATCH]) + b"\xff" * 9
+        writer.write(len(payload).to_bytes(4, "big") + payload)
+        await writer.drain()
+        closed = await codec.read_frame(reader)
+        writer.close()
+        server.close()
+        await server.wait_closed()
+        return runtime, closed
+
+    runtime, closed = asyncio.run(scenario())
+    assert closed is None
+    assert runtime.torn_frames == 0  # malformed, not torn

@@ -31,7 +31,7 @@ from repro.runtime.detector import Heartbeat
 
 ids = st.integers(min_value=0, max_value=2**31)
 vts = st.integers(min_value=0, max_value=2**62)
-names = st.text(min_size=1, max_size=12)
+names = st.text(min_size=1, max_size=12)  # <= 48 UTF-8 bytes: fits src_len
 
 scalars = st.one_of(
     st.none(),
@@ -105,18 +105,21 @@ def test_dict_insertion_order_never_reaches_the_wire(payload, wire, seq,
 
 
 @settings(max_examples=40)
-@given(messages, ids, names, names)
-def test_item_frame_roundtrip(msg, seq, src, dst):
-    raw = codec.encode_item(seq, src, dst, msg)
+@given(messages, st.integers(0, 2**64 - 1), names)
+def test_item_frame_roundtrip(msg, seq, src):
+    raw = codec.encode_item(seq, src, msg)
     splitter = codec.FrameSplitter()
     frames = splitter.feed(raw)
     assert len(frames) == 1
     tag, body = frames[0]
     assert tag == codec.FRAME_ITEM
-    assert (body["seq"], body["src"], body["dst"]) == (seq, src, dst)
-    restored = codec.decode_message(body["msg"])
+    (item,) = codec.batch_items(body)
+    assert item == codec.item_body(seq, src, "anywhere", msg)
+    restored = codec.decode_message(item["msg"])
     assert restored == msg
     assert type(restored) is type(msg)
+    # The decoded body is what the encoder takes: one canonical form.
+    assert codec.encode_frame(tag, body) == raw
 
 
 @settings(max_examples=25)
@@ -167,7 +170,7 @@ def test_batch_and_item_interleaving_roundtrip(bursts, data):
             tag = codec.FRAME_BATCH
         else:
             for body in bodies:
-                wire += encoder.encode(codec.FRAME_ITEM, body)
+                wire += encoder.encode(codec.FRAME_ITEM, {"items": [body]})
             tag = codec.FRAME_ITEM
         expected.extend((tag, seq + i, m) for i, m in enumerate(msgs))
         seq += len(msgs)
@@ -182,12 +185,8 @@ def test_batch_and_item_interleaving_roundtrip(bursts, data):
         cursor += step
     splitter.eof()  # boundary: clean
 
-    items = []
-    for tag, body in got:
-        if tag == codec.FRAME_BATCH:
-            items.extend((tag, b) for b in codec.batch_items(body))
-        else:
-            items.append((tag, body))
+    items = [(tag, item) for tag, body in got
+             for item in codec.batch_items(body)]
     assert len(items) == len(expected)
     for (tag, body), (exp_tag, exp_seq, exp_msg) in zip(items, expected):
         assert tag == exp_tag
