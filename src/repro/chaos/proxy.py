@@ -106,12 +106,17 @@ class _ProxyConn:
             self._upstream_writer = writer
             writer.write(sniffed)
             await writer.drain()
-            self.tasks.append(asyncio.get_running_loop().create_task(
-                self._pump(reader, self.client_writer,
-                           self.dst_proc, self.src_proc)
-            ))
-            await self._pump(self.client_reader, writer,
-                             self.src_proc, self.dst_proc)
+            self.tasks = [
+                asyncio.create_task(self._pump(reader, self.client_writer,
+                                               self.dst_proc, self.src_proc)),
+                asyncio.create_task(self._pump(self.client_reader, writer,
+                                               self.src_proc, self.dst_proc)),
+            ]
+            # Either leg ending — EOF, reset, or a kill — ends the pair.
+            done, _ = await asyncio.wait(
+                self.tasks, return_when=asyncio.FIRST_COMPLETED)
+            for leg in done:
+                leg.result()
         except (ConnectionError, OSError, asyncio.TimeoutError,
                 asyncio.IncompleteReadError, codec.CodecError):
             pass
@@ -154,25 +159,28 @@ class _ProxyConn:
         await asyncio.Event().wait()
 
     async def _pump(self, reader, writer, src: str, dst: str) -> None:
-        while True:
-            data = await reader.read(_CHUNK)
-            if not data:
-                break
-            policy = self.proxy.policy(src, dst)
-            if policy.blackholed:
-                # Partition fired mid-connection: stop forwarding.  The
-                # unread socket fills, TCP flow control pushes back on
-                # the sender, and healing kills this connection.
-                self.proxy.count(src, dst, "stalled")
-                await self._stall()
-            if policy.delay_s > 0:
-                await asyncio.sleep(policy.delay_s)
-            if policy.rate_bps:
-                await asyncio.sleep(len(data) / policy.rate_bps)
-            writer.write(data)
-            await writer.drain()
-            self.proxy.count(src, dst, "bytes", len(data))
-        writer.close()
+        try:
+            while True:
+                data = await reader.read(_CHUNK)
+                if not data:
+                    break
+                policy = self.proxy.policy(src, dst)
+                if policy.blackholed:
+                    # Partition fired mid-connection: stop forwarding.
+                    # The unread socket fills, TCP flow control pushes
+                    # back on the sender, and healing kills this
+                    # connection.
+                    self.proxy.count(src, dst, "stalled")
+                    await self._stall()
+                if policy.delay_s > 0:
+                    await asyncio.sleep(policy.delay_s)
+                if policy.rate_bps:
+                    await asyncio.sleep(len(data) / policy.rate_bps)
+                writer.write(data)
+                await writer.drain()
+                self.proxy.count(src, dst, "bytes", len(data))
+        except (ConnectionError, OSError):
+            pass  # a reset ends the leg as an EOF does
 
     def on_link(self, a: str, b: str) -> bool:
         return {self.src_proc, self.dst_proc} & {a, b} == {a, b} or (

@@ -210,11 +210,9 @@ class ComponentRuntime:
         # is its minimum and the heap top (after discarding stale
         # entries) is the global dispatch candidate.
         self._head_heap: List[MessageKey] = []
-        # Wires flagged external at wiring time.  The hosting layer may
-        # clear ``wire.external`` in place later (networked deployments
-        # drop the local-clock freshness bound), so the fast paths check
-        # the live flags on this short list rather than caching a bool.
-        self._external_flagged: List[InWireState] = []
+        # Whether any in-wire is external; like ``wire.external`` itself,
+        # fixed at wiring time.
+        self._has_external_wire = False
         # Unique handler specs across the in-wires (many wires share one
         # handler), for the idle-case minimum-cost estimate.
         self._wired_handler_specs: List[HandlerSpec] = []
@@ -235,7 +233,7 @@ class ComponentRuntime:
         wire = InWireState(spec, handler_spec, external)
         self.in_wires[spec.wire_id] = wire
         if external:
-            self._external_flagged.append(wire)
+            self._has_external_wire = True
         if handler_spec not in self._wired_handler_specs:
             self._wired_handler_specs.append(handler_spec)
         self.silence.add_wire(spec.wire_id)
@@ -746,18 +744,18 @@ class ComponentRuntime:
     def _earliest_possible_input(self) -> int:
         """Lower bound on the vt of the next message dequeued.
 
-        Fast path (no live external wire): ``min(head_min, min_horizon
+        Fast path (no external wire): ``min(head_min, min_horizon
         + 1)``.  This equals the per-wire scan because an arrival
         advances its wire's horizon to at least its own vt, so a pending
         wire's head vt never exceeds that wire's horizon — pending
         wires' ``horizon + 1`` terms can never undercut ``head_min``,
-        and folding them into the global minimum is harmless.  A live
+        and folding them into the global minimum is harmless.  An
         external wire re-enables the scan: its local-clock freshness
         boost is per-wire state the global minimum cannot express.
         """
         if not self.in_wires:
             return NEVER
-        if not any(w.external for w in self._external_flagged):
+        if not self._has_external_wire:
             head = self._clean_head()
             head_min = head.vt if head is not None else NEVER
             return min(head_min, self.silence.min_horizon() + 1)

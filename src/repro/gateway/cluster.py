@@ -148,13 +148,13 @@ async def run_gateway_cluster(
     planned to front the gateway (see :func:`gateway_front`).
     """
     cluster = ClusterHarness(spec, chaos, deadline_s)
-    host, runtime = cluster.host, cluster.runtime
-    metrics = host.deployment.metrics
-    for consumer in host.consumers.values():
+    deployment, runtime = cluster.deployment, cluster.runtime
+    metrics = deployment.metrics
+    for consumer in deployment.consumers.values():
         consumer.birth_of = _birth_of
     gateway = GatewayServer(
         "gateway",
-        ingresses=dict(host.deployment.ingresses),
+        ingresses=dict(deployment.ingresses),
         inject=runtime.rtk.inject,
         metrics=metrics,
         config=GatewayConfig.from_spec(spec),
@@ -198,9 +198,9 @@ async def run_gateway_cluster(
                 None, replay_reference, spec, shadow
             )
             ref_counts = {sink: len(s) for sink, s in reference.items()}
-            if not await cluster.poll(lambda: host.counts() == ref_counts):
+            if not await cluster.poll(lambda: cluster.counts() == ref_counts):
                 raise RuntimeError(
-                    f"consumers at {host.counts()} of {ref_counts} at the "
+                    f"consumers at {cluster.counts()} of {ref_counts} at the "
                     f"{deadline_s}s deadline"
                 )
             cluster.result["complete"] = True

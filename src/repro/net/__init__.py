@@ -16,11 +16,11 @@ asyncio TCP while sharing — not forking — the virtual-time machinery:
   clock, so the existing engine scheduling loop runs unchanged;
 * :mod:`repro.net.topology` — the cluster spec shared by every process
   (each process derives identical wire ids from the same spec);
-* :mod:`repro.net.node` / :mod:`repro.net.server` — the engine host
-  process wrapping :class:`~repro.runtime.engine.ExecutionEngine`;
-* :mod:`repro.net.heartbeat` — the replica-side failure detector glue
-  driving the existing :class:`~repro.runtime.recovery.RecoveryManager`
-  to promote a passive replica in another process;
+* :mod:`repro.net.node` / :mod:`repro.net.server` — the TCP transport
+  and the process that builds its share of the
+  :class:`~repro.runtime.app.Deployment` on it: an engine, or a follower
+  whose stock detector and :class:`~repro.runtime.recovery.RecoveryManager`
+  promote it in place;
 * :mod:`repro.net.cluster` — the ``python -m repro.net.cluster`` CLI
   that launches an N-process cluster, kills the active engine
   mid-stream, and verifies the promoted replica replays to the

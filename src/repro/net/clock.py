@@ -17,8 +17,8 @@ simulation-only assumption that would be unsound over real sockets —
 the local-clock freshness bound on external wires, which presumes the
 ingress shares the engine's clock — is disabled in networked mode by
 wiring external inputs with ``external=False`` (see
-:meth:`repro.net.node.EngineHost`); ingress silence then travels as
-explicit facts, which is sound on any transport.
+:attr:`repro.net.node.NetTransport.ingress_shares_clock`); ingress
+silence then travels as explicit facts, which is sound on any transport.
 
 All processes share one epoch ``t0`` (distributed by the coordinator's
 GO barrier) so their tick clocks advance in step; ``time.time()`` skew

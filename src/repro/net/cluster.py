@@ -49,12 +49,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 import repro
 from repro.errors import WiringError
 from repro.net import codec
+from repro.net.node import host_deployment
 from repro.net.server import ProcessRuntime
 from repro.net.topology import (
     ClusterSpec,
     assign_addresses,
-    attach_workload,
-    build_deployment,
     component_placement,
     pipeline_spec,
     plan_cluster_nodes,
@@ -77,46 +76,6 @@ POLL_S = 0.05
 #: Wall seconds between the Shutdown broadcast and stopping the pump,
 #: so in-flight frames and acks drain.
 DRAIN_S = 0.3
-
-
-class CoordinatorHost:
-    """The coordinator's share of the deployment: ingresses + consumers.
-
-    Engines become zombies (their processes own the live ones); the
-    producers stay here so the workload is generated at exact simulated
-    ticks from the deployment's seeded RNG streams.
-    """
-
-    def __init__(self, spec: ClusterSpec, runtime: ProcessRuntime):
-        self.deployment = build_deployment(spec, sim=runtime.sim)
-        for engine in self.deployment.engines.values():
-            engine.halt()
-        for ingress in self.deployment.ingresses.values():
-            ingress.network = runtime.transport
-            runtime.transport.register(ingress)
-        for consumer in self.deployment.consumers.values():
-            runtime.transport.register(consumer)
-        attach_workload(self.deployment, spec)
-        self.consumers = self.deployment.consumers
-
-    def start(self) -> None:
-        for producer in self.deployment.producers:
-            producer.start()
-
-    def counts(self) -> Dict[str, int]:
-        return {sink: len(c.effective_outputs)
-                for sink, c in self.consumers.items()}
-
-    def streams(self) -> Dict[str, List[Tuple]]:
-        return {sink: stream_of(c) for sink, c in self.consumers.items()}
-
-    def arrival_ticks(self) -> Dict[str, List[int]]:
-        """Per-sink local-sim arrival tick of every effective output."""
-        return {sink: [t for _seq, _vt, _payload, t in c.effective_outputs]
-                for sink, c in self.consumers.items()}
-
-    def stutter(self) -> int:
-        return sum(c.stutter for c in self.consumers.values())
 
 
 class ChildProcess:
@@ -251,8 +210,9 @@ class ClusterHarness:
     """One live cluster's lifecycle, however it is driven.
 
     Constructing the harness builds the coordinator's in-process share
-    (``runtime``, ``host``) and opens nothing.  ``async with`` enters
-    with the cluster running — coordinator socket bound, chaos proxy
+    (``runtime``, and ``deployment``: every ingress and consumer, with
+    the spec's producers attached) and opens nothing.  ``async with``
+    enters with the cluster running — coordinator socket bound, chaos proxy
     started, children spawned and past the READY barrier, GO epoch
     ``t0`` broadcast, pump task started — and leaves with it shut down,
     reaped, and the common diagnostics in ``result``.  A bring-up that
@@ -279,7 +239,8 @@ class ClusterHarness:
         self.deadline_s = deadline_s
         self.started = time.monotonic()
         self.runtime = ProcessRuntime("coordinator", spec)
-        self.host = CoordinatorHost(spec, self.runtime)
+        self.deployment = host_deployment("coordinator",
+                                          self.runtime.transport)
         self.result: Dict = {"killed": None, "complete": False, "error": None}
         self.children: Dict[str, ChildProcess] = {}
         self.t0 = 0.0
@@ -324,10 +285,15 @@ class ClusterHarness:
         runtime.clock.set_epoch(self.t0)
         if chaos is not None:
             chaos.on_go(self.t0)
-        self.host.start()
+        self.deployment.start()
         self._pump = loop.create_task(runtime.rtk.run(),
                                       name="pump:coordinator")
         self._deadline = time.monotonic() + self.deadline_s
+
+    def counts(self) -> Dict[str, int]:
+        """sink -> effective outputs delivered so far."""
+        return {sink: len(consumer.effective_outputs)
+                for sink, consumer in self.deployment.consumers.items()}
 
     async def poll(self, done: Callable[[], bool],
                    kill_engine: Optional[str] = None,
@@ -389,6 +355,7 @@ class ClusterHarness:
                 if result["error"] is None:
                     result["error"] = f"{type(exc).__name__}: {exc}"
         channels = runtime.transport._channels
+        runtime.transport.export_metrics()
         result.update(
             epoch_resets=sum(ch.epoch_resets for ch in channels.values()),
             incarnations={dst: ch._known_incarnation
@@ -408,18 +375,21 @@ class ClusterHarness:
             except OSError:
                 pass
 
-        host = self.host
+        consumers = self.deployment.consumers
         result.update(
-            counts=host.counts(),
-            streams=host.streams(),
-            arrival_ticks=host.arrival_ticks(),
-            stutter=host.stutter(),
+            counts=self.counts(),
+            streams={sink: stream_of(c) for sink, c in consumers.items()},
+            # Per-sink local-sim arrival tick of every effective output.
+            arrival_ticks={
+                sink: [t for _seq, _vt, _payload, t in c.effective_outputs]
+                for sink, c in consumers.items()},
+            stutter=sum(c.stutter for c in consumers.values()),
             elapsed_s=round(time.monotonic() - self.started, 3),
             child_exit_codes=exit_codes,
             audit_reports={name: child.audit
                            for name, child in children.items()
                            if child.audit is not None},
-            metrics=host.deployment.metrics.dump_json(),
+            metrics=self.deployment.metrics.dump_json(),
         )
         if self.chaos is not None:
             result["chaos"] = self.chaos.report()
@@ -442,7 +412,7 @@ async def run_networked(
     every sink's count equals ``ref_counts``.
     """
     cluster = ClusterHarness(spec, chaos, deadline_s)
-    counts = cluster.host.counts
+    counts = cluster.counts
     kill_at = max(1, int(sum(ref_counts.values()) * kill_fraction))
 
     def kill_due() -> Optional[Dict]:

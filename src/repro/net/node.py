@@ -1,24 +1,35 @@
 """Node hosting: the seam between the simulated runtime and the net.
 
-Every :mod:`repro.net` process builds the *complete* deployment from the
-shared :class:`~repro.net.topology.ClusterSpec` — identical wire tables,
-estimators, and RNG streams everywhere — then cannibalizes it: the nodes
-this process hosts are kept live and rewired onto a :class:`NetTransport`
-(which routes locally-hosted destinations through the local simulator and
-everything else through socket channels), while the rest become inert
-zombies that never start.
+Every :mod:`repro.net` process *plans* the complete deployment from the
+shared :class:`~repro.net.topology.ClusterSpec` — wire table, router,
+engine configs, fault logs — and *builds* only the nodes
+:func:`~repro.net.topology.plan_cluster_nodes` gives its process name,
+directly on its :class:`NetTransport` (which routes locally-hosted
+destinations through the local simulator and everything else through
+socket channels).  :func:`host_deployment` is that one step for every
+process; it returns a stock :class:`~repro.runtime.app.Deployment`,
+started by ``start()`` and, on a follower process, promoted by
+``rebuild_engine``.  Processes still agree on what they share: wire ids
+and estimators come from the declaration order, whatever is hosted, and
+RNG streams are seeded by name, not by creation order.
 
-The engine scheduling loop is not forked: :class:`EngineHost` runs the
-stock :class:`~repro.runtime.engine.ExecutionEngine` against the process
-simulator pumped by :class:`~repro.net.clock.RealtimeKernel`.  The one
-semantic adjustment is that external input wires are re-flagged
-``external=False``: the scheduler's local-clock freshness bound ("any
-future external message is stamped no earlier than the current real
-time") presumes the ingress shares the engine's clock, which is untrue
-across machines.  With the flag off, ingress silence travels as explicit
-:class:`~repro.core.message.SilenceAdvance` facts answered to curiosity
-probes — sound on any transport, and exactly the paper's pessimistic
-baseline.
+What :mod:`repro.runtime` objects may ask of a transport is the
+:class:`~repro.runtime.transport.Transport` protocol, which
+:class:`NetTransport` and the simulated
+:class:`~repro.runtime.transport.Network` both implement.  Its
+``ingress_shares_clock`` is false here — the ingress and the engine are
+on different machines — so external input wires are wired
+``external=False`` and rely on explicit silence facts (see the protocol).
+
+The fence lives here too: a follower's deployment holds a
+:class:`RemoteEngineHandle` in place of the engine it follows, so the
+unmodified :class:`~repro.runtime.recovery.RecoveryManager` fences the
+old leader over the wire by calling ``halt()`` on it.
+
+Known restriction: determinism-fault logs are process-local, so the net
+runtime must run with ``calibrate=False`` (the spec's engine config
+default) — recalibration events recorded on the primary would be absent
+from the replica's replay.
 """
 
 from __future__ import annotations
@@ -26,12 +37,17 @@ from __future__ import annotations
 import asyncio
 import sys
 from functools import partial
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict
 
 from repro.errors import FenceDeliveryError
 from repro.net import codec
 from repro.net.channel import OutboundChannel, send_fence_once
-from repro.net.topology import ClusterSpec, build_deployment
+from repro.net.topology import (
+    ClusterSpec,
+    attach_workload,
+    build_deployment,
+    plan_cluster_nodes,
+)
 from repro.runtime.app import Deployment
 from repro.runtime.engine import ExecutionEngine
 from repro.sim.kernel import Simulator
@@ -55,23 +71,26 @@ class ControlNode:
 
 
 class NetTransport:
-    """Duck-type of :class:`~repro.runtime.transport.Network` over TCP.
+    """The :class:`~repro.runtime.transport.Transport` over TCP, plus
+    hosting bookkeeping for the server.
 
-    Implements the surface the runtime objects actually use — ``send``,
-    ``register``, ``fail_node``, ``sim`` — plus hosting bookkeeping for
-    the server.  Destinations hosted in this process are delivered
-    through the local simulator (zero-delay, like co-located nodes in
-    the simulated network); all others go out over an
+    Destinations hosted in this process are delivered through the local
+    simulator (zero-delay, like co-located nodes in the simulated
+    network); all others go out over an
     :class:`~repro.net.channel.OutboundChannel` to wherever the cluster
     spec says the node lives.
     """
+
+    #: Ingresses live in the coordinator process, engines elsewhere.
+    ingress_shares_clock = False
 
     def __init__(self, sim: Simulator, spec: ClusterSpec, peer_id: str):
         self.sim = sim
         self.spec = spec
         self.peer_id = peer_id
-        #: Optional MetricSet the per-channel counters are exported to
-        #: (see :meth:`export_metrics`); hosts wire their deployment's.
+        #: MetricSet the per-channel counters are exported to (see
+        #: :meth:`export_metrics`); :func:`host_deployment` binds the
+        #: deployment's.
         self.metrics = None
         #: Fence attempts that exhausted their retry budget (see
         #: :class:`RemoteEngineHandle`).
@@ -98,7 +117,7 @@ class NetTransport:
         """The locally hosted node with this id, or None."""
         return self._local.get(node_id)
 
-    # -- Network surface used by engines/replicas/ingresses -------------
+    # -- Transport protocol ---------------------------------------------
     def send(self, src_id: str, dst_id: str, item: Any) -> None:
         node = self._local.get(dst_id)
         if node is not None:
@@ -184,15 +203,15 @@ class NetTransport:
         return {dst: ch.counters()
                 for dst, ch in sorted(self._channels.items())}
 
-    def export_metrics(self, metrics=None) -> None:
-        """Flush per-channel counters into a :class:`MetricSet`.
+    def export_metrics(self) -> None:
+        """Flush per-channel counters into the bound :class:`MetricSet`.
 
         Counters land twice: per destination (``chan.<dst>.<name>``,
         read back with ``MetricSet.channel_counters``) and as cluster
         totals (``channel_<name>_total``).  Call once at teardown —
         exporting mid-run would double-count.
         """
-        sink = metrics if metrics is not None else self.metrics
+        sink = self.metrics
         if sink is None:
             return
         for dst, counters in self.channel_counters().items():
@@ -210,7 +229,7 @@ class NetTransport:
 
 
 class RemoteEngineHandle:
-    """Replica-side stand-in for the engine running in another process.
+    """Follower-side stand-in for the engine running in another process.
 
     Gives :class:`~repro.runtime.recovery.RecoveryManager` the two
     things it touches on the failed engine — ``alive`` and ``halt()`` —
@@ -221,16 +240,15 @@ class RemoteEngineHandle:
     channel, which would silently drop a fence queued through it.
     """
 
-    def __init__(self, engine_id: str, spec: ClusterSpec, peer_id: str,
-                 transport: Optional["NetTransport"] = None, rank: int = 0):
-        self.node_id = engine_id
+    def __init__(self, engine_id: str, transport: "NetTransport", rank: int):
         self.engine_id = engine_id
         self.alive = True
-        self._spec = spec
-        self._peer_id = peer_id
         self._transport = transport
         #: Promotion rank of the follower process holding this handle.
         self.rank = int(rank)
+
+    def start(self) -> None:
+        """Nothing to start: the engine runs in its own process."""
 
     def halt(self) -> None:
         """Fence every process that may still host a stale incarnation.
@@ -243,7 +261,7 @@ class RemoteEngineHandle:
         higher ranks, which cannot have hosted the engine yet.
         """
         self.alive = False
-        addresses = self._spec.addresses.get(self.engine_id) or []
+        addresses = self._transport.spec.addresses.get(self.engine_id) or []
         for idx, address in enumerate(addresses[:1 + self.rank]):
             asyncio.get_running_loop().create_task(
                 self._fence(tuple(address)),
@@ -259,47 +277,36 @@ class RemoteEngineHandle:
         logged and counted so a partitioned-but-alive primary shows up
         in the run report instead of vanishing into a silent False.
         """
+        transport = self._transport
         try:
             await send_fence_once(
-                address, self._peer_id, self.engine_id,
-                attempts=self._spec.fence_attempts,
-                gap=self._spec.fence_gap_s,
+                address, transport.peer_id, self.engine_id,
+                attempts=transport.spec.fence_attempts,
+                gap=transport.spec.fence_gap_s,
             )
         except FenceDeliveryError as exc:
-            if self._transport is not None:
-                self._transport.fence_failures += 1
+            transport.fence_failures += 1
             print(f"fence: {exc}", file=sys.stderr, flush=True)
 
 
-class EngineHost:
-    """One process hosting one active execution engine."""
+def host_deployment(name: str, transport: NetTransport) -> Deployment:
+    """Process ``name``'s share of the spec's deployment, on ``transport``.
 
-    def __init__(self, spec: ClusterSpec, engine_id: str,
-                 sim: Simulator, transport: NetTransport):
-        self.spec = spec
-        self.engine_id = engine_id
-        self.transport = transport
-        self.deployment: Deployment = build_deployment(spec, sim=sim)
-        for other_id, other in self.deployment.engines.items():
-            if other_id != engine_id:
-                other.halt()  # zombie: never starts, never speaks
-        self.engine: ExecutionEngine = self.deployment.engines[engine_id]
-        self.engine.network = transport
-        transport.metrics = self.deployment.metrics
-        disable_external_clock_bound(self.engine)
-        transport.register(self.engine)
-        # A self-heal rewrites the engine's state in place; re-registering
-        # turns the epoch bump into a real transport incarnation, so new
-        # handshakes see a fresh identity for the healed node.
-        self.engine.on_heal = lambda: transport.register(self.engine)
-
-    def start(self) -> None:
-        """Begin checkpointing and heartbeats (post-GO)."""
-        self.engine.start()
-
-    def audit_report(self):
-        """Audit/cadence outcome for the teardown report line."""
-        return engine_audit_report(self.engine)
+    Producers are attached where their ingresses are (the coordinator),
+    so the workload is generated at exact simulated ticks from the
+    deployment's seeded RNG streams.  ``start()`` it at the GO epoch.
+    """
+    spec = transport.spec
+    deployment = build_deployment(spec, sim=transport.sim, network=transport,
+                                  hosted=plan_cluster_nodes(spec)[name])
+    transport.metrics = deployment.metrics
+    for engine_id, group in deployment.followers.items():
+        if engine_id not in deployment.engines:
+            deployment.engines[engine_id] = RemoteEngineHandle(
+                engine_id, transport, group[0].rank)
+    if deployment.ingresses:
+        attach_workload(deployment, spec)
+    return deployment
 
 
 def engine_audit_report(engine: ExecutionEngine):
@@ -319,18 +326,3 @@ def engine_audit_report(engine: ExecutionEngine):
             "adjustments": cadence.adjustments,
         }
     return report
-
-
-def disable_external_clock_bound(engine: ExecutionEngine) -> None:
-    """Re-flag the engine's external input wires as non-external.
-
-    See the module docstring: the ``external`` fast path lower-bounds
-    future arrivals by the local clock, which is only sound when the
-    ingress timestamps with *this* engine's clock.  Over the network the
-    ingress runs elsewhere, so the engine must rely on the explicit
-    silence facts the ingress already answers to curiosity probes.
-    """
-    for runtime in engine.runtimes.values():
-        for wire in runtime.in_wires.values():
-            if wire.external:
-                wire.external = False

@@ -9,7 +9,8 @@ Each process:
 2. waits for the coordinator's :class:`~repro.net.codec.GoSignal`, which
    carries the shared wall-clock epoch ``t0`` — every process maps real
    time to ticks from the same origin;
-3. starts its host (engine or replica) and pumps the simulator with
+3. starts its share of the deployment (an engine or a follower, see
+   :func:`~repro.net.node.host_deployment`) and pumps the simulator with
    :class:`~repro.net.clock.RealtimeKernel` until a
    :class:`~repro.net.codec.Shutdown` arrives.
 
@@ -42,18 +43,24 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import sys
 import uuid
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net import codec
 from repro.net.clock import RealtimeClock, RealtimeKernel
-from repro.net.heartbeat import ReplicaHost
-from repro.net.node import ControlNode, EngineHost, NetTransport
-from repro.net.topology import ClusterSpec
+from repro.net.node import (
+    ControlNode,
+    NetTransport,
+    engine_audit_report,
+    host_deployment,
+)
+from repro.net.topology import ClusterSpec, plan_cluster_nodes
+from repro.runtime.engine import ExecutionEngine
 from repro.sim.kernel import Simulator
 
 
@@ -81,7 +88,6 @@ class ProcessRuntime:
         self.go = asyncio.Event()
         self.go_t0: Optional[float] = None
         self.stopping = asyncio.Event()
-        self.host = None
         self._server: Optional[asyncio.AbstractServer] = None
         #: Connections that died mid-frame (truncation, not clean EOF).
         self.torn_frames = 0
@@ -225,20 +231,17 @@ class ProcessRuntime:
             self.rtk.inject(_corrupt)
 
     # -- lifecycle -------------------------------------------------------
-    async def serve(self, host_factory: Optional[Callable] = None,
-                    announce: Callable[[str], None] = print) -> None:
+    async def serve(self) -> None:
         """Run the full process lifecycle (returns after Shutdown)."""
         listen_host, listen_port = self.spec.listen_addr(self.name)
         self._server = await asyncio.start_server(
             self._handle_conn, listen_host, listen_port
         )
-        if host_factory is not None:
-            self.host = host_factory(self)
-        announce("READY")
+        deployment = host_deployment(self.name, self.transport)
+        print("READY", flush=True)
         await self.go.wait()
         self.clock.set_epoch(self.go_t0)
-        if self.host is not None:
-            self.host.start()
+        deployment.start()
         pump = asyncio.get_running_loop().create_task(
             self.rtk.run(), name=f"pump:{self.name}"
         )
@@ -247,7 +250,6 @@ class ProcessRuntime:
         await asyncio.sleep(0.1)
         self.rtk.stop()
         await pump
-        self.transport.export_metrics()
         stats = self.transport.channel_counters()
         if stats:
             summary = " ".join(
@@ -260,47 +262,17 @@ class ProcessRuntime:
             print(f"inbound: torn_frames={self.torn_frames} "
                   f"proto_rejects={self.proto_rejects}",
                   file=sys.stderr, flush=True)
-        report = None
-        if self.host is not None and hasattr(self.host, "audit_report"):
-            report = self.host.audit_report()
-        if report is not None:
-            import json
-
-            announce("AUDIT " + json.dumps(report, sort_keys=True))
+        for engine in deployment.engines.values():
+            # A follower process holds a fence handle until it promotes.
+            if not isinstance(engine, ExecutionEngine):
+                continue
+            report = engine_audit_report(engine)
+            if report is not None:
+                print("AUDIT " + json.dumps(report, sort_keys=True),
+                      flush=True)
         await self.transport.close()
         self._server.close()
         await self._server.wait_closed()
-
-
-def host_factory_for(name: str, spec: ClusterSpec) -> Callable:
-    """The host constructor for a process name.
-
-    ``engine-<id>`` hosts the active engine; ``replica-<id>[.<rank>]``
-    hosts one follower of <id>'s replication group (rank 0 when the
-    suffix is absent).  Engine ids cannot contain ``.`` (spec
-    validation), so the rank suffix parses unambiguously.
-    """
-    if name.startswith("engine-"):
-        engine_id = name[len("engine-"):]
-        return lambda rt: EngineHost(spec, engine_id, rt.sim, rt.transport)
-    if name.startswith("replica-"):
-        engine_id, rank = name[len("replica-"):], 0
-        base, dot, suffix = engine_id.rpartition(".")
-        if dot and suffix.isdigit():
-            engine_id, rank = base, int(suffix)
-        return lambda rt: ReplicaHost(spec, engine_id, rt.sim, rt.transport,
-                                      rank=rank)
-    raise SystemExit(f"unknown process role in name {name!r} "
-                     f"(expect engine-<id> or replica-<id>[.<rank>])")
-
-
-def _announce(line: str) -> None:
-    print(line, flush=True)
-
-
-async def run_process(spec: ClusterSpec, name: str) -> None:
-    runtime = ProcessRuntime(name, spec)
-    await runtime.serve(host_factory_for(name, spec), announce=_announce)
 
 
 def main(argv=None) -> int:
@@ -316,7 +288,12 @@ def main(argv=None) -> int:
                              "e.g. engine-e0 or replica-e0")
     args = parser.parse_args(argv)
     spec = ClusterSpec.from_json(Path(args.spec).read_text())
-    asyncio.run(run_process(spec, args.name))
+    children = [name for name in plan_cluster_nodes(spec)
+                if name != "coordinator"]
+    if args.name not in children:
+        raise SystemExit(f"{parser.prog}: no process {args.name!r} in this "
+                         f"spec's layout (it has: {', '.join(children)})")
+    asyncio.run(ProcessRuntime(args.name, spec).serve())
     return 0
 
 

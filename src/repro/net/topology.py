@@ -2,10 +2,11 @@
 
 A :class:`ClusterSpec` is a JSON document describing one networked
 deployment: the application, placement, seeds, timing knobs, workload,
-and the address of every logical node.  Each process builds the *same*
+and the address of every logical node.  Each process plans the *same*
 :class:`~repro.runtime.app.Deployment` from it (wire ids are assigned in
 declaration order, so identical specs yield identical wire tables in
-every process), then keeps only the pieces it actually hosts.
+every process) and constructs only the nodes :func:`plan_cluster_nodes`
+assigns to it.
 
 The spec also fully determines the workload: producers draw arrival
 gaps and payloads from the deployment's named RNG streams, so a pure
@@ -19,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import re
 
@@ -39,6 +40,7 @@ from repro.runtime.placement import (
     follower_node_id,
     follower_node_ids,
 )
+from repro.runtime.transport import Transport
 from repro.sim.kernel import Simulator, ms
 
 #: Engine ids must stay out of the separators used by node/process
@@ -91,8 +93,7 @@ class ClusterSpec:
     fence_attempts: int = 10
     fence_gap_s: float = 0.2
     #: Cap on items per FRAME_BATCH on outbound channels (1 disables
-    #: batching — every item rides its own ITEM frame, the pre-batching
-    #: wire behaviour the benchmark baseline measures).
+    #: batching — every item rides its own ITEM frame).
     batch_max_items: int = 64
     #: Public ingress gateway config; empty dict disables the gateway.
     #: Keys (all optional except ``host``/``port``, which
@@ -423,6 +424,12 @@ def sharded_placement(component_names: List[str],
     return placed
 
 
+def _placement_of(spec: ClusterSpec, app: Application) -> Dict[str, str]:
+    return dict(spec.placement) or contiguous_placement(
+        app.component_names(), spec.engines
+    )
+
+
 def component_placement(spec: ClusterSpec) -> Dict[str, str]:
     """component name -> engine id, as :func:`build_deployment` places it.
 
@@ -432,10 +439,7 @@ def component_placement(spec: ClusterSpec) -> Dict[str, str]:
     actually hosting a given component, and by the liveness invariant
     to map sinks to replication groups.
     """
-    app = build_application(spec)
-    return dict(spec.placement) or contiguous_placement(
-        app.component_names(), spec.engines
-    )
+    return _placement_of(spec, build_application(spec))
 
 
 def sink_engines(spec: ClusterSpec) -> Dict[str, str]:
@@ -482,24 +486,26 @@ def sink_upstream_engines(spec: ClusterSpec) -> Dict[str, set]:
 
 
 def build_deployment(spec: ClusterSpec,
-                     sim: Optional[Simulator] = None) -> Deployment:
-    """The full deployment object for this spec.
+                     sim: Optional[Simulator] = None,
+                     network: Optional[Transport] = None,
+                     hosted: Optional[Iterable[str]] = None) -> Deployment:
+    """The deployment object for this spec.
 
-    Every process calls this with its own simulator and then rewires the
-    parts it hosts onto the net transport; building the whole thing
-    everywhere is what guarantees identical wire ids, estimators, and
-    RNG streams across the cluster.
+    By default the whole simulated deployment.  A live process passes
+    its own ``network`` and the node ids it hosts (see
+    :func:`repro.net.node.host_deployment`) and gets only those nodes,
+    built on that transport; wire ids, estimators and RNG streams are
+    the same whatever is hosted.
     """
     app = build_application(spec)
-    placement = dict(spec.placement) or contiguous_placement(
-        app.component_names(), spec.engines
-    )
     return Deployment(
-        app, Placement(placement),
+        app, Placement(_placement_of(spec, app)),
         engine_config=spec.engine_config(),
         sim=sim,
         master_seed=spec.master_seed,
         followers=max(1, spec.followers()),
+        network=network,
+        hosted=hosted,
     )
 
 
@@ -552,12 +558,14 @@ def plan_cluster_nodes(spec: ClusterSpec) -> Dict[str, List[str]]:
     ``engine-<id>`` per engine, and one ``replica-<id>[.<rank>]`` per
     follower of each replication group.  Every process additionally
     hosts a ``proc:<name>`` control node for the GO/shutdown barrier.
+    This table is what a process name means: the ids are the ``hosted``
+    argument of the process's :func:`build_deployment`.
     """
-    dep = build_deployment(spec)
+    app = build_application(spec)
     layout: Dict[str, List[str]] = {
         "coordinator": (
-            [ing.node_id for ing in dep.ingresses.values()]
-            + list(dep.consumers)
+            [f"ext:{input_id}" for input_id in app.external_input_targets()]
+            + list(app.external_output_sources())
         )
     }
     for engine_id in spec.engines:

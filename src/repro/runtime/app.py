@@ -7,7 +7,11 @@ engine").  :class:`Deployment` performs the paper's deployment step
 (II.C): placement, transformation (runtime wrapping + estimators via the
 component cost models), wiring, and backup association; it owns the
 simulator, network, engines, ingresses, consumers, replicas, fault logs,
-and the recovery manager.
+and the recovery manager.  The wire table, router, configs and fault
+logs are always planned in full; the nodes themselves are constructed
+only if ``hosted`` names them (default: all, the whole deployment),
+directly on ``network``, the transport they will use (default: a
+simulated :class:`~repro.runtime.transport.Network` of its own).
 
 A minimal Figure-1-style deployment::
 
@@ -31,7 +35,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Tuple,
+                    Type)
 
 from repro.core.component import Component
 from repro.core.determinism_fault import ListFaultLog
@@ -44,7 +49,7 @@ from repro.runtime.metrics import MetricSet
 from repro.runtime.placement import Placement, follower_node_id
 from repro.runtime.recovery import RecoveryManager
 from repro.runtime.replica import PassiveReplica
-from repro.runtime.transport import LinkParams, Network
+from repro.runtime.transport import LinkParams, Network, Transport
 from repro.sim.distributions import Distribution
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
@@ -194,6 +199,8 @@ class Deployment:
         cost_overrides: Optional[Dict[Tuple[str, str], Any]] = None,
         log_latency: int = 0,
         followers: int = 1,
+        network: Optional[Transport] = None,
+        hosted: Optional[Iterable[str]] = None,
     ):
         placement.validate_components(app.component_names())
         if followers < 1:
@@ -210,13 +217,13 @@ class Deployment:
         self._default_config = engine_config or EngineConfig()
         self._engine_configs = dict(engine_configs or {})
         self._cost_overrides = dict(cost_overrides or {})
-
-        self.network = Network(self.sim, self.rng, default_link,
-                               local_delay=local_delay,
-                               control_delay=control_delay)
-        if links:
-            for (src, dst), params in links.items():
-                self.network.set_link(src, dst, params)
+        self._default_link = default_link or LinkParams()
+        self._links = dict(links or {})
+        #: Node ids constructed here; None hosts every node.
+        self._hosted = None if hosted is None else frozenset(hosted)
+        self.network: Transport = (
+            network if network is not None
+            else self._simulated_network(local_delay, control_delay))
 
         self.router = WireRouter()
         self.engines: Dict[str, ExecutionEngine] = {}
@@ -231,11 +238,32 @@ class Deployment:
         self.detectors: Dict[str, Any] = {}
         self.recovery = RecoveryManager(self)
 
-        self._specs_built = False
         self._started = False
         self._build()
 
     # -- construction -------------------------------------------------------
+    def _simulated_network(self, local_delay: int,
+                           control_delay: int) -> Network:
+        """A simulated network with this deployment's link parameters."""
+        network = Network(self.sim, self.rng, self._default_link,
+                          local_delay=local_delay,
+                          control_delay=control_delay)
+        for (src, dst), params in self._links.items():
+            network.set_link(src, dst, params)
+        # The ingress is the system boundary where external messages
+        # are timestamped and logged; it is co-located with its
+        # engine, so its links are delay- and fault-free regardless
+        # of the deployment's default link.  (Producer-side network
+        # delay, if desired, belongs in the producer process.)
+        for input_id, decl in self.app._external_inputs.items():
+            dst_engine = self.placement.engine_of(decl.dst)
+            network.set_link(f"ext:{input_id}", dst_engine, LinkParams())
+            network.set_link(dst_engine, f"ext:{input_id}", LinkParams())
+        return network
+
+    def _hosts(self, node_id: str) -> bool:
+        return self._hosted is None or node_id in self._hosted
+
     def _config_for(self, engine_id: str) -> EngineConfig:
         base = self._engine_configs.get(engine_id, self._default_config)
         ids = tuple(follower_node_id(engine_id, rank)
@@ -247,53 +275,59 @@ class Deployment:
         for engine_id in self.placement.engines():
             group: List[PassiveReplica] = []
             for rank in range(self.followers_per_group):
+                node_id = follower_node_id(engine_id, rank)
+                if not self._hosts(node_id):
+                    continue
                 replica = PassiveReplica(
-                    follower_node_id(engine_id, rank), self.sim,
-                    self.network, engine_id, rank=rank, metrics=self.metrics,
+                    node_id, self.sim, self.network, engine_id,
+                    rank=rank, metrics=self.metrics,
                 )
                 group.append(replica)
                 self.network.register(replica)
-            self.followers[engine_id] = group
-            self.replicas[engine_id] = group[0]
+            if group:
+                self.followers[engine_id] = group
+                self.replicas[engine_id] = group[0]
             self.fault_logs[engine_id] = ListFaultLog()
 
         # Resolve wire ids and endpoints once, in declaration order.
         self._wire_plan = self._plan_wires()
-        self._specs_built = True
 
         for engine_id in self.placement.engines():
-            engine = self._build_engine(engine_id, cp_seq_start=0)
-            self.engines[engine_id] = engine
-            self.network.register(engine)
-            config = engine.config
-            if config.heartbeat_interval is not None:
+            if self._hosts(engine_id):
+                engine = self._build_engine(engine_id, cp_seq_start=0)
+                self.engines[engine_id] = engine
+                self.network.register(engine)
+            # The first hosted follower is the one that watches and
+            # promotes (rank 0 in a whole deployment; on a follower
+            # process, its own).
+            replica = self.replicas.get(engine_id)
+            config = self._config_for(engine_id)
+            if replica is not None and config.heartbeat_interval is not None:
                 from repro.runtime.detector import HeartbeatDetector
 
                 detector = HeartbeatDetector(
                     self.sim, self.recovery, engine_id,
                     config.heartbeat_interval,
                     config.heartbeat_miss_limit,
+                    rank=replica.rank,
                 )
                 self.detectors[engine_id] = detector
-                self.replicas[engine_id].detector = detector
+                replica.detector = detector
 
         # External nodes.
         for input_id, decl in self.app._external_inputs.items():
+            if not self._hosts(f"ext:{input_id}"):
+                continue
             spec = self._wire_plan[id(decl)][0]
-            dst_engine = self.placement.engine_of(decl.dst)
             ingress = ExternalIngress(f"ext:{input_id}", self.sim,
-                                      self.network, spec, dst_engine,
+                                      self.network, spec,
+                                      self.placement.engine_of(decl.dst),
                                       log_latency=self.log_latency)
             self.ingresses[input_id] = ingress
             self.network.register(ingress)
-            # The ingress is the system boundary where external messages
-            # are timestamped and logged; it is co-located with its
-            # engine, so its links are delay- and fault-free regardless
-            # of the deployment's default link.  (Producer-side network
-            # delay, if desired, belongs in the producer process.)
-            self.network.set_link(ingress.node_id, dst_engine, LinkParams())
-            self.network.set_link(dst_engine, ingress.node_id, LinkParams())
         for consumer_id in self.app._external_outputs:
+            if not self._hosts(consumer_id):
+                continue
             consumer = ExternalConsumer(consumer_id, self.sim, self.metrics,
                                         birth_of=self.birth_of)
             self.consumers[consumer_id] = consumer
@@ -387,8 +421,8 @@ class Deployment:
         dst_engine = self.placement.engine_of(dst)
         if src_engine == dst_engine:
             return 0
-        params = self.network._links.get((src_engine, dst_engine),
-                                         self.network.default_link)
+        params = self._links.get((src_engine, dst_engine),
+                                 self._default_link)
         return int(params.delay.mean())
 
     def _build_engine(self, engine_id: str, cp_seq_start: int) -> ExecutionEngine:
@@ -428,7 +462,9 @@ class Deployment:
             elif decl.kind == "ext_in":
                 (spec,) = specs
                 if decl.dst in local:
-                    engine.wire_in(decl.dst, spec, external=True)
+                    engine.wire_in(
+                        decl.dst, spec,
+                        external=self.network.ingress_shares_clock)
             elif decl.kind == "ext_out":
                 (spec,) = specs
                 if decl.src in local:

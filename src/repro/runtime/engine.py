@@ -234,10 +234,8 @@ class ExecutionEngine:
         self._msgs_at_last_cp = 0
         self._tunings: Dict[tuple, _HandlerTuning] = {}
 
-        #: Bumped by the divergence auditor on every self-heal; the net
-        #: layer maps bumps onto real transport incarnations via on_heal.
+        #: Bumped by the divergence auditor on every self-heal.
         self.incarnation_epoch = 0
-        self.on_heal: Optional[Callable[[], None]] = None
         self.cadence: Optional[CadenceController] = None
         if config.recovery_target is not None:
             detect = ((config.heartbeat_interval or 0)
@@ -594,14 +592,13 @@ class ExecutionEngine:
         """Advance the incarnation epoch after a self-heal.
 
         The epoch records that the engine's state was rewritten in
-        place; the ``on_heal`` hook lets the hosting layer propagate the
-        bump (the networked runtime re-registers the engine so peers see
-        a fresh transport incarnation).
+        place; re-registering gives the healed node a fresh identity on
+        its transport (a new incarnation in every later handshake over
+        TCP, a no-op replace in simulation).
         """
         self.incarnation_epoch += 1
         self.metrics.count("incarnation_epoch_bumps")
-        if self.on_heal is not None:
-            self.on_heal()
+        self.network.register(self)
 
     # ------------------------------------------------------------------
     # Calibration / determinism faults (paper II.G.4)

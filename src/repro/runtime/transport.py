@@ -18,12 +18,16 @@ Delivery semantics:
 Control messages (probes, silence advances) may be given their own
 fixed one-way delay via ``control_delay`` so experiments can charge the
 paper's 20 µs curiosity-probe cost even between co-located components.
+
+:class:`Transport` is the part of this that :mod:`repro.runtime` and
+:mod:`repro.core` objects may use; :class:`Network` implements it in
+simulation and :class:`repro.net.node.NetTransport` over TCP.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.core.message import CuriosityProbe, SilenceAdvance
 from repro.errors import TransportError
@@ -46,8 +50,40 @@ class LinkParams:
         self.serialize_ticks = int(serialize_ticks)
 
 
+@runtime_checkable
+class Transport(Protocol):
+    """What a deployment's nodes may ask of the thing they send through.
+
+    Link configuration, fault knobs and node lookup (``set_link``,
+    ``link_fault``, ``node``, ``channels``) are simulation-only extras
+    of :class:`Network`, not part of this.
+    """
+
+    sim: Simulator
+    #: Whether an external ingress stamps with the clock of the engine it
+    #: feeds.  Only then may the engine's scheduler bound future external
+    #: arrivals by its local clock (the ``external`` in-wire flag);
+    #: otherwise ingress silence travels as explicit
+    #: :class:`~repro.core.message.SilenceAdvance` facts answered to
+    #: curiosity probes — sound on any transport, and exactly the
+    #: paper's pessimistic baseline.
+    ingress_shares_clock: bool
+
+    def send(self, src_id: str, dst_id: str, item: Any) -> None:
+        """Deliver ``item`` to node ``dst_id`` unless it is dead."""
+
+    def register(self, node) -> None:
+        """Host ``node`` under its ``node_id``, replacing any previous
+        holder (failover, and the new identity after a self-heal)."""
+
+    def fail_node(self, node_id: str) -> None:
+        """Discard channel state toward a node declared failed."""
+
+
 class Network:
-    """Routes items between registered nodes."""
+    """The simulated :class:`Transport`: routes items between nodes."""
+
+    ingress_shares_clock = True
 
     def __init__(self, sim: Simulator, rng_registry,
                  default_link: Optional[LinkParams] = None,

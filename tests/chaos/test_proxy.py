@@ -1,12 +1,17 @@
 """The TCP fault proxy against a loopback echo pair."""
 
 import asyncio
+import gc
+import socket
+import struct
 import time
 
 from repro.chaos.proxy import FaultProxy, proxied_spec
 from repro.net import codec
 from repro.net.cluster import free_port, with_addresses
 from repro.net.topology import ClusterSpec, plan_cluster_nodes
+
+from tests.net.test_channel import wait_until
 
 HELLO = codec.encode_hello("client:ab12cd34", "n")
 
@@ -223,6 +228,40 @@ def test_reset_closes_live_connections():
     dead, report = asyncio.run(scenario())
     assert dead
     assert report["client->echo"]["resets"] == 1
+
+
+def test_upstream_reset_mid_stream_leaks_no_task_exception():
+    """A SIGKILLed upstream resets the reverse leg; that must end the
+    pair quietly, not as "Task exception was never retrieved"."""
+    async def scenario():
+        async def handle(reader, writer):
+            writer.write(await reader.read(65536))  # echo the HELLO
+            await writer.drain()
+            await reader.read(1)  # the client's cue
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            writer.transport.abort()  # RST, as the kernel does on SIGKILL
+
+        upstream = await asyncio.start_server(handle, "127.0.0.1", 0)
+        proxy = await proxy_for(upstream.sockets[0].getsockname()[1])
+        recorded = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: recorded.append(context))
+        reader, writer = await dial(proxy)
+        await read_exactly(reader, len(HELLO))  # both legs are pumping
+        writer.write(b"x")
+        await writer.drain()
+        # Either leg's death closes the pair: the client sees the end.
+        assert await asyncio.wait_for(reader.read(1), timeout=5.0) == b""
+        await wait_until(lambda: not proxy._conns)
+        writer.close()
+        await proxy.close()
+        upstream.close()
+        gc.collect()  # an unretrieved exception is reported at task GC
+        await asyncio.sleep(0)
+        return recorded
+
+    assert asyncio.run(scenario()) == []
 
 
 def test_proxied_spec_rewrites_dial_addresses_only():

@@ -4,7 +4,9 @@ The failure tests substitute the child command, so no engine runs; the
 contract test launches one small cluster per entry point.
 """
 
+import ast
 import asyncio
+import importlib
 import socket
 import sys
 import time
@@ -16,7 +18,13 @@ import repro.gateway.cluster as gateway_cluster
 import repro.net.cluster as net_cluster
 from repro.gateway.client import ClientPlan
 from repro.net.node import NetTransport
-from repro.net.topology import pipeline_spec, reference_run
+from repro.net.server import ProcessRuntime
+from repro.net.topology import (
+    ClusterSpec,
+    build_deployment,
+    pipeline_spec,
+    reference_run,
+)
 
 #: Stand-ins for ``python -m repro.net.server``.
 READY_THEN_IDLE = [sys.executable, "-c",
@@ -124,7 +132,59 @@ GATEWAY_KEYS = {"reference", "gateway", "clients", "exactly_once_violations",
                 "latency", "shadow"}
 
 
+def bench_imports(tree):
+    """local name -> object, for every ``repro`` import in a bench file;
+    a name that no longer resolves raises here."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.module or "").split(".")[0] == "repro":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                bound[alias.asname or alias.name] = getattr(module, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    bound[alias.asname or alias.name] = \
+                        importlib.import_module(alias.name)
+    return bound
+
+
+def spanning_rows(tree):
+    """``(owner name, attr)`` of each row of a table a ``for`` loop feeds
+    to ``tracer.spanning`` (``bench/wl_gw_steady.py`` wraps by name)."""
+    rows = []
+    for loop in ast.walk(tree):
+        if isinstance(loop, ast.For) and any(
+                isinstance(n, ast.Attribute) and n.attr == "spanning"
+                for n in ast.walk(loop)):
+            rows += [(row.elts[0].id, row.elts[1].value)
+                     for row in loop.iter.elts]
+    return rows
+
+
 def test_result_keys_and_the_names_the_bench_wraps(monkeypatch):
+    # What bench/ reaches into src/ for, read from bench/ itself (parsed,
+    # not imported or run): losing one of these loses a PR to a benchmark
+    # run an hour later instead of to this test.
+    bench = Path(__file__).resolve().parents[2] / "bench"
+    spanned = []
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = bench_imports(tree)
+        for owner, attr in spanning_rows(tree):
+            assert hasattr(bound[owner], attr), (path.name, owner, attr)
+            spanned.append(attr)
+    assert {"spawn_children", "replay_reference", "verify_trace_equivalence",
+            "close"} <= set(spanned)
+    # wl_wire_stream's receiver: any name, a spec with no addresses.
+    receiver = ProcessRuntime("wire-recv", ClusterSpec(
+        engines=["e0"], replicas=0, speed=1.0))
+    assert callable(receiver.transport.register) and receiver.rtk is not None
+    whole = build_deployment(ClusterSpec(workload={}))
+    assert whole.engines and whole.ingresses and whole.consumers \
+        and whole.followers and whole.network.ingress_shares_clock
+
     closes = []
     real_close = NetTransport.close
 
@@ -144,6 +204,15 @@ def test_result_keys_and_the_names_the_bench_wraps(monkeypatch):
     assert result["error"] is None and result["complete"]
     assert set(result) == COMMON_KEYS
     assert len(closes) == 1
+    # The coordinator's channel counters are in the metrics document
+    # --metrics-out writes, not only beside it.
+    exported = result["metrics"]["channels"]
+    assert exported and exported == {
+        dst: {name: value for name, value in counters.items() if value}
+        for dst, counters in result["channel_counters"].items()
+        if any(counters.values())}
+    assert result["metrics"]["counters"]["channel_items_acked_total"] == sum(
+        c["items_acked"] for c in result["channel_counters"].values())
 
     raw_keys = set()
     real_run = gateway_cluster.run_gateway_cluster
@@ -166,8 +235,3 @@ def test_result_keys_and_the_names_the_bench_wraps(monkeypatch):
     assert set(trial) == (raw_keys | {"deterministic", "ok"}) - {
         "streams", "reference", "arrival_ticks", "shadow"}
     assert len(closes) == 2
-
-    # bench/wl_gw_steady.py --trace 1 wraps these on this module by name.
-    for name in ("spawn_children", "replay_reference",
-                 "verify_trace_equivalence"):
-        assert callable(getattr(gateway_cluster, name))

@@ -5,10 +5,12 @@ import asyncio
 import json
 import time
 
+import pytest
+
 from repro.core.message import SilenceAdvance
 from repro.net import codec
 from repro.net.channel import OutboundChannel
-from repro.net.server import ProcessRuntime
+from repro.net.server import ProcessRuntime, main
 from repro.net.topology import ClusterSpec
 
 from tests.net.test_channel import wait_until
@@ -285,3 +287,17 @@ def test_garbage_item_frame_hangs_up_without_crashing_the_handler():
     runtime, closed = asyncio.run(scenario())
     assert closed is None
     assert runtime.torn_frames == 0  # malformed, not torn
+
+
+@pytest.mark.parametrize("name", ["engine-nope", "replica-e0.7", "replica-e9",
+                                  "coordinator", "e0"])
+def test_unknown_process_name_exits_naming_the_valid_ones(name, tmp_path):
+    """The layout table is the role: a name outside it is refused in one
+    line, before any socket is bound (this spec has no addresses)."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(ClusterSpec().to_json())
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--spec", str(spec_path), "--name", name])
+    message = str(exit_info.value.code)
+    assert "\n" not in message and repr(name) in message
+    assert "engine-e0, replica-e0, engine-e1, replica-e1" in message
