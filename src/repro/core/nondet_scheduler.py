@@ -52,8 +52,8 @@ class NonDeterministicComponentRuntime(ComponentRuntime):
         self._max_arrived_vt = max(self._max_arrived_vt, msg.vt)
         wire.pending.append(msg)
         self._arrival_order.append(msg.wire_id)
-        if self.observer is not None:
-            self.observer.on_arrival(self, msg)
+        for observer in self.observers:
+            observer.on_arrival(self, msg)
         self.maybe_dispatch()
 
     def on_silence(self, adv) -> None:

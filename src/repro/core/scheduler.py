@@ -166,12 +166,13 @@ class ComponentRuntime:
         self._busy: Optional[BusyInfo] = None
         self._outbox: List[Tuple[OutputPort, Any, Optional[int]]] = []
         self._in_handler = False
-        #: Optional pure-observation hook (``on_arrival`` /
+        #: Pure-observation hooks (``on_arrival`` / ``on_hold`` /
         #: ``on_dispatch`` / ``on_emit`` / ``on_complete``), e.g. the
-        #: replay-clock tracer.  Observers must never feed back into
-        #: scheduling, RNG draws, or the wire format: traced and
-        #: untraced runs stay byte-identical.
-        self.observer = None
+        #: execution and replay-clock tracers; an engine replaces this
+        #: with its deployment's shared list.  Observers must never feed
+        #: back into scheduling, RNG draws, or the wire format: traced
+        #: and untraced runs stay byte-identical.
+        self.observers: list = []
         # Clone handler specs so estimator revisions (determinism faults)
         # stay local to this runtime instead of mutating class-level state
         # shared across engines, replicas, and deployments.
@@ -319,8 +320,8 @@ class ComponentRuntime:
         wire.pending.append(msg)
         self.silence.advance(msg.wire_id, msg.vt)
         self._probe_outstanding[msg.wire_id] = False
-        if self.observer is not None:
-            self.observer.on_arrival(self, msg)
+        for observer in self.observers:
+            observer.on_arrival(self, msg)
         self.policy.on_enqueued(self, msg)
         self.maybe_dispatch()
 
@@ -436,6 +437,8 @@ class ComponentRuntime:
         return None
 
     def _enter_pessimism_delay(self, msg: DataMessage) -> None:
+        for observer in self.observers:
+            observer.on_hold(self, msg)
         key = msg.key()
         if self._delay_key != key:
             self._delay_key = key
@@ -445,8 +448,8 @@ class ComponentRuntime:
         self.policy.on_pessimism_delay(self, blocking, msg.vt)
 
     def _dispatch(self, msg: DataMessage, wire: InWireState) -> None:
-        if self.observer is not None:
-            self.observer.on_dispatch(self, msg)
+        for observer in self.observers:
+            observer.on_dispatch(self, msg)
         if self._delay_key is not None:
             if self._delay_key == msg.key():
                 held = self.services.sim.now - self._delay_start
@@ -539,8 +542,8 @@ class ComponentRuntime:
     def _complete(self, busy: BusyInfo, end_vt: int, return_value: Any) -> None:
         """Finish processing: advance virtual time, reply if two-way."""
         self.component_vt = end_vt
-        if self.observer is not None:
-            self.observer.on_complete(self, busy, end_vt)
+        for observer in self.observers:
+            observer.on_complete(self, busy, end_vt)
         if busy.handler_spec.two_way:
             self._send_reply(busy, end_vt, return_value)
         self._busy = None
@@ -622,8 +625,8 @@ class ComponentRuntime:
         else:
             msg = DataMessage(spec.wire_id, seq, vt_out, payload)
         sender.emit_message(msg)
-        if self.observer is not None:
-            self.observer.on_emit(self, spec, msg)
+        for observer in self.observers:
+            observer.on_emit(self, spec, msg)
         self.policy.on_emit(self, spec.wire_id, sender, vt_out)
         self.services.transmit(spec, msg)
 
@@ -668,8 +671,8 @@ class ComponentRuntime:
         msg = CallReply(reply_spec.wire_id, sender.next_seq, vt_out,
                         return_value, call_id=request.call_id)
         sender.emit_message(msg)
-        if self.observer is not None:
-            self.observer.on_emit(self, reply_spec, msg)
+        for observer in self.observers:
+            observer.on_emit(self, reply_spec, msg)
         self.services.transmit(reply_spec, msg)
 
     # ------------------------------------------------------------------

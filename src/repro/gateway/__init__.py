@@ -12,9 +12,9 @@ it into the cluster over the existing exactly-once channels — so an
 engine failover is invisible to connected clients.
 
 ``python -m repro.gateway.cluster`` (or ``python -m repro.net.cluster
---gateway``) runs the end-to-end acceptance harness; ``python -m
-repro.tools.loadgen`` is the open-loop load generator that drives it
-and writes ``BENCH_gateway.json``.  See ``docs/gateway.md``.
+--gateway``) runs the end-to-end acceptance harness: an open-loop
+client fleet, steady or a synchronized overload burst, checked against
+the replay oracle.  See ``docs/gateway.md``.
 """
 
 from repro.gateway.admission import AdmissionController, TokenBucket

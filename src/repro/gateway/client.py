@@ -59,8 +59,8 @@ class ClientStats:
     #: a double-stamp, i.e. an exactly-once violation.
     conflicts: int = 0
     #: First-send to first-ACCEPT wall seconds per accepted req (the
-    #: client-observable admission round trip, used by ``loadgen
-    #: --connect`` where no consumer-side latency metric is reachable).
+    #: client-observable admission round trip; the benchmark's
+    #: ``gateway.server.accept_rtt_*`` rows).
     rtt_s: List[float] = field(default_factory=list)
 
 

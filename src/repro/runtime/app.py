@@ -236,6 +236,9 @@ class Deployment:
         self.consumers: Dict[str, ExternalConsumer] = {}
         self.producers: List[PoissonProducer] = []
         self.detectors: Dict[str, Any] = {}
+        #: The one observer list of every runtime built here, promoted
+        #: engines included (see ``ComponentRuntime.observers``).
+        self.observers: List[Any] = []
         self.recovery = RecoveryManager(self)
 
         self._started = False
@@ -431,7 +434,7 @@ class Deployment:
         engine = ExecutionEngine(
             engine_id, self.sim, self.network, self.router, config,
             self.rng, self.metrics, fault_log=self.fault_logs[engine_id],
-            cp_seq_start=cp_seq_start,
+            cp_seq_start=cp_seq_start, observers=self.observers,
         )
         local = set(self.placement.components_on(engine_id))
         for name in self.app.component_names():

@@ -203,6 +203,7 @@ class ExecutionEngine:
         metrics: MetricSet,
         fault_log=None,
         cp_seq_start: int = 0,
+        observers: Optional[list] = None,
     ):
         self.node_id = engine_id
         self.engine_id = engine_id
@@ -219,6 +220,9 @@ class ExecutionEngine:
         )
 
         self.runtimes: Dict[str, ComponentRuntime] = {}
+        #: Observer list handed to every runtime built here (shared, not
+        #: copied: an observer appended later sees every runtime).
+        self.observers = [] if observers is None else observers
         self._wire_dst_local: Dict[int, str] = {}
         self._wire_src_local: Dict[int, str] = {}
         self._reply_dst_local: Dict[int, str] = {}
@@ -304,6 +308,7 @@ class ExecutionEngine:
             )
         else:
             raise WiringError(f"unknown engine mode {self.config.mode!r}")
+        runtime.observers = self.observers
         self.runtimes[component.name] = runtime
         return runtime
 

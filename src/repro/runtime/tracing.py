@@ -6,7 +6,7 @@ actually process, in what order?*  This module answers both without
 perturbing the runtime:
 
 * :class:`ExecutionTracer` — a bounded ring buffer of processing events
-  (dispatch, completion, pessimism enter/exit), attachable to any
+  (dispatch, completion, pessimism hold), attachable to any
   deployment; tests and operators read or dump it.  Events carry a
   monotonically increasing per-tracer ``index``, so post-hoc ordering of
   events with equal ``real_time`` is unambiguous, and the buffer
@@ -20,8 +20,8 @@ perturbing the runtime:
   queries speak the same vocabulary; ``render_hold_report(report,
   as_json=True)`` emits the machine-readable form.
 
-Tracing hooks ride the metrics interface (pure observation), so traced
-and untraced runs execute identically — asserted by test.
+Tracers ride ``ComponentRuntime.observers`` (pure observation), so
+traced and untraced runs execute identically — asserted by test.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional
 
+from repro.vt.repcl import ReplayClockTracer
 from repro.vt.time import format_vt
 
 #: On-disk trace format version (``ExecutionTracer.dump(path)``).
@@ -44,7 +45,7 @@ class TraceEvent:
 
     real_time: int
     component: str
-    kind: str  # "dispatch" | "complete" | "hold" | "release"
+    kind: str  # "dispatch" | "complete" | "hold"
     wire_id: Optional[int] = None
     seq: Optional[int] = None
     vt: Optional[int] = None
@@ -57,51 +58,47 @@ class TraceEvent:
 class ExecutionTracer:
     """Bounded ring buffer of :class:`TraceEvent`.
 
-    Attach with :meth:`attach`; it wraps each runtime's dispatch and
-    completion paths with recording decorators.
+    A :class:`~repro.core.scheduler.ComponentRuntime` observer: attach
+    with :meth:`attach` (a deployment, promoted engines included) or
+    :meth:`attach_runtime` (one runtime's observer list).
     """
 
     def __init__(self, capacity: int = 10_000):
         self.capacity = capacity
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self._attached: List[Any] = []
         self._next_index = 0
 
     def attach(self, deployment) -> None:
-        """Trace every component runtime in a deployment."""
-        for engine in deployment.engines.values():
-            for runtime in engine.runtimes.values():
-                self.attach_runtime(runtime, deployment.sim)
+        """Trace every component runtime a deployment builds."""
+        deployment.observers.append(self)
 
-    def attach_runtime(self, runtime, sim) -> None:
-        """Trace one runtime by wrapping its dispatch/complete methods."""
-        tracer = self
-        original_dispatch = runtime._dispatch
-        original_complete = runtime._complete
-        original_enter = runtime._enter_pessimism_delay
-        name = runtime.component.name
+    def attach_runtime(self, runtime) -> None:
+        """Trace one runtime (an engine-built runtime shares its
+        deployment's list, so this traces all of them)."""
+        runtime.observers.append(self)
 
-        def traced_dispatch(msg, wire):
-            tracer.record(TraceEvent(sim.now, name, "dispatch",
-                                     msg.wire_id, msg.seq, msg.vt))
-            return original_dispatch(msg, wire)
+    # -- observer protocol --------------------------------------------
+    def _observe(self, runtime, kind: str, msg, vt: int,
+                 detail: str = "") -> None:
+        self.record(TraceEvent(runtime.services.sim.now,
+                               runtime.component.name, kind,
+                               msg.wire_id, msg.seq, vt, detail))
 
-        def traced_complete(busy, end_vt, return_value):
-            tracer.record(TraceEvent(
-                sim.now, name, "complete", busy.message.wire_id,
-                busy.message.seq, end_vt,
-                detail=f"actual={busy.actual_ticks}"))
-            return original_complete(busy, end_vt, return_value)
+    def on_arrival(self, runtime, msg) -> None:
+        """Arrivals are not traced."""
 
-        def traced_enter(msg):
-            tracer.record(TraceEvent(sim.now, name, "hold",
-                                     msg.wire_id, msg.seq, msg.vt))
-            return original_enter(msg)
+    def on_emit(self, runtime, spec, msg) -> None:
+        """Emissions are not traced."""
 
-        runtime._dispatch = traced_dispatch
-        runtime._complete = traced_complete
-        runtime._enter_pessimism_delay = traced_enter
-        self._attached.append(runtime)
+    def on_hold(self, runtime, msg) -> None:
+        self._observe(runtime, "hold", msg, msg.vt)
+
+    def on_dispatch(self, runtime, msg) -> None:
+        self._observe(runtime, "dispatch", msg, msg.vt)
+
+    def on_complete(self, runtime, busy, end_vt: int) -> None:
+        self._observe(runtime, "complete", busy.message, end_vt,
+                      f"actual={busy.actual_ticks}")
 
     def record(self, event: TraceEvent) -> None:
         """Append one event (oldest events fall off at capacity).
@@ -196,13 +193,14 @@ def explain_hold(runtime) -> Dict[str, Any]:
         return report
     msg, _wire = best
     report["candidate"] = {"wire": msg.wire_id, "seq": msg.seq, "vt": msg.vt}
-    observer = getattr(runtime, "observer", None)
-    if observer is not None and hasattr(observer, "clock_for_message"):
+    clocks = next((observer for observer in runtime.observers
+                   if isinstance(observer, ReplayClockTracer)), None)
+    if clocks is not None:
         # A replay-clock tracer is attached: annotate the candidate with
         # its sender's RepCl (or the receiver's clock for external
         # roots) so hold diagnosis and timetravel `why` line up.
-        clock = (observer.clock_for_message(msg.wire_id, msg.seq)
-                 or observer.clock_of(runtime.component.name))
+        clock = (clocks.clock_for_message(msg.wire_id, msg.seq)
+                 or clocks.clock_of(runtime.component.name))
         report["candidate"]["repcl"] = clock.encode()
     blocking = runtime.silence.blocking_wires(msg.vt, excluding=msg.wire_id)
     if not blocking:

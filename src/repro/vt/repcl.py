@@ -164,12 +164,12 @@ class ReplayClockTracer:
     """Observer that stamps a :class:`RepCl` on every dispatched message.
 
     Implements the :class:`~repro.core.scheduler.ComponentRuntime`
-    observer protocol (``on_arrival`` / ``on_dispatch`` / ``on_emit`` /
-    ``on_complete``).  Attachment is pure observation: the tracer keeps
-    one clock per component, a ``(wire_id, seq) -> sender clock`` table
-    filled at emission and joined at dispatch, and a single globally
-    indexed event stream — nothing it does feeds back into scheduling,
-    RNG draws, or the wire format.
+    observer protocol (``on_arrival`` / ``on_hold`` / ``on_dispatch`` /
+    ``on_emit`` / ``on_complete``).  Attachment is pure observation: the
+    tracer keeps one clock per component, a ``(wire_id, seq) -> sender
+    clock`` table filled at emission and joined at dispatch, and a
+    single globally indexed event stream — nothing it does feeds back
+    into scheduling, RNG draws, or the wire format.
 
     Messages with no recorded emission (external ingress traffic) become
     causal roots: their dispatch clock derives from the virtual time
@@ -192,35 +192,26 @@ class ReplayClockTracer:
 
     # -- attachment ----------------------------------------------------
     def attach(self, deployment) -> "ReplayClockTracer":
-        """Observe every runtime of a deployment, across failovers.
+        """Observe every runtime a deployment builds, across failovers
+        (a promoted engine's runtimes share the deployment's list).
 
         Component indices are assigned from the application's sorted
         component-name list, so any two deployments of the same spec
-        agree on the index space.  ``rebuild_engine`` is wrapped so
-        promoted engines re-attach their fresh runtimes.
+        agree on the index space.
         """
         for idx, name in enumerate(sorted(deployment.app.component_names())):
             self.node_index.setdefault(name, idx)
-        for engine_id, engine in deployment.engines.items():
-            for runtime in engine.runtimes.values():
-                self.attach_runtime(runtime, engine_id)
-        original_rebuild = deployment.rebuild_engine
-
-        def rebuild_and_reattach(engine_id, *args, **kwargs):
-            engine = original_rebuild(engine_id, *args, **kwargs)
-            for runtime in engine.runtimes.values():
-                self.attach_runtime(runtime, engine_id)
-            return engine
-
-        deployment.rebuild_engine = rebuild_and_reattach
+            self.engine_of[name] = deployment.placement.engine_of(name)
+        deployment.observers.append(self)
         return self
 
     def attach_runtime(self, runtime, engine_id: str = "?") -> None:
+        """Observe one runtime (an engine-built runtime shares its
+        deployment's list: use :meth:`attach` there)."""
         name = runtime.component.name
         self.node_index.setdefault(name, len(self.node_index))
         self.engine_of[name] = engine_id
-        self.clocks.setdefault(name, RepCl())
-        runtime.observer = self
+        runtime.observers.append(self)
 
     # -- lookups -------------------------------------------------------
     def clock_of(self, component: str) -> RepCl:
@@ -249,6 +240,9 @@ class ReplayClockTracer:
 
     def on_arrival(self, runtime, msg) -> None:
         self.arrivals += 1
+
+    def on_hold(self, runtime, msg) -> None:
+        """Holds are not causal events: no clock moves."""
 
     def on_dispatch(self, runtime, msg) -> None:
         name = runtime.component.name

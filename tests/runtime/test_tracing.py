@@ -1,25 +1,41 @@
 """Tests for execution tracing and hold diagnosis."""
 
+import ast
+import hashlib
+import inspect
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.apps.wordcount import birth_of, build_wordcount_app, sentence_factory
 from repro.core.component import Component, on_message
 from repro.core.cost import fixed_cost
 from repro.core.message import DataMessage, SilenceAdvance
+from repro.core.scheduler import ComponentRuntime
 from repro.core.silence_policy import LazySilencePolicy
 from repro.runtime.app import Deployment
-from repro.runtime.engine import EngineConfig
-from repro.runtime.placement import single_engine_placement
+from repro.runtime.engine import EngineConfig, ExecutionEngine
+from repro.runtime.failure import FailureInjector
+from repro.runtime.placement import Placement, single_engine_placement
 from repro.runtime.tracing import (
     ExecutionTracer,
     TraceEvent,
     explain_hold,
     render_hold_report,
 )
+from repro.runtime.transport import LinkParams
+from repro.sim.distributions import Constant
 from repro.sim.jitter import NormalTickJitter
-from repro.sim.kernel import ms, us
+from repro.sim.kernel import ms, seconds, us
 
 from tests.helpers import Hub, wire
+
+#: SHA-256 of ``ExecutionTracer.dump(path)`` after 100 ms of
+#: ``two_engine_deployment(policy_factory=LazySilencePolicy)``: 775
+#: events, of which 359 dispatch, 357 complete and 59 hold.
+LAZY_TRACE_DIGEST = (
+    "60906973bf0eaae527f9bc26f75afcb7eaf7532d1f39c98de3748aae08f2a600")
 
 
 def traced_deployment(seed=0):
@@ -28,6 +44,22 @@ def traced_deployment(seed=0):
                      engine_config=EngineConfig(jitter=NormalTickJitter()),
                      control_delay=us(10), birth_of=birth_of,
                      master_seed=seed)
+    factory = sentence_factory()
+    for i in (1, 2):
+        dep.add_poisson_producer(f"ext{i}", factory, mean_interarrival=ms(1))
+    return dep
+
+
+def two_engine_deployment(**config):
+    """Wordcount with the merger alone on E2 (the failover tests' layout)."""
+    app = build_wordcount_app(2)
+    dep = Deployment(
+        app, Placement({"sender1": "E1", "sender2": "E1", "merger": "E2"}),
+        engine_config=EngineConfig(jitter=NormalTickJitter(),
+                                   checkpoint_interval=ms(50), **config),
+        default_link=LinkParams(delay=Constant(us(100))),
+        control_delay=us(10), birth_of=birth_of,
+    )
     factory = sentence_factory()
     for i in (1, 2):
         dep.add_poisson_producer(f"ext{i}", factory, mean_interarrival=ms(1))
@@ -131,6 +163,54 @@ class TestExecutionTracer:
                                      mean_interarrival=ms(1))
         dep.run(until=ms(100))
         assert tracer.events(component="merger", kind="hold")
+
+    def test_lazy_trace_dump_is_golden(self, tmp_path):
+        # Pins the hold / dispatch / complete events in count, order and
+        # content, whatever mechanism delivers them to the tracer.
+        dep = two_engine_deployment(policy_factory=LazySilencePolicy)
+        tracer = ExecutionTracer()
+        tracer.attach(dep)
+        dep.run(until=ms(100))
+        counts = {kind: len(tracer.events(kind=kind))
+                  for kind in ("dispatch", "complete", "hold")}
+        assert len(tracer) == 775
+        assert counts == {"dispatch": 359, "complete": 357, "hold": 59}
+        path = tmp_path / "trace.bin"
+        tracer.dump(path=str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == LAZY_TRACE_DIGEST
+
+    def test_follows_a_promoted_engine(self):
+        dep = two_engine_deployment()
+        tracer = ExecutionTracer(capacity=100_000)
+        tracer.attach(dep)
+        FailureInjector(dep).kill_engine("E2", at=ms(500),
+                                         detection_delay=ms(2))
+        dep.run(until=seconds(1))
+        assert dep.recovery.failover_count() == 1
+        merger = tracer.events(component="merger", kind="dispatch")
+        assert any(e.real_time < ms(500) for e in merger)
+        assert any(e.real_time > ms(500) for e in merger)
+
+
+def test_no_method_of_a_runtime_engine_or_deployment_is_reassigned():
+    """Observers ride ``ComponentRuntime.observers``; nothing in the
+    package may patch a method on another object to see an event."""
+    methods = {name
+               for cls in (ComponentRuntime, ExecutionEngine, Deployment)
+               for name, _ in inspect.getmembers(cls, inspect.isfunction)}
+    root = Path(repro.__file__).parent
+    patched = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and node.attr in methods
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self")):
+                patched.append(
+                    f"{path.relative_to(root)}:{node.lineno} .{node.attr}")
+    assert patched == []
 
 
 class Recorder(Component):

@@ -153,6 +153,14 @@ class TestReplayClockTracer:
             checked += 1
         assert checked > 10
 
+    def test_a_second_tracer_does_not_detach_the_first(self):
+        dep = deployment()
+        first = ReplayClockTracer().attach(dep)
+        second = ReplayClockTracer().attach(dep)
+        dep.run(until=ms(100))
+        assert len(first.events) > 100
+        assert first.events == second.events
+
     def test_stamping_never_changes_scheduler_bytes(self):
         """The tentpole guarantee: traced and untraced runs are
         byte-identical — same outputs, same state digests."""
