@@ -16,12 +16,13 @@ paper: "highly right-skewed"), and the residual–regressor correlation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Mapping, Sequence, Tuple
 
 from repro.core.estimators import LinearEstimator
 from repro.errors import ComponentError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -84,6 +85,10 @@ class LinearRegressionCalibrator:
                 f"need at least {len(self.feature_names) + int(self.fit_intercept)} "
                 f"samples, have {len(self._rows)}"
             )
+        # numpy is imported here, not at module level: live processes
+        # import this module but never fit, and should not pay for it.
+        import numpy as np
+
         x = np.array([row for row, _ in self._rows], dtype=float)
         y = np.array([dur for _, dur in self._rows], dtype=float)
 
@@ -127,6 +132,8 @@ class LinearRegressionCalibrator:
 
 def _skewness(values: np.ndarray) -> float:
     """Sample skewness (Fisher-Pearson, no bias correction)."""
+    import numpy as np
+
     if len(values) < 3:
         return 0.0
     centered = values - values.mean()
@@ -138,6 +145,8 @@ def _skewness(values: np.ndarray) -> float:
 
 def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation, 0.0 when either side is constant."""
+    import numpy as np
+
     if len(a) < 2 or a.std() == 0 or b.std() == 0:
         return 0.0
     return float(np.corrcoef(a, b)[0, 1])

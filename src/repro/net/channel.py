@@ -68,6 +68,12 @@ CONNECT_TIMEOUT_S = 2.0
 HANDSHAKE_TIMEOUT_S = 2.0
 
 
+def _release(waiter: Optional[asyncio.Future]) -> None:
+    """Resolve a parked wait future, unless absent or already done."""
+    if waiter is not None and not waiter.done():
+        waiter.set_result(None)
+
+
 def backoff_jitter_rng(seed: int, peer: str, dst_node: str) -> random.Random:
     """A deterministic per-(peer, destination) jitter stream.
 
@@ -128,7 +134,15 @@ class OutboundChannel:
         #: failover cannot stall the pump feeding every other group (see
         #: :meth:`congested`).
         self.connected = False
-        self._wake = asyncio.Event()
+        #: Future the send loop parks on while connected and idle; only
+        #: exists while it is parked (see :meth:`_converse`).
+        self._kick: Optional[asyncio.Future] = None
+        #: Future the reconnect loop parks on while backing off; only
+        #: :meth:`redirect` and :meth:`close` end that wait early.
+        self._backoff: Optional[asyncio.Future] = None
+        #: Connect attempts left before the next backoff sleep; a
+        #: redirect sets it so every candidate is tried once, unslept.
+        self._redial_left = 0
         self._closed = False
         self._task: Optional[asyncio.Task] = None
         #: Fatal protocol rejection, once one arrived (FRAME_ERROR).
@@ -172,7 +186,8 @@ class OutboundChannel:
         if self._closed:
             return
         self._pending.append((src_node, msg))
-        self._wake.set()
+        if self._kick is not None:
+            _release(self._kick)
 
     def backlog(self) -> int:
         """Unsent + unacknowledged item count (congestion signal)."""
@@ -202,7 +217,8 @@ class OutboundChannel:
     async def close(self) -> None:
         """Stop the channel; buffered items are dropped."""
         self._closed = True
-        self._wake.set()
+        _release(self._kick)
+        _release(self._backoff)
         if self._task is not None:
             self._task.cancel()
             try:
@@ -225,7 +241,7 @@ class OutboundChannel:
         self._next_seq = 0
         self._ack_frontier = 0
         self.epoch_resets += 1
-        self._wake.set()
+        _release(self._kick)
 
     def redirect(self, host_peer_id: str) -> None:
         """The destination node is now hosted by ``host_peer_id``.
@@ -240,7 +256,15 @@ class OutboundChannel:
         discovers the new incarnation on its own.  The current
         connection (pointed at the dead incarnation) is aborted, and
         only incarnations hosted by ``host_peer_id`` are accepted until
-        the node moves again.
+        the node moves again.  A reconnect backoff in progress ends now,
+        and every candidate address is tried once before the next sleep.
+
+        A *first sighting* — the channel has neither adopted an
+        incarnation nor been pinned to a host — is not a move: the
+        buffer is kept, exactly as if the handshake had won the race.
+        Dropping it would lose what was queued before the sighting (a
+        promoted engine's ``ReplayRequest`` to an ingress whose first
+        readings overtook the handshake), and the cluster would stall.
         """
         if (self._known_incarnation is not None
                 and self._known_incarnation.startswith(host_peer_id + "#")):
@@ -248,16 +272,21 @@ class OutboundChannel:
         if (self._known_incarnation is None
                 and self._expected_peer == host_peer_id):
             return
+        moved = (self._known_incarnation is not None
+                 or self._expected_peer is not None)
         self._expected_peer = host_peer_id
-        self._pending.clear()
-        self._unacked.clear()
-        self._next_seq = 0
-        self._ack_frontier = 0
-        self._known_incarnation = None
-        self.epoch_resets += 1
+        if moved:
+            self._pending.clear()
+            self._unacked.clear()
+            self._next_seq = 0
+            self._ack_frontier = 0
+            self._known_incarnation = None
+            self.epoch_resets += 1
         if self._writer is not None:
             self._writer.close()
-        self._wake.set()
+        self._redial_left = len(self.addresses)
+        _release(self._kick)
+        _release(self._backoff)
 
     # -- internals ------------------------------------------------------
     async def _run(self) -> None:
@@ -266,6 +295,8 @@ class OutboundChannel:
         while not self._closed:
             address = self.addresses[addr_idx % len(self.addresses)]
             addr_idx += 1
+            if self._redial_left:
+                self._redial_left -= 1
             try:
                 conn = await self._try_connect(address)
             except codec.CodecError as exc:
@@ -285,17 +316,20 @@ class OutboundChannel:
                 conn = None
             if conn is None:
                 self.connect_failures += 1
+                if self._redial_left:
+                    continue  # a redirect named the host: no sleep yet
                 # Deterministic jitter (0.5x..1.5x) from the per-channel
                 # seeded stream: after a partition heals, every sender
                 # would otherwise retry on the same exponential ladder
                 # and hammer the healed host in synchronized waves.
-                await asyncio.sleep(
+                await self._back_off(
                     min(self.backoff_max,
                         backoff * (0.5 + self._jitter.random()))
                 )
                 backoff = min(self.backoff_max, backoff * 1.6)
                 continue
             backoff = self.backoff_min
+            self._redial_left = 0
             reader, writer, incarnation = conn
             self._on_incarnation(incarnation)
             self.connected = True
@@ -311,6 +345,21 @@ class OutboundChannel:
                     await writer.wait_closed()
                 except (ConnectionError, OSError):
                     pass
+
+    async def _back_off(self, delay: float) -> None:
+        """Sleep ``delay`` seconds, or until :meth:`redirect` / :meth:`close`.
+
+        New items and epoch resets do not end the wait: a parked channel
+        must not redial once per message.
+        """
+        loop = asyncio.get_running_loop()
+        waiter = self._backoff = loop.create_future()
+        timer = loop.call_later(delay, _release, waiter)
+        try:
+            await waiter
+        finally:
+            timer.cancel()
+            self._backoff = None
 
     async def _try_connect(self, address: Tuple[str, int]):
         """One connect + handshake attempt; None if unusable."""
@@ -397,12 +446,18 @@ class OutboundChannel:
 
         Drains once per burst: every item pending at wake-up is packed
         into batch frames and flushed with a single ``drain()``, instead
-        of the historical frame-write (and receiver ack) per item.
+        of the historical frame-write (and receiver ack) per item.  When
+        idle it parks on one plain future, :attr:`_kick`, which
+        :meth:`enqueue`, :meth:`reset`, :meth:`redirect`, :meth:`close`
+        and the ack reader's exit resolve — no task per wake-up.
         """
         self._writer = writer
-        acks = asyncio.get_running_loop().create_task(
+        loop = asyncio.get_running_loop()
+        acks = loop.create_task(
             self._consume_acks(reader), name=f"acks:{self.dst_node}"
         )
+        # A dead connection ends the idle wait through the ack reader.
+        acks.add_done_callback(lambda _task: _release(self._kick))
         try:
             # Same incarnation, new connection: resend the unacked tail
             # first, in order (the receiver discards duplicates by seq).
@@ -427,19 +482,11 @@ class OutboundChannel:
                     self._send_burst(writer, bodies)
                     await writer.drain()
                     continue
-                self._wake.clear()
-                if self._pending:
-                    continue
-                waiter = asyncio.get_running_loop().create_task(
-                    self._wake.wait()
-                )
-                done, _ = await asyncio.wait(
-                    {waiter, acks}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if not waiter.done():
-                    waiter.cancel()
-                if acks in done:
-                    break
+                self._kick = loop.create_future()
+                try:
+                    await self._kick
+                finally:
+                    self._kick = None
         finally:
             self._writer = None
             if not acks.done():

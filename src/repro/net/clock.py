@@ -6,7 +6,8 @@ against the wall clock.  :class:`RealtimeClock` maps wall time to ticks
 (``ticks = elapsed_seconds * 1e9 * speed``; 1 tick = 1 ns at speed 1.0),
 and :class:`RealtimeKernel` repeatedly advances the simulator to the
 current real tick, injects items that arrived from the network, then
-sleeps until the next timer or the next arrival.
+arms one event-loop callback for the next timer, which the next arrival
+cuts short.
 
 Determinism under this pump is exactly the paper's claim: dispatch order
 inside an engine is *virtual-time* order, and every virtual time is
@@ -83,6 +84,14 @@ class RealtimeKernel:
     handlers at ``sim.now == real tick`` — so an ingress answering a
     curiosity probe with "silent through now - 1" is making a sound
     promise (every future arrival will be stamped >= now).
+
+    The pump is loop-native: each iteration is one :meth:`_step`
+    callback on the event loop, and at most one handle is armed at a
+    time — a ``call_soon`` when work is waiting, otherwise one
+    ``call_later`` for the next simulator event (capped at
+    :data:`_MAX_POLL_S`).  An :meth:`inject` into an idle pump swaps
+    that timer for a ``call_soon``, so an arrival reaches its handler
+    one loop iteration later, without creating a task.
     """
 
     def __init__(self, sim: Simulator, clock: RealtimeClock,
@@ -91,8 +100,16 @@ class RealtimeKernel:
         self.clock = clock
         self.congestion_check = congestion_check
         self._inbox: Deque[Callable[[], None]] = deque()
-        self._wake = asyncio.Event()
         self._stopped = False
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: Resolved by :meth:`stop`, or failed by a raising step;
+        #: :meth:`run` awaits it.
+        self._done: Optional[asyncio.Future] = None
+        #: The one armed step (``call_soon`` or ``call_later`` handle).
+        self._handle: Optional[asyncio.Handle] = None
+        #: Whether ``_handle`` is an idle timer an inject may cut short
+        #: (a congestion pause is not).
+        self._idle_timer = False
         #: Diagnostics.
         self.injected = 0
         self.congestion_pauses = 0
@@ -106,38 +123,73 @@ class RealtimeKernel:
         """
         self._inbox.append(fn)
         self.injected += 1
-        self._wake.set()
+        if self._idle_timer:
+            self._handle.cancel()
+            self._arm(0.0)
 
     def stop(self) -> None:
-        """Make :meth:`run` return after the current iteration."""
+        """Make :meth:`run` return; no step runs after this."""
         self._stopped = True
-        self._wake.set()
+        self._disarm()
+        if self._done is not None and not self._done.done():
+            self._done.set_result(None)
 
     async def run(self) -> None:
-        """Pump until :meth:`stop`."""
-        while not self._stopped:
+        """Pump until :meth:`stop`; raises what a pumped callback raised."""
+        if self._stopped:
+            return
+        self._loop = asyncio.get_running_loop()
+        self._done = self._loop.create_future()
+        self._arm(0.0)
+        try:
+            await self._done
+        finally:
+            self._disarm()
+            self._done = None
+
+    def _arm(self, delay: float, idle: bool = False) -> None:
+        """Queue the next step ``delay`` seconds from now."""
+        if delay <= 0:
+            self._handle = self._loop.call_soon(self._step)
+            self._idle_timer = False
+        else:
+            self._handle = self._loop.call_later(delay, self._step)
+            self._idle_timer = idle
+
+    def _disarm(self) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+        self._idle_timer = False
+
+    def _step(self) -> None:
+        """One pump iteration: advance, drain the inbox, arm the next."""
+        self._handle = None
+        self._idle_timer = False
+        if self._stopped:
+            return
+        try:
             if self.congestion_check is not None and self.congestion_check():
                 # A peer is not keeping up: stop advancing local time so
                 # the engine cannot race ahead of its own output channel
                 # (end-to-end backpressure).
                 self.congestion_pauses += 1
-                await asyncio.sleep(_CONGESTION_POLL_S)
-                continue
+                self._arm(_CONGESTION_POLL_S)
+                return
             target = max(self.clock.ticks(), self.sim.now)
             self.sim.run(until=target)
             while self._inbox:
                 self._inbox.popleft()()
-            self._wake.clear()
-            if self._inbox or self._stopped:
-                continue
-            nxt = self.sim.next_event_time()
-            if nxt is not None:
-                timeout = min(_MAX_POLL_S, self.clock.seconds_until(nxt))
-                if timeout <= 0:
-                    continue
-            else:
-                timeout = _MAX_POLL_S
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout)
-            except asyncio.TimeoutError:
-                pass
+        except Exception as exc:
+            # Nothing is armed mid-step: the pump stays down, and
+            # ``await run()`` raises what the pumped callback raised.
+            if not self._done.done():
+                self._done.set_exception(exc)
+            return
+        if self._stopped:
+            return
+        nxt = self.sim.next_event_time()
+        delay = _MAX_POLL_S
+        if nxt is not None:
+            delay = min(delay, self.clock.seconds_until(nxt))
+        self._arm(delay, idle=True)

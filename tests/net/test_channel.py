@@ -425,3 +425,27 @@ def test_stale_and_overrun_acks_rejected_then_recovered():
     # The bogus acks never corrupted delivery: exactly once, in order.
     assert [seq for seq, _, _ in host.items] == [0, 1, 2]
     assert [m.through_vt for _, _, m in host.items] == [0, 1, 2]
+
+
+def test_first_sighting_redirect_keeps_the_buffer():
+    """A promoted engine queues its ``ReplayRequest`` to the ingress on a
+    fresh channel; the ingress's first readings can overtake that
+    channel's handshake, and the redirect they trigger is a first
+    sighting, not a move.  Dropping the queued request stalled the
+    cluster until its deadline."""
+    async def scenario():
+        host = FakeHost(incarnation="hostA#1")
+        await host.start()
+        channel = OutboundChannel("sender:1", "n", [("127.0.0.1",
+                                                     host.port)])
+        channel.enqueue("src", msg(0))
+        channel.redirect("hostA")  # first inbound item, before WELCOME
+        channel.start()
+        await wait_until(lambda: channel.items_acked == 1)
+        await channel.close()
+        await host.stop()
+        return host, channel
+
+    host, channel = asyncio.run(scenario())
+    assert [m.through_vt for _, _, m in host.items] == [0]
+    assert channel.epoch_resets == 0

@@ -98,3 +98,84 @@ def test_pump_pauses_under_congestion():
     fired, kernel = asyncio.run(scenario())
     assert fired == [True]
     assert kernel.congestion_pauses > 0
+
+
+# -- lifecycle contract (the cluster harness and bench/layers.py rely on it)
+
+def test_raising_callback_makes_run_raise_it():
+    class Boom(Exception):
+        pass
+
+    def explode():
+        raise Boom("pumped")
+
+    async def scenario():
+        kernel = RealtimeKernel(Simulator(), RealtimeClock(1.0))
+        kernel.clock.set_epoch(time.time())
+        pump = asyncio.get_running_loop().create_task(kernel.run())
+        await asyncio.sleep(0.01)
+        kernel.inject(explode)
+        with pytest.raises(Boom, match="pumped"):
+            await asyncio.wait_for(pump, 1.0)
+
+    asyncio.run(scenario())
+
+
+def test_items_injected_before_run_drain_on_the_first_step():
+    async def scenario():
+        kernel = RealtimeKernel(Simulator(), RealtimeClock(1.0))
+        kernel.clock.set_epoch(time.time())
+        seen = []
+        kernel.inject(lambda: seen.append(1))
+        kernel.inject(lambda: seen.append(2))
+        kernel.inject(kernel.stop)
+        await asyncio.wait_for(kernel.run(), 1.0)
+        return seen, kernel
+
+    seen, kernel = asyncio.run(scenario())
+    assert seen == [1, 2]
+    assert kernel.injected == 3
+
+
+def test_stop_before_run_returns_at_once():
+    async def scenario():
+        kernel = RealtimeKernel(Simulator(), RealtimeClock(1.0))
+        seen = []
+        kernel.inject(lambda: seen.append(True))
+        kernel.stop()
+        await asyncio.wait_for(kernel.run(), 0.1)
+        return seen
+
+    assert asyncio.run(scenario()) == []
+
+
+def test_stop_twice_is_harmless():
+    async def scenario():
+        kernel = RealtimeKernel(Simulator(), RealtimeClock(1.0))
+        kernel.clock.set_epoch(time.time())
+        pump = asyncio.get_running_loop().create_task(kernel.run())
+        await asyncio.sleep(0.01)
+        kernel.stop()
+        kernel.stop()
+        await asyncio.wait_for(pump, 1.0)
+        kernel.stop()
+
+    asyncio.run(scenario())
+
+
+def test_no_step_runs_after_stop_even_with_a_timer_armed():
+    async def scenario():
+        sim = Simulator()
+        kernel = RealtimeKernel(sim, RealtimeClock(1.0))
+        fired = []
+        sim.after(int(0.03e9), lambda: fired.append("timer"), "t")
+        kernel.clock.set_epoch(time.time())
+        pump = asyncio.get_running_loop().create_task(kernel.run())
+        await asyncio.sleep(0.005)  # idle, a step armed for the timer
+        kernel.stop()
+        await pump
+        kernel.inject(lambda: fired.append("inject"))
+        await asyncio.sleep(0.06)
+        return fired
+
+    assert asyncio.run(scenario()) == []

@@ -3,6 +3,7 @@ version negotiation, batch delivery, ack coalescing, torn frames."""
 
 import asyncio
 import json
+import socket
 import time
 
 import pytest
@@ -301,3 +302,59 @@ def test_unknown_process_name_exits_naming_the_valid_ones(name, tmp_path):
     message = str(exit_info.value.code)
     assert "\n" not in message and repr(name) in message
     assert "engine-e0, replica-e0, engine-e1, replica-e1" in message
+
+
+def _refused_port():
+    """A localhost port with nothing listening on it."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_redirect_ends_the_reconnect_backoff():
+    """A redirect names where the node went; the channel must not sleep
+    out a backoff that predates that news (at 2 s it would take >= 1 s)."""
+    async def scenario():
+        runtime = ProcessRuntime("replica-e0", ClusterSpec())
+        runtime.transport.register(StubNode("e0"))
+        server, port = await _serve(runtime)
+        channel = OutboundChannel(
+            "sender:1", "e0",
+            [("127.0.0.1", _refused_port()), ("127.0.0.1", port)],
+            backoff_min=2.0, backoff_max=2.0)
+        channel.start()
+        await wait_until(lambda: channel.connect_failures == 1)  # asleep
+        started = time.monotonic()
+        channel.redirect(runtime.peer_id)
+        await wait_until(lambda: channel.connected, timeout=3.0)
+        elapsed = time.monotonic() - started
+        await channel.close()
+        server.close()
+        await server.wait_closed()
+        return channel, elapsed
+
+    channel, elapsed = asyncio.run(scenario())
+    assert elapsed < 0.3, elapsed
+    assert channel.connect_failures == 1
+
+
+def test_enqueue_and_reset_do_not_end_the_backoff():
+    """A parked channel must not redial once per message."""
+    async def scenario():
+        channel = OutboundChannel(
+            "sender:1", "e0", [("127.0.0.1", _refused_port())],
+            backoff_min=2.0, backoff_max=2.0)
+        channel.start()
+        await wait_until(lambda: channel.connect_failures == 1)  # asleep
+        for i in range(50):
+            channel.enqueue("src", SilenceAdvance(wire_id=1, through_vt=i))
+            await asyncio.sleep(0)
+        channel.reset()
+        await asyncio.sleep(0.2)
+        failures = channel.connect_failures
+        await channel.close()
+        return failures, channel
+
+    failures, channel = asyncio.run(scenario())
+    assert failures == 1
+    assert channel.backlog() == 0  # the reset discarded the 50
