@@ -23,9 +23,9 @@ multi-process runtime (:mod:`repro.net`):
   :class:`~repro.errors.UnrecoverableClusterError` naming the lost state
   when a schedule is genuinely unsurvivable.
 
-``python -m repro.chaos --seed S`` runs one seeded schedule end to end;
-``python -m repro.net.cluster --chaos S`` does the same from the cluster
-CLI.  See ``docs/chaos.md``.
+``python -m repro.chaos --seed S`` runs one seeded schedule end to end,
+with the cluster CLI's layout and workload options (``--engines``,
+``--replicas``, ``--messages``, ...).  See ``docs/chaos.md``.
 """
 
 from repro.chaos.invariants import check_invariants

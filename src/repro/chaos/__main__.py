@@ -23,14 +23,15 @@ from repro.chaos.schedule import (
     generate_schedule,
 )
 from repro.errors import UnrecoverableClusterError
-from repro.net.cluster import add_cluster_arguments, spec_keywords
+from repro.net.cluster import (
+    add_cluster_arguments,
+    check_kill_arguments,
+    spec_keywords,
+)
 from repro.net.topology import pipeline_spec
 
 
-def main(argv: Optional[List[str]] = None,
-         namespace: Optional[argparse.Namespace] = None) -> int:
-    """``namespace`` carries values ``repro.net.cluster --chaos`` has
-    already parsed; options it does not hold get their defaults."""
+def main(argv: Optional[List[str]] = None) -> int:
     known = sorted(SCENARIOS) + sorted(EXTRA_SCENARIOS)
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos",
@@ -58,7 +59,8 @@ def main(argv: Optional[List[str]] = None,
                         help="only run the in-simulator replay")
     parser.add_argument("--skip-sim", action="store_true",
                         help="skip the in-simulator replay")
-    args = parser.parse_args(argv, namespace)
+    args = parser.parse_args(argv)
+    check_kill_arguments(parser, args)
 
     # The cluster CLI's workload and layout, with transport timeouts
     # compressed so partitions and kills resolve in test-scale wall time.

@@ -33,13 +33,11 @@ from repro.chaos.schedule import ChaosSchedule, generate_schedule
 from repro.net.cluster import run_networked, with_addresses
 from repro.net.topology import (
     ClusterSpec,
-    attach_workload,
-    build_deployment,
     reference_run,
-    stream_of,
+    simulated_twin,
+    streams_of,
+    twin_horizon,
 )
-from repro.runtime.failure import FailureInjector
-from repro.sim.kernel import ms
 from repro.tools.verify_determinism import verify_trace_equivalence
 
 
@@ -243,30 +241,6 @@ class ChaosDriver:
 # ----------------------------------------------------------------------
 
 
-def simulate_with_schedule(spec: ClusterSpec,
-                           schedule: ChaosSchedule,
-                           collect: Optional[Dict] = None) -> Dict[str, List]:
-    """Run the spec in-simulator with the schedule's sim lowering.
-
-    The fast half of the shared-schedule contract: the same fault
-    script, lowered to node-level simulator events, applied to a pure
-    in-process deployment.  Returns per-sink output streams.  When
-    ``collect`` is given, the finished deployment and its metrics are
-    stashed there for callers that want more than the streams.
-    """
-    dep = build_deployment(spec)
-    attach_workload(dep, spec)
-    FailureInjector(dep).apply_schedule(schedule.sim_events(spec))
-    until = (2 * spec.workload_span_ticks()
-             + int(ms(schedule.end_ms())) + ms(1000))
-    dep.run(until=until)
-    if collect is not None:
-        collect["deployment"] = dep
-        collect["metrics"] = dep.metrics
-    return {sink: stream_of(consumer)
-            for sink, consumer in dep.consumers.items()}
-
-
 def record_chaos_bundle(spec: ClusterSpec, schedule: ChaosSchedule,
                         out_dir, verdict: Optional[Dict] = None,
                         log: Callable[[str], None] = _stderr):
@@ -359,11 +333,13 @@ def run_chaos(
     ref_counts = {sink: len(s) for sink, s in reference.items()}
     report["reference_outputs"] = sum(ref_counts.values())
 
-    sim_collect: Dict = {}
+    twin = None
     if run_sim and report["lost_state"] is None:
         # In-simulator replay of the same fault script: fast ground
         # truth that the schedule itself is survivable and content-safe.
-        sim_streams = simulate_with_schedule(spec, schedule, sim_collect)
+        twin = simulated_twin(spec, schedule)
+        twin.run(until=twin_horizon(spec, schedule))
+        sim_streams = streams_of(twin)
         sim_verdict = verify_trace_equivalence(
             reference, sim_streams,
             trial=f"sim-chaos-seed-{schedule.seed}", require_complete=True,
@@ -381,8 +357,8 @@ def run_chaos(
     if not run_live:
         report["ok"] = bool(report.get("sim", {}).get("deterministic",
                                                       True))
-        if "metrics" in sim_collect:
-            report["metrics"] = sim_collect["metrics"].dump_json()
+        if twin is not None:
+            report["metrics"] = twin.metrics.dump_json()
         _maybe_record(spec, schedule, record_dir, report, log)
         return report
 

@@ -326,7 +326,7 @@ class ChaosSchedule:
                    if e.kind in ("stop", "cont")}
         for engine_id in spec.engines:
             engine_proc = f"engine-{engine_id}"
-            if engine_proc in killed and spec.followers() >= 1:
+            if engine_proc in killed and spec.replicas >= 1:
                 # First surviving follower in the succession line hosts
                 # the engine at the end (earlier ranks killed too mean
                 # repeated promotions down the chain).
@@ -369,7 +369,7 @@ def _gen_kill_active(rng, spec):
 def _gen_kill_replica(rng, spec):
     victim = _pick_engine(rng, spec)
     return [ChaosEvent("kill", rng.uniform(0.20, 0.50) * _span_ms(spec),
-                       target=f"replica-{victim}")]
+                       target=spec.follower_process(victim))]
 
 
 def _gen_partition_heal(rng, spec):
@@ -394,7 +394,7 @@ def _gen_double_fault(rng, spec):
         # A *different* engine's replica dies too: still survivable.
         events.append(ChaosEvent(
             "kill", rng.uniform(0.20, 0.60) * span,
-            target=f"replica-{bystander}",
+            target=spec.follower_process(bystander),
         ))
     return events
 
@@ -408,7 +408,7 @@ def _gen_partition_promotion(rng, spec):
     return [
         ChaosEvent("kill", kill_at, target=f"engine-{victim}"),
         ChaosEvent("partition", cut_at,
-                   link=("coordinator", f"replica-{victim}"),
+                   link=("coordinator", spec.follower_process(victim)),
                    duration_ms=rng.uniform(0.10, 0.20) * span),
     ]
 
@@ -503,7 +503,7 @@ def _gen_leader_then_follower_kill(rng, spec):
     victim = rng.choice(_component_hosting_engines(spec))
     kill_at = rng.uniform(0.20, 0.30) * span
     events = [ChaosEvent("kill", kill_at, target=f"engine-{victim}")]
-    if spec.followers() >= 2:
+    if spec.replicas >= 2:
         follow_at = kill_at + _detection_ms(spec) * rng.uniform(1.1, 1.6)
         events.append(ChaosEvent("kill", follow_at,
                                  target=spec.follower_process(victim, 0)))
@@ -518,7 +518,7 @@ def _gen_unsurvivable(rng, spec):
     return [
         ChaosEvent("kill", kill_at, target=f"engine-{victim}"),
         ChaosEvent("kill", kill_at + rng.uniform(0.0, 0.05) * span,
-                   target=f"replica-{victim}"),
+                   target=spec.follower_process(victim)),
     ]
 
 

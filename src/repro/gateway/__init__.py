@@ -11,10 +11,9 @@ payload with virtual time via the stable
 it into the cluster over the existing exactly-once channels — so an
 engine failover is invisible to connected clients.
 
-``python -m repro.gateway.cluster`` (or ``python -m repro.net.cluster
---gateway``) runs the end-to-end acceptance harness: an open-loop
-client fleet, steady or a synchronized overload burst, checked against
-the replay oracle.  See ``docs/gateway.md``.
+``python -m repro.gateway.cluster`` runs the end-to-end acceptance
+harness: an open-loop client fleet, steady or a synchronized overload
+burst, checked against the replay oracle.  See ``docs/gateway.md``.
 """
 
 from repro.gateway.admission import AdmissionController, TokenBucket

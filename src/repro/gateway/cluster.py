@@ -1,8 +1,7 @@
 """Gateway acceptance harness: real clients, real cluster, replayed oracle.
 
-``python -m repro.gateway.cluster`` (also reachable as ``python -m
-repro.net.cluster --gateway``) is the end-to-end proof for the public
-ingress path.  It differs from the producer-driven harness in one
+``python -m repro.gateway.cluster`` is the end-to-end proof for the
+public ingress path.  It differs from the producer-driven harness in one
 fundamental way: external submissions arrive at *wall-clock* times over
 real sockets, so no seeded simulation can predict the ingress log up
 front.  The determinism oracle therefore runs **after** the live run:
@@ -56,12 +55,10 @@ from repro.net.cluster import (
 )
 from repro.net.topology import (
     ClusterSpec,
-    build_deployment,
     pipeline_spec,
     plan_cluster_nodes,
-    stream_of,
+    reference_run,
 )
-from repro.sim.kernel import ms
 from repro.gateway.client import (
     ClientPlan,
     build_clients,
@@ -74,9 +71,6 @@ from repro.tools.verify_determinism import verify_trace_equivalence
 #: Extra wall seconds between the GO epoch and the first client send,
 #: so every engine is ticking before load arrives.
 CLIENT_LEAD_S = 0.25
-
-#: Simulated drain margin appended after the last replayed stamp.
-_REPLAY_DRAIN_TICKS = ms(2000)
 
 
 def gateway_payload_factory(n_devices: int = 8, n_fields: int = 4):
@@ -99,30 +93,9 @@ def gateway_payload_factory(n_devices: int = 8, n_fields: int = 4):
 def replay_reference(spec: ClusterSpec,
                      shadow: Dict[str, List[Tuple[int, int, Any]]]
                      ) -> Dict[str, List[Tuple]]:
-    """Re-simulate the shadow log; return the reference output streams.
-
-    Offers each recorded stamped payload at its recorded virtual time in
-    a fresh deployment of the same spec.  At tick ``vt`` the ingress
-    assigns ``max(now, last_vt + 1) = vt`` (stamps are strictly
-    increasing per wire), so the replayed ingress log — sequence
-    numbers, virtual times, payload bytes — is identical to the live
-    one, and the consumer streams are the ground truth the networked
-    run must have produced.
-    """
-    dep = build_deployment(spec)
-    last_vt = 0
-    for input_id, entries in shadow.items():
-        ingress = dep.ingresses[input_id]
-        for _seq, vt, payload in entries:
-            dep.sim.at(
-                vt,
-                lambda ing=ingress, p=payload: ing.offer(p),
-                label=f"replay:{input_id}",
-            )
-            last_vt = max(last_vt, vt)
-    dep.run(until=last_vt + _REPLAY_DRAIN_TICKS)
-    return {sink: stream_of(consumer)
-            for sink, consumer in dep.consumers.items()}
+    """The reference output streams: the simulated twin replaying the
+    gateway's shadow log (see :func:`~repro.net.topology.simulated_twin`)."""
+    return reference_run(spec, external=shadow)
 
 
 async def run_gateway_cluster(
@@ -347,10 +320,7 @@ def run_trial(label: str, spec: ClusterSpec, plan: ClientPlan,
     return result
 
 
-def main(argv: Optional[List[str]] = None,
-         namespace: Optional[argparse.Namespace] = None) -> int:
-    """``namespace`` carries values ``repro.net.cluster --gateway`` has
-    already parsed; options it does not hold get their defaults."""
+def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.gateway.cluster",
         description="Drive a real cluster through the public ingress "
@@ -373,7 +343,7 @@ def main(argv: Optional[List[str]] = None,
                         help="per-client token bucket refill (msgs/sec)")
     parser.add_argument("--client-burst", type=float, default=200.0)
     parser.add_argument("--retry-ms", type=float, default=50.0)
-    args = parser.parse_args(argv, namespace)
+    args = parser.parse_args(argv)
 
     check_kill_arguments(parser, args)
     kill_engine = None

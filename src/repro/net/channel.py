@@ -235,12 +235,7 @@ class OutboundChannel:
         whatever mattered.  The reconnect loop keeps running and will
         adopt the node's next incarnation.
         """
-        self._pending.clear()
-        self._unacked.clear()
-        self._known_incarnation = None
-        self._next_seq = 0
-        self._ack_frontier = 0
-        self.epoch_resets += 1
+        self._new_epoch()
         _release(self._kick)
 
     def redirect(self, host_peer_id: str) -> None:
@@ -276,12 +271,7 @@ class OutboundChannel:
                  or self._expected_peer is not None)
         self._expected_peer = host_peer_id
         if moved:
-            self._pending.clear()
-            self._unacked.clear()
-            self._next_seq = 0
-            self._ack_frontier = 0
-            self._known_incarnation = None
-            self.epoch_resets += 1
+            self._new_epoch()
         if self._writer is not None:
             self._writer.close()
         self._redial_left = len(self.addresses)
@@ -289,6 +279,15 @@ class OutboundChannel:
         _release(self._backoff)
 
     # -- internals ------------------------------------------------------
+    def _new_epoch(self) -> None:
+        """Drop everything buffered and restart sequence numbers."""
+        self._pending.clear()
+        self._unacked.clear()
+        self._next_seq = 0
+        self._ack_frontier = 0
+        self._known_incarnation = None
+        self.epoch_resets += 1
+
     async def _run(self) -> None:
         backoff = self.backoff_min
         addr_idx = 0
@@ -410,12 +409,8 @@ class OutboundChannel:
             # The node moved to a new incarnation: epoch reset.  Items
             # buffered for the dead incarnation are conceptually already
             # lost (fail-stop); the promoted node drives replay.
-            self._pending.clear()
-            self._unacked.clear()
-            self._next_seq = 0
-            self._ack_frontier = 0
+            self._new_epoch()
             self._known_incarnation = incarnation
-            self.epoch_resets += 1
 
     def _send_burst(self, writer, bodies: List[Dict[str, Any]],
                     resend: bool = False) -> None:
@@ -534,6 +529,46 @@ class OutboundChannel:
 FENCE_TIMEOUT_S = 1.0
 
 
+async def _deliver_once(address: Tuple[str, int], peer_id: str,
+                        dst_node: str, msg: Any, attempts: int, gap: float,
+                        timeout: float) -> Optional[bool]:
+    """Connect, handshake for ``dst_node`` and hand over one item.
+
+    Returns True once ``msg`` was written, False when the peer answered
+    NOT_HERE, and None when the address stayed unreachable for the
+    whole retry budget (``attempts`` tries, ``gap`` seconds apart).
+    """
+    host, port = address
+    for _ in range(max(1, attempts)):
+        try:
+            reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(host, port), timeout=timeout
+            )
+        except (ConnectionError, OSError, asyncio.TimeoutError):
+            await asyncio.sleep(gap)
+            continue
+        try:
+            writer.write(codec.encode_hello(peer_id, dst_node))
+            await writer.drain()
+            frame = await asyncio.wait_for(codec.read_frame(reader),
+                                           timeout=timeout)
+            if frame is not None and frame[0] == codec.FRAME_WELCOME:
+                writer.write(codec.encode_item(0, peer_id, msg))
+                await writer.drain()
+                return True
+            return False
+        except (ConnectionError, OSError, asyncio.TimeoutError,
+                TransportError):
+            await asyncio.sleep(gap)
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+    return None
+
+
 async def send_fence_once(address: Tuple[str, int], peer_id: str,
                           engine_id: str, attempts: int = 10,
                           gap: float = 0.2,
@@ -549,37 +584,12 @@ async def send_fence_once(address: Tuple[str, int], peer_id: str,
     silently giving up: a partitioned-but-alive primary is exactly the
     case operators need to see.
     """
-    host, port = address
-    for _ in range(max(1, attempts)):
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), timeout=timeout
-            )
-        except (ConnectionError, OSError, asyncio.TimeoutError):
-            await asyncio.sleep(gap)
-            continue
-        try:
-            writer.write(codec.encode_hello(peer_id, engine_id))
-            await writer.drain()
-            frame = await asyncio.wait_for(codec.read_frame(reader),
-                                           timeout=timeout)
-            if frame is not None and frame[0] == codec.FRAME_WELCOME:
-                writer.write(codec.encode_item(
-                    0, peer_id, codec.FenceRequest(engine_id)
-                ))
-                await writer.drain()
-                return True
-            return False  # NOT_HERE: nothing to fence at the primary
-        except (ConnectionError, OSError, asyncio.TimeoutError,
-                TransportError):
-            await asyncio.sleep(gap)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-    raise FenceDeliveryError(engine_id, address, max(1, attempts))
+    delivered = await _deliver_once(address, peer_id, engine_id,
+                                    codec.FenceRequest(engine_id),
+                                    attempts, gap, timeout)
+    if delivered is None:
+        raise FenceDeliveryError(engine_id, address, max(1, attempts))
+    return delivered
 
 
 async def send_corrupt_once(address: Tuple[str, int], peer_id: str,
@@ -597,35 +607,7 @@ async def send_corrupt_once(address: Tuple[str, int], peer_id: str,
     retry budget returns False too — a corruption that cannot be
     delivered (process already dead) is a no-op fault, not an error.
     """
-    host, port = address
-    control = f"proc:{process}"
-    for _ in range(max(1, attempts)):
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), timeout=timeout
-            )
-        except (ConnectionError, OSError, asyncio.TimeoutError):
-            await asyncio.sleep(gap)
-            continue
-        try:
-            writer.write(codec.encode_hello(peer_id, control))
-            await writer.drain()
-            frame = await asyncio.wait_for(codec.read_frame(reader),
-                                           timeout=timeout)
-            if frame is not None and frame[0] == codec.FRAME_WELCOME:
-                writer.write(codec.encode_item(
-                    0, peer_id, codec.CorruptRequest(engine_id, component),
-                ))
-                await writer.drain()
-                return True
-            return False
-        except (ConnectionError, OSError, asyncio.TimeoutError,
-                TransportError):
-            await asyncio.sleep(gap)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-    return False
+    delivered = await _deliver_once(address, peer_id, f"proc:{process}",
+                                    codec.CorruptRequest(engine_id, component),
+                                    attempts, gap, timeout)
+    return bool(delivered)

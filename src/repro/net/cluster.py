@@ -59,7 +59,7 @@ from repro.net.topology import (
     plan_cluster_nodes,
     reference_run,
     sink_upstream_engines,
-    stream_of,
+    streams_of,
 )
 from repro.tools.verify_determinism import verify_trace_equivalence
 
@@ -378,7 +378,7 @@ class ClusterHarness:
         consumers = self.deployment.consumers
         result.update(
             counts=self.counts(),
-            streams={sink: stream_of(c) for sink, c in consumers.items()},
+            streams=streams_of(self.deployment),
             # Per-sink local-sim arrival tick of every effective output.
             arrival_ticks={
                 sink: [t for _seq, _vt, _payload, t in c.effective_outputs]
@@ -489,14 +489,10 @@ def group_liveness(spec: ClusterSpec, result: Dict,
 CLUSTER_OPTIONS = [
     ("--engines", dict(type=int, default=2), "ngc"),
     ("--replicas", dict(
-        type=int, default=1, choices=(0, 1),
-        help="passive replicas per engine (0 disables checkpointing "
-             "and failover)"), "ngc"),
-    ("--followers", dict(
-        type=int, default=None, metavar="K",
-        help="followers per replication group (overrides --replicas; "
-             "K >= 2 gives each engine a rank-ordered succession "
-             "line)"), "ngc"),
+        type=int, default=1, metavar="K",
+        help="passive followers per engine (0 disables checkpointing "
+             "and failover; K >= 2 gives each engine a rank-ordered "
+             "succession line)"), "ngc"),
     ("--messages", dict(
         type=int, default=240,
         help="seeded readings, or total submissions across all gateway "
@@ -540,13 +536,11 @@ CLUSTER_OPTIONS = [
                           help="skip the no-failure run"), "ng"),
     ("--clients", dict(
         type=int, default=16,
-        help="gateway mode: number of concurrent external "
-             "clients"), "ng"),
+        help="number of concurrent external clients"), "g"),
     ("--rate", dict(
         type=float, default=400.0,
-        help="gateway mode: aggregate open-loop offered rate in "
-             "msgs/sec across all clients (<= 0: synchronized "
-             "burst)"), "ng"),
+        help="aggregate open-loop offered rate in msgs/sec across all "
+             "clients (<= 0: synchronized burst)"), "g"),
     ("--timeout", dict(
         type=float, default=None,
         help="per-run wall-clock deadline in seconds"), "ngc"),
@@ -579,7 +573,6 @@ def spec_keywords(args: argparse.Namespace, seeded: bool = True) -> Dict:
         engines=args.engines,
         window=args.window,
         replicas=args.replicas,
-        followers_per_group=args.followers,
         checkpoint_interval_ms=args.checkpoint_ms,
         heartbeat_interval_ms=args.heartbeat_ms,
         heartbeat_miss_limit=args.heartbeat_miss,
@@ -598,13 +591,11 @@ def spec_keywords(args: argparse.Namespace, seeded: bool = True) -> Dict:
 
 def check_kill_arguments(parser: argparse.ArgumentParser,
                          args: argparse.Namespace) -> None:
-    """``parser.error`` on follower/kill options that cannot work."""
-    if args.followers is not None and args.followers < 0:
-        parser.error("--followers must be >= 0")
-    followers = (args.followers if args.followers is not None
-                 else args.replicas)
-    if args.kill_active and followers < 1:
-        parser.error("--kill-active requires --replicas or --followers >= 1")
+    """``parser.error`` on replica/kill options that cannot work."""
+    if args.replicas < 0:
+        parser.error("--replicas must be >= 0")
+    if getattr(args, "kill_active", False) and args.replicas < 1:
+        parser.error("--kill-active requires --replicas >= 1")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -617,40 +608,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     add_cluster_arguments(parser, "n")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--chaos", type=int, default=None, metavar="SEED",
-                        help="instead of the clean/kill trials, run the "
-                             "seeded chaos schedule SEED against this "
-                             "cluster (python -m repro.chaos with the "
-                             "same workload knobs)")
-    parser.add_argument("--gateway", action="store_true",
-                        help="feed the cluster through the public TCP "
-                             "ingress gateway instead of in-process "
-                             "producers (python -m repro.gateway.cluster "
-                             "with the same knobs); external clients "
-                             "submit over the wire and the output is "
-                             "verified against a pure-sim replay of the "
-                             "gateway's admission log")
     args = parser.parse_args(argv)
-
-    if args.gateway:
-        # The gateway CLI parses nothing more; it fills in its own
-        # options' defaults around the values parsed here.
-        ignored = ["--chaos"] + [flag for flag, _keywords, clis
-                                 in CLUSTER_OPTIONS if "g" not in clis]
-        for flag in ignored:
-            dest = flag[2:].replace("-", "_")
-            if getattr(args, dest) != parser.get_default(dest):
-                parser.error(f"{flag} has no effect with --gateway")
-        from repro.gateway.cluster import main as gateway_main
-
-        return gateway_main([], args)
-
-    if args.chaos is not None:
-        from repro.chaos.__main__ import main as chaos_main
-
-        # There --seed picks the fault schedule, --master-seed the workload.
-        args.master_seed, args.seed = args.seed, args.chaos
-        return chaos_main([], args)
 
     check_kill_arguments(parser, args)
     spec = pipeline_spec(master_seed=args.seed, **spec_keywords(args))

@@ -33,6 +33,7 @@ from repro.apps.pipeline import (
 from repro.errors import SpecValidationError, WiringError
 from repro.runtime.app import Application, Deployment
 from repro.runtime.engine import EngineConfig
+from repro.runtime.failure import FailureInjector
 from repro.runtime.placement import (
     Placement,
     _rendezvous_weight,
@@ -61,12 +62,10 @@ class ClusterSpec:
     engines: List[str] = field(default_factory=lambda: ["e0", "e1"])
     #: Component -> engine id.
     placement: Dict[str, str] = field(default_factory=dict)
-    #: Passive replicas per engine (0 disables checkpoint/heartbeat).
+    #: Passive followers per engine: the size of each replication
+    #: group's rank-ordered succession line (0 disables
+    #: checkpoint/heartbeat and failover).
     replicas: int = 1
-    #: Followers per replication group.  ``None`` falls back to
-    #: ``replicas`` (the legacy single-follower knob); an explicit value
-    #: sizes each engine's rank-ordered follower chain.
-    followers_per_group: Optional[int] = None
     master_seed: int = 7
     #: Simulated ticks per real nanosecond (0.1 => 1 ms-tick per 10 ms).
     speed: float = 0.1
@@ -167,11 +166,6 @@ class ClusterSpec:
                     "engine ids must match [A-Za-z0-9_-]+ (no '.', ':', '/')")
         if not isinstance(self.replicas, int) or self.replicas < 0:
             bad("replicas", self.replicas, "must be an integer >= 0")
-        if self.followers_per_group is not None and (
-                not isinstance(self.followers_per_group, int)
-                or self.followers_per_group < 0):
-            bad("followers_per_group", self.followers_per_group,
-                "must be null or an integer >= 0")
         if not isinstance(self.speed, (int, float)) or self.speed <= 0:
             bad("speed", self.speed, "must be > 0")
         for key in ("checkpoint_interval_ms", "heartbeat_interval_ms",
@@ -208,18 +202,12 @@ class ClusterSpec:
             bad("workload", self.workload, "must be an input->params map")
 
     # -- derived --------------------------------------------------------
-    def followers(self) -> int:
-        """Followers per replication group (0 disables replication)."""
-        if self.followers_per_group is not None:
-            return self.followers_per_group
-        return self.replicas
-
     def replica_node(self, engine_id: str, rank: int = 0) -> str:
         return follower_node_id(engine_id, rank)
 
     def follower_nodes(self, engine_id: str) -> List[str]:
         """One engine's follower node ids, in promotion (rank) order."""
-        return follower_node_ids(engine_id, self.followers())
+        return follower_node_ids(engine_id, self.replicas)
 
     def follower_process(self, engine_id: str, rank: int = 0) -> str:
         """Process name hosting one follower (``replica-<id>[.<rank>]``)."""
@@ -228,7 +216,7 @@ class ClusterSpec:
     def follower_processes(self, engine_id: str) -> List[str]:
         """One engine's follower process names, in promotion order."""
         return [self.follower_process(engine_id, rank)
-                for rank in range(self.followers())]
+                for rank in range(self.replicas)]
 
     def listen_addr(self, process: str) -> Tuple[str, int]:
         """The address the named process binds its server socket to."""
@@ -258,7 +246,7 @@ class ClusterSpec:
         return self.gateway_addr()
 
     def engine_config(self) -> EngineConfig:
-        if self.followers() <= 0:
+        if self.replicas <= 0:
             if self.recovery_target_ms is not None or self.audit != "off":
                 raise WiringError(
                     "recovery_target_ms / audit require replicas >= 1 "
@@ -503,7 +491,7 @@ def build_deployment(spec: ClusterSpec,
         engine_config=spec.engine_config(),
         sim=sim,
         master_seed=spec.master_seed,
-        followers=max(1, spec.followers()),
+        followers=spec.replicas,
         network=network,
         hosted=hosted,
     )
@@ -537,18 +525,78 @@ def stream_of(consumer) -> List[Tuple]:
             for seq, vt, payload, _t in consumer.effective_outputs]
 
 
-def reference_run(spec: ClusterSpec) -> Dict[str, List[Tuple]]:
-    """Run the spec purely in simulation; return per-sink output streams.
+def streams_of(deployment: Deployment) -> Dict[str, List[Tuple]]:
+    """Every sink's effective output stream (see :func:`stream_of`)."""
+    return {sink: stream_of(consumer)
+            for sink, consumer in deployment.consumers.items()}
 
-    The cutoff leaves a generous drain margin after the last scheduled
-    arrival, so on any non-overloaded spec the streams are complete —
-    and they are the byte-level ground truth for the networked runs.
+
+#: Simulated drain margin after the last replayed external message.
+TWIN_DRAIN_TICKS = ms(2000)
+
+
+def simulated_twin(spec: ClusterSpec, schedule=None,
+                   external: Optional[Dict[str, List[Tuple]]] = None
+                   ) -> Deployment:
+    """The pure simulation of a run, built but not yet run.
+
+    Workload-bearing specs generate their input from the deployment's
+    seeded producer streams (byte-identical by construction); specs
+    without a workload (gateway runs) replay ``external`` — per-input
+    ``(seq, vt, payload)`` logs — by offering each payload at its
+    recorded virtual time.  At tick ``vt`` the ingress stamps
+    ``max(now, last_vt + 1) = vt`` (recorded stamps are strictly
+    increasing per wire), so the replayed ingress log is the recorded
+    one exactly.  A chaos ``schedule``, when given, is lowered onto the
+    simulator through the same :class:`FailureInjector` path live runs
+    are judged against.  Run it to :func:`twin_horizon`.
     """
     dep = build_deployment(spec)
-    attach_workload(dep, spec)
-    dep.run(until=2 * spec.workload_span_ticks() + ms(500))
-    return {sink: stream_of(consumer)
-            for sink, consumer in dep.consumers.items()}
+    if spec.workload:
+        attach_workload(dep, spec)
+    elif external:
+        for input_id, entries in sorted(external.items()):
+            ingress = dep.ingresses.get(input_id)
+            if ingress is None:
+                raise WiringError(f"external log names unknown input "
+                                  f"{input_id!r}")
+            for _seq, vt, payload in entries:
+                dep.sim.at(vt, (lambda ing=ingress, p=payload:
+                                ing.offer(p)))
+    if schedule is not None:
+        FailureInjector(dep).apply_schedule(schedule.sim_events(spec))
+    return dep
+
+
+def twin_horizon(spec: ClusterSpec, schedule=None,
+                 external: Optional[Dict[str, List[Tuple]]] = None) -> int:
+    """The tick :func:`simulated_twin` runs to.
+
+    A generous drain margin after the last scheduled arrival (and the
+    schedule's last fault), so on any non-overloaded spec the streams
+    are complete.
+    """
+    if spec.workload:
+        span = 2 * spec.workload_span_ticks()
+        if schedule is not None:
+            return span + int(ms(schedule.end_ms())) + ms(1000)
+        return span + ms(500)
+    last_vt = max((vt for entries in (external or {}).values()
+                   for _seq, vt, _p in entries), default=0)
+    return last_vt + TWIN_DRAIN_TICKS
+
+
+def reference_run(spec: ClusterSpec, schedule=None,
+                  external: Optional[Dict[str, List[Tuple]]] = None
+                  ) -> Dict[str, List[Tuple]]:
+    """Run the spec's simulated twin; return per-sink output streams.
+
+    These streams are the byte-level ground truth for the networked
+    runs.
+    """
+    dep = simulated_twin(spec, schedule, external)
+    dep.run(until=twin_horizon(spec, schedule, external))
+    return streams_of(dep)
 
 
 def plan_cluster_nodes(spec: ClusterSpec) -> Dict[str, List[str]]:
@@ -570,7 +618,7 @@ def plan_cluster_nodes(spec: ClusterSpec) -> Dict[str, List[str]]:
     }
     for engine_id in spec.engines:
         layout[f"engine-{engine_id}"] = [engine_id]
-        for rank in range(spec.followers()):
+        for rank in range(spec.replicas):
             layout[spec.follower_process(engine_id, rank)] = [
                 spec.replica_node(engine_id, rank)
             ]

@@ -42,7 +42,7 @@ from repro.core.component import Component
 from repro.core.determinism_fault import ListFaultLog
 from repro.core.estimators import CommDelayEstimator
 from repro.core.ports import WireSpec
-from repro.errors import WiringError
+from repro.errors import RecoveryError, WiringError
 from repro.runtime.engine import EngineConfig, ExecutionEngine
 from repro.runtime.external import ExternalConsumer, ExternalIngress, PoissonProducer
 from repro.runtime.metrics import MetricSet
@@ -203,12 +203,12 @@ class Deployment:
         hosted: Optional[Iterable[str]] = None,
     ):
         placement.validate_components(app.component_names())
-        if followers < 1:
-            raise WiringError(f"followers must be >= 1, got {followers}")
+        if followers < 0:
+            raise WiringError(f"followers must be >= 0, got {followers}")
         self.app = app
         self.placement = placement
-        #: Passive followers per replication group, in promotion order.
-        self.followers_per_group = int(followers)
+        #: Passive followers per replication group (0: no replication).
+        self._group_size = int(followers)
         self.sim = sim or Simulator()
         self.rng = RngRegistry(master_seed)
         self.metrics = MetricSet()
@@ -227,9 +227,8 @@ class Deployment:
 
         self.router = WireRouter()
         self.engines: Dict[str, ExecutionEngine] = {}
-        #: engine id -> rank-0 follower (the legacy single-replica view).
-        self.replicas: Dict[str, PassiveReplica] = {}
-        #: engine id -> all followers of its group, in rank order.
+        #: engine id -> the followers of its group hosted here, in rank
+        #: order.
         self.followers: Dict[str, List[PassiveReplica]] = {}
         self.fault_logs: Dict[str, ListFaultLog] = {}
         self.ingresses: Dict[str, ExternalIngress] = {}
@@ -270,14 +269,14 @@ class Deployment:
     def _config_for(self, engine_id: str) -> EngineConfig:
         base = self._engine_configs.get(engine_id, self._default_config)
         ids = tuple(follower_node_id(engine_id, rank)
-                    for rank in range(self.followers_per_group))
-        return dataclasses.replace(base, replica_id=ids[0], replica_ids=ids)
+                    for rank in range(self._group_size))
+        return dataclasses.replace(base, replica_ids=ids)
 
     def _build(self) -> None:
         # Replicas and fault logs exist outside the engines (stable side).
         for engine_id in self.placement.engines():
             group: List[PassiveReplica] = []
-            for rank in range(self.followers_per_group):
+            for rank in range(self._group_size):
                 node_id = follower_node_id(engine_id, rank)
                 if not self._hosts(node_id):
                     continue
@@ -289,7 +288,6 @@ class Deployment:
                 self.network.register(replica)
             if group:
                 self.followers[engine_id] = group
-                self.replicas[engine_id] = group[0]
             self.fault_logs[engine_id] = ListFaultLog()
 
         # Resolve wire ids and endpoints once, in declaration order.
@@ -303,11 +301,12 @@ class Deployment:
             # The first hosted follower is the one that watches and
             # promotes (rank 0 in a whole deployment; on a follower
             # process, its own).
-            replica = self.replicas.get(engine_id)
+            group = self.followers.get(engine_id)
             config = self._config_for(engine_id)
-            if replica is not None and config.heartbeat_interval is not None:
+            if group and config.heartbeat_interval is not None:
                 from repro.runtime.detector import HeartbeatDetector
 
+                replica = group[0]
                 detector = HeartbeatDetector(
                     self.sim, self.recovery, engine_id,
                     config.heartbeat_interval,
@@ -556,7 +555,10 @@ class Deployment:
     # -- failover ------------------------------------------------------------
     def rebuild_engine(self, engine_id: str) -> ExecutionEngine:
         """Promote the replica of a failed engine (called by recovery)."""
-        replica = self.replicas[engine_id]
+        group = self.followers.get(engine_id)
+        if not group:
+            raise RecoveryError(f"{engine_id}: no follower to promote")
+        replica = group[0]
         engine = self._build_engine(
             engine_id, cp_seq_start=max(0, replica.last_cp_seq)
         )

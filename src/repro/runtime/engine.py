@@ -68,17 +68,13 @@ class EngineConfig:
     checkpoint_interval: Optional[int] = None
     #: Every Nth checkpoint is full; the others are incremental.
     full_checkpoint_every: int = 8
-    #: Node id of this engine's rank-0 passive replica (required to
-    #: checkpoint).  Authoritative: ``None`` disables replication even
-    #: if :attr:`replica_ids` is set; a bare id becomes a one-follower
-    #: group.  Normalized against :attr:`replica_ids` by
-    #: ``__post_init__``.
-    replica_id: Optional[str] = None
-    #: Node ids of *all* followers in this engine's replication group,
-    #: in promotion (rank) order.  Checkpoints and heartbeats fan out to
-    #: every entry; a checkpoint is stable (and upstream buffers may be
-    #: trimmed) only once every follower acknowledged it, so any single
-    #: surviving follower can still replay from its chain.
+    #: Node ids of the followers in this engine's replication group,
+    #: in promotion (rank) order; empty disables replication (and
+    #: checkpointing requires at least one).  Checkpoints and heartbeats
+    #: fan out to every entry; a checkpoint is stable (and upstream
+    #: buffers may be trimmed) only once every follower acknowledged
+    #: it, so any single surviving follower can still replay from its
+    #: chain.
     replica_ids: tuple = ()
     #: Enable drift-triggered determinism-fault re-calibration.  Read
     #: once per component, when ``add_component`` wires its runtime.
@@ -119,17 +115,7 @@ class EngineConfig:
     checkpoint_max_retries: int = 16
 
     def __post_init__(self):
-        # Normalize the two replica-target forms: a bare replica_id is a
-        # one-follower group; replica_ids lists the whole group with the
-        # primary at its head.  replica_id is authoritative on conflict —
-        # a dataclasses.replace override that disagrees with an inherited
-        # list (including replica_id=None to disable replication) is the
-        # caller opting out of the group.
-        ids = tuple(self.replica_ids or ())
-        if self.replica_id is None:
-            ids = ()
-        elif not ids or ids[0] != self.replica_id:
-            ids = (self.replica_id,)
+        ids = tuple(self.replica_ids)
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate replica_ids: {ids}")
         self.replica_ids = ids
@@ -363,9 +349,9 @@ class ExecutionEngine:
     def start(self) -> None:
         """Begin periodic checkpointing and heartbeats (if configured)."""
         if self.config.checkpoint_interval is not None:
-            if self.config.replica_id is None:
+            if not self.config.replica_ids:
                 raise RecoveryError(
-                    f"{self.engine_id}: checkpointing requires a replica_id"
+                    f"{self.engine_id}: checkpointing requires replica_ids"
                 )
             self.sim.after(
                 self.config.checkpoint_interval,

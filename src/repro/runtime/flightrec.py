@@ -33,17 +33,12 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import TartError
+from repro.errors import ChaosError, SpecValidationError, TartError
 from repro.runtime import checkpoint as cpser
-from repro.sim.kernel import ms
 from repro.vt.repcl import ReplayClockTracer
 
 BUNDLE_FORMAT = 1
 BUNDLE_SUFFIX = ".replay"
-
-#: Drain margin after the last replayed external message (mirrors the
-#: gateway replay-reference oracle).
-REPLAY_DRAIN_TICKS = ms(2000)
 
 
 class BundleError(TartError):
@@ -140,56 +135,6 @@ def checkpoint_manifests(deployment) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# Re-executable deployments
-# ----------------------------------------------------------------------
-
-def prepare_run(spec, schedule=None,
-                external: Optional[Dict[str, List[Tuple]]] = None):
-    """A deployment ready to (re-)execute a recorded run.
-
-    Workload-bearing specs regenerate their input from the deployment's
-    seeded producer streams (byte-identical by construction); specs
-    without a workload (gateway runs) replay the recorded external logs
-    by offering each payload at its recorded virtual time — per-wire
-    ingress stamps are strictly increasing, so the stamp is reproduced
-    exactly.  A chaos schedule, when present, is lowered onto the
-    simulator through the same :class:`FailureInjector` path live runs
-    are judged against.
-    """
-    from repro.net.topology import attach_workload, build_deployment
-    from repro.runtime.failure import FailureInjector
-
-    dep = build_deployment(spec)
-    if spec.workload:
-        attach_workload(dep, spec)
-    elif external:
-        for input_id, entries in sorted(external.items()):
-            ingress = dep.ingresses.get(input_id)
-            if ingress is None:
-                raise BundleError(f"bundle replays unknown input "
-                                  f"{input_id!r}")
-            for _seq, vt, payload in entries:
-                dep.sim.at(vt, (lambda ing=ingress, p=payload:
-                                ing.offer(p)))
-    if schedule is not None:
-        FailureInjector(dep).apply_schedule(schedule.sim_events(spec))
-    return dep
-
-
-def default_until(spec, schedule=None,
-                  external: Optional[Dict[str, List[Tuple]]] = None) -> int:
-    """The recorded run's horizon (mirrors reference/chaos/gateway runs)."""
-    if spec.workload:
-        span = 2 * spec.workload_span_ticks()
-        if schedule is not None:
-            return span + int(ms(schedule.end_ms())) + ms(1000)
-        return span + ms(500)
-    last_vt = max((vt for entries in (external or {}).values()
-                   for _seq, vt, _p in entries), default=0)
-    return last_vt + REPLAY_DRAIN_TICKS
-
-
-# ----------------------------------------------------------------------
 # Recording
 # ----------------------------------------------------------------------
 
@@ -234,10 +179,9 @@ class FlightRecorder:
             logs, truncated = external_logs_of(dep)
         replay_mode = "workload" if self.spec.workload else "external"
 
-        from repro.net.topology import stream_of
+        from repro.net.topology import streams_of
 
-        streams = {sink: stream_of(consumer)
-                   for sink, consumer in dep.consumers.items()}
+        streams = streams_of(dep)
         manifest = {
             "format": BUNDLE_FORMAT,
             "kind": "replay-bundle",
@@ -279,7 +223,7 @@ class FlightRecorder:
 def record_run(spec, out_dir, schedule=None,
                external: Optional[Dict[str, List[Tuple]]] = None,
                seed: Optional[int] = None, scenario: Optional[str] = None,
-               source: str = "sim", until: Optional[int] = None,
+               source: str = "sim",
                verdict: Optional[Dict] = None) -> Path:
     """Execute the spec's simulated twin under a recorder; write a bundle.
 
@@ -288,14 +232,15 @@ def record_run(spec, out_dir, schedule=None,
     by the traced-vs-untraced identity tests), and it keeps the hot path
     observation-free.
     """
+    from repro.net.topology import simulated_twin, twin_horizon
+
     recorder = FlightRecorder(spec, seed=seed, scenario=scenario,
                               schedule=schedule, source=source)
-    dep = prepare_run(spec, schedule=schedule, external=external)
+    dep = simulated_twin(spec, schedule, external)
     recorder.attach(dep)
     if external and not spec.workload:
         recorder.set_external(external)
-    dep.run(until=until if until is not None
-            else default_until(spec, schedule, external))
+    dep.run(until=twin_horizon(spec, schedule, external))
     return recorder.finalize(out_dir, verdict=verdict)
 
 
@@ -347,11 +292,18 @@ class ReplayBundle:
         if manifest.get("format") != BUNDLE_FORMAT:
             raise BundleError(f"unsupported bundle format "
                               f"{manifest.get('format')!r}")
-        spec = ClusterSpec.from_json((path / "spec.json").read_text())
+        try:
+            spec = ClusterSpec.from_json((path / "spec.json").read_text())
+        except SpecValidationError as exc:
+            raise BundleError(f"{path / 'spec.json'}: {exc}") from exc
         schedule = None
         if (path / "schedule.json").exists():
-            schedule = ChaosSchedule.from_json(
-                (path / "schedule.json").read_text())
+            try:
+                schedule = ChaosSchedule.from_json(
+                    (path / "schedule.json").read_text())
+            except ChaosError as exc:
+                raise BundleError(
+                    f"{path / 'schedule.json'}: {exc}") from exc
         events = decode_events((path / "events.bin").read_bytes())
         external = decode_external((path / "external.bin").read_bytes())
         state_bytes = (path / "state.bin").read_bytes()

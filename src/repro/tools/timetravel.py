@@ -32,13 +32,10 @@ import sys
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import WiringError
+from repro.net.topology import simulated_twin
 from repro.runtime import checkpoint as cpser
-from repro.runtime.flightrec import (
-    BundleError,
-    ReplayBundle,
-    capture_state,
-    prepare_run,
-)
+from repro.runtime.flightrec import BundleError, ReplayBundle, capture_state
 from repro.vt.repcl import RepCl, merge_all
 from repro.vt.time import format_vt
 
@@ -53,9 +50,12 @@ class TimeTravelSession:
         self.stats = {"executed": 0, "skipped": 0, "rebuilds": 0}
 
     def _rebuild(self) -> None:
-        self._dep = prepare_run(self.bundle.spec,
-                                schedule=self.bundle.schedule,
-                                external=self.bundle.external)
+        try:
+            self._dep = simulated_twin(self.bundle.spec,
+                                       self.bundle.schedule,
+                                       self.bundle.external)
+        except WiringError as exc:
+            raise BundleError(f"{self.bundle.path}: {exc}") from exc
         self.stats["rebuilds"] += 1
 
     def seek(self, vt: int) -> Dict:

@@ -120,12 +120,10 @@ def test_sim_lowering_keeps_content_faults_only():
 def test_sim_replay_of_kill_schedule_matches_clean_reference():
     """The sim half of the shared-schedule contract: a survivable kill
     schedule applied in-simulator still yields the reference stream."""
-    from repro.chaos.runner import simulate_with_schedule
-
     spec = spec_for_tests()
     schedule = generate_schedule(0, spec, "kill_active")
     reference = reference_run(spec)
-    observed = simulate_with_schedule(spec, schedule)
+    observed = reference_run(spec, schedule)
     assert observed == reference
 
 
@@ -204,12 +202,10 @@ class TestCorruptScenario:
         """The sim half of the contract for corruption: the schedule's
         untracked state corruption is healed by the audit and the output
         stays byte-identical to the failure-free reference."""
-        from repro.chaos.runner import simulate_with_schedule
-
         spec = spec_for_tests(audit="heal")
         schedule = generate_schedule(7, spec, "corrupt_state")
         reference = reference_run(spec)
-        observed = simulate_with_schedule(spec, schedule)
+        observed = reference_run(spec, schedule)
         assert observed == reference
 
 
@@ -263,7 +259,7 @@ class TestGroupScenarios:
 
     def group_spec(self, followers=2, engines=3):
         return spec_for_tests(engines=[f"e{i}" for i in range(engines)],
-                              followers_per_group=followers)
+                              replicas=followers)
 
     def test_rotation_picks_group_scenarios(self):
         spec = self.group_spec()
@@ -336,3 +332,37 @@ class TestGroupScenarios:
         ])
         assert schedule.sim_events(spec) == []
         assert schedule.expected_hosts(spec)["e0"] == "engine-e0"
+
+
+def test_every_schedule_aims_at_processes_that_exist():
+    """Kills, stops and link faults name only processes the spec plans
+    (or the gateway's client side), for every scenario and group size."""
+    from repro.chaos.schedule import EXTRA_SCENARIOS
+    from repro.net.topology import pipeline_spec, plan_cluster_nodes
+
+    scenarios = list(SCENARIOS) + list(EXTRA_SCENARIOS)
+    checked, misses, bystander_kills = 0, [], 0
+    for engines in (1, 2, 3):
+        for replicas in (1, 2):
+            spec = pipeline_spec(engines=engines, messages=240,
+                                 replicas=replicas)
+            known = set(plan_cluster_nodes(spec)) | {"clients", "gateway"}
+            for scenario in scenarios:
+                for seed in range(30):
+                    schedule = generate_schedule(seed, spec, scenario)
+                    checked += 1
+                    for event in schedule.events:
+                        ends = [end for end in (event.target,
+                                                *(event.link or ()))
+                                if end is not None]
+                        misses += [(engines, replicas, scenario, seed, end)
+                                   for end in ends if end not in known]
+                    if (scenario == "double_fault" and engines == 3
+                            and replicas == 2
+                            and any(e.target.startswith("replica-")
+                                    for e in schedule.events)):
+                        bystander_kills += 1
+    assert checked == 3 * 2 * len(scenarios) * 30
+    assert misses == []
+    # A different engine's follower dies too whenever there is one.
+    assert bystander_kills == 30

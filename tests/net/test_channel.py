@@ -11,6 +11,7 @@ from repro.net import codec
 from repro.net.channel import (
     OutboundChannel,
     backoff_jitter_rng,
+    send_corrupt_once,
     send_fence_once,
 )
 
@@ -256,6 +257,14 @@ def test_redirect_mid_epoch_drops_buffer_and_restarts():
     assert [seq for seq, _, _ in host.items] == [0, 0]
 
 
+def dead_port():
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
 def test_send_fence_once_delivers_fence():
     async def scenario():
         host = FakeHost(incarnation="engineproc#1")
@@ -278,14 +287,8 @@ def test_send_fence_once_delivers_fence():
 def test_send_fence_once_raises_after_capped_attempts():
     """Nobody listening: the fence path terminates with a structured
     error after exactly the retry budget, instead of silently giving up."""
-    import socket
-
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        dead_port = sock.getsockname()[1]
-
     async def scenario():
-        await send_fence_once(("127.0.0.1", dead_port), "replica:x",
+        await send_fence_once(("127.0.0.1", dead_port()), "replica:x",
                               "e0", attempts=3, gap=0.01, timeout=0.2)
 
     with pytest.raises(FenceDeliveryError) as info:
@@ -294,6 +297,64 @@ def test_send_fence_once_raises_after_capped_attempts():
     assert err.engine_id == "e0"
     assert err.attempts == 3
     assert "after 3 attempt(s)" in str(err)
+
+
+def test_send_fence_once_returns_false_on_not_here():
+    async def scenario():
+        host = FakeHost(accept=False)
+        await host.start()
+        ok = await send_fence_once(("127.0.0.1", host.port), "replica:x",
+                                   "e0", attempts=3, gap=0.05)
+        await host.stop()
+        return ok, host
+
+    ok, host = asyncio.run(scenario())
+    assert ok is False
+    assert host.hellos == 1 and host.items == []
+
+
+def test_send_corrupt_once_delivers_the_request():
+    async def scenario():
+        host = FakeHost(incarnation="engine-e1#1")
+        await host.start()
+        ok = await send_corrupt_once(("127.0.0.1", host.port), "chaos:1",
+                                     "engine-e1", "e1", "enricher",
+                                     attempts=3, gap=0.05)
+        await wait_until(lambda: host.items)
+        await host.stop()
+        return ok, host
+
+    ok, host = asyncio.run(scenario())
+    assert ok is True
+    (_seq, src, request), = host.items
+    assert src == "chaos:1"
+    assert isinstance(request, codec.CorruptRequest)
+    assert (request.engine_id, request.component) == ("e1", "enricher")
+
+
+def test_send_corrupt_once_returns_false_on_not_here():
+    async def scenario():
+        host = FakeHost(accept=False)
+        await host.start()
+        ok = await send_corrupt_once(("127.0.0.1", host.port), "chaos:1",
+                                     "engine-e1", "e1", attempts=3, gap=0.05)
+        await host.stop()
+        return ok, host
+
+    ok, host = asyncio.run(scenario())
+    assert ok is False
+    assert host.hellos == 1 and host.items == []
+
+
+def test_send_corrupt_once_returns_false_once_the_budget_is_spent():
+    """A process that is already dead makes the corruption a no-op fault:
+    no error, just False after the retry budget."""
+    started = time.monotonic()
+    ok = asyncio.run(send_corrupt_once(("127.0.0.1", dead_port()), "chaos:1",
+                                       "engine-e1", "e1", attempts=3,
+                                       gap=0.01, timeout=0.2))
+    assert ok is False
+    assert time.monotonic() - started < 2.0
 
 
 def test_backoff_jitter_is_seed_deterministic():

@@ -1,4 +1,4 @@
-"""The one cluster lifecycle: bring-up failures, CLI hand-over, result keys.
+"""The one cluster lifecycle: bring-up failures, CLI doors, result keys.
 
 The failure tests substitute the child command, so no engine runs; the
 contract test launches one small cluster per entry point.
@@ -86,40 +86,42 @@ def test_ready_barrier_names_a_crashed_child_without_waiting_it_out(
 
 
 @pytest.mark.parametrize("flags", [
-    ["--audit", "heal"],
-    ["--speed", "0.5"],
-    ["--mean-ms", "2"],
-    ["--recovery-target", "60"],
-    ["--audit-every", "2"],
-    ["--chaos", "3"],
+    ["--gateway"], ["--chaos", "3"], ["--clients", "3"], ["--rate", "50"],
 ])
-def test_gateway_mode_rejects_flags_it_cannot_honour(flags, capsys):
+def test_cluster_cli_has_one_door_per_run_kind(flags, capsys):
+    # Gateway and chaos runs have their own entry points
+    # (repro.gateway.cluster, repro.chaos).
     with pytest.raises(SystemExit) as exit_info:
-        net_cluster.main(["--gateway", *flags])
+        net_cluster.main(flags)
     assert exit_info.value.code == 2
-    assert f"{flags[0]} has no effect with --gateway" in capsys.readouterr().err
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_gateway_and_chaos_modes_receive_the_parsed_values(monkeypatch):
-    handed = {}
+def test_replicas_sizes_the_groups_of_every_cli():
+    import argparse
 
-    def fake_main(argv, namespace):
-        handed.update(argv=argv, **vars(namespace))
-        return 0
+    from repro.net.topology import plan_cluster_nodes
 
-    monkeypatch.setattr(gateway_cluster, "main", fake_main)
-    assert net_cluster.main(["--gateway", "--clients", "3", "--seed", "5",
-                             "--followers", "2"]) == 0
-    assert handed["argv"] == []
-    assert (handed["clients"], handed["seed"], handed["followers"]) == (3, 5, 2)
+    for cli in "ngc":
+        parser = argparse.ArgumentParser()
+        net_cluster.add_cluster_arguments(parser, cli)
+        args = parser.parse_args(["--engines", "3", "--replicas", "2"])
+        spec = pipeline_spec(
+            **net_cluster.spec_keywords(args, seeded=cli != "g"))
+        assert spec.replicas == 2
+        assert {name for name in plan_cluster_nodes(spec)
+                if name.startswith("replica-")} == {
+            f"replica-e{i}{rank}" for i in range(3) for rank in ("", ".1")}
 
-    import repro.chaos.__main__ as chaos_cli
 
-    monkeypatch.setattr(chaos_cli, "main", fake_main)
-    assert net_cluster.main(["--chaos", "9", "--seed", "5",
-                             "--audit", "heal"]) == 0
-    assert (handed["seed"], handed["master_seed"], handed["audit"]) \
-        == (9, 5, "heal")
+def test_kill_arguments_need_a_follower(capsys):
+    for argv in (["--kill-active", "--replicas", "0"], ["--replicas", "-1"]):
+        with pytest.raises(SystemExit) as exit_info:
+            net_cluster.main(argv)
+        assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--kill-active requires --replicas >= 1" in err
+    assert "--replicas must be >= 0" in err
 
 
 #: What ``bench/`` and ``repro.chaos.runner`` read from a run's result.
@@ -177,6 +179,17 @@ def test_result_keys_and_the_names_the_bench_wraps(monkeypatch):
             spanned.append(attr)
     assert {"spawn_children", "replay_reference", "verify_trace_equivalence",
             "close"} <= set(spanned)
+    # Every keyword bench/ builds a ClusterSpec with is still a field.
+    fields = set(ClusterSpec.__dataclass_fields__)
+    keywords = {(path.name, keyword.arg)
+                for path in sorted(bench.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "ClusterSpec"
+                for keyword in node.keywords}
+    assert {arg for _name, arg in keywords} >= {"replicas", "workload"}
+    assert {(name, arg) for name, arg in keywords if arg not in fields} \
+        == set()
     # wl_wire_stream's receiver: any name, a spec with no addresses.
     receiver = ProcessRuntime("wire-recv", ClusterSpec(
         engines=["e0"], replicas=0, speed=1.0))
@@ -195,7 +208,9 @@ def test_result_keys_and_the_names_the_bench_wraps(monkeypatch):
     monkeypatch.setattr(NetTransport, "close", counted_close)
 
     spec = pipeline_spec(messages=20, master_seed=13)
-    reference = reference_run(spec)
+    reference = reference_run(spec)  # bench/wl_net_failover.py: one argument
+    assert reference["sink"] and all(
+        len(item) == 3 for item in reference["sink"])
     result = asyncio.run(net_cluster.run_networked(
         net_cluster.with_addresses(spec),
         {sink: len(stream) for sink, stream in reference.items()},
@@ -214,12 +229,12 @@ def test_result_keys_and_the_names_the_bench_wraps(monkeypatch):
     assert result["metrics"]["counters"]["channel_items_acked_total"] == sum(
         c["items_acked"] for c in result["channel_counters"].values())
 
-    raw_keys = set()
+    raws = []
     real_run = gateway_cluster.run_gateway_cluster
 
     async def spying_run(*args, **kwargs):
         raw = await real_run(*args, **kwargs)
-        raw_keys.update(raw)
+        raws.append((args[0], dict(raw)))
         return raw
 
     monkeypatch.setattr(gateway_cluster, "run_gateway_cluster", spying_run)
@@ -229,9 +244,16 @@ def test_result_keys_and_the_names_the_bench_wraps(monkeypatch):
         "contract", gateway_cluster.gateway_spec(plan, master_seed=13), plan,
         None, 0.4, 60.0)
     assert trial["ok"], trial
-    assert raw_keys == COMMON_KEYS | GATEWAY_KEYS
+    (run_spec, raw), = raws
+    assert set(raw) == COMMON_KEYS | GATEWAY_KEYS
+    # wl_gw_steady reads these latency percentiles off the metrics doc.
+    assert {"p50_us", "p95_us", "p99_us"} <= set(trial["metrics"]["latency"])
+    # ... and times the oracle through replay_reference, called with
+    # positional arguments.
+    replayed = gateway_cluster.replay_reference(run_spec, raw["shadow"])
+    assert replayed == raw["reference"] and sum(map(len, replayed.values()))
     # The trial report (what --json prints, less "metrics") drops the
     # bulky and the judged-away keys.
-    assert set(trial) == (raw_keys | {"deterministic", "ok"}) - {
+    assert set(trial) == (set(raw) | {"deterministic", "ok"}) - {
         "streams", "reference", "arrival_ticks", "shadow"}
     assert len(closes) == 2

@@ -24,12 +24,12 @@ from repro.net.topology import (
     pipeline_spec,
     plan_cluster_nodes,
     reference_run,
-    stream_of,
+    streams_of,
 )
 from repro.runtime.app import Deployment
 from repro.runtime.audit import corrupt_component_state
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.placement import Placement, follower_node_id
+from repro.runtime.placement import Placement
 from repro.runtime.transport import LinkParams, Network, Transport
 from repro.sim.distributions import Constant
 from repro.sim.kernel import Simulator, ms
@@ -101,8 +101,7 @@ def run_shares(spec, transport, shares, before_run=lambda: None):
         share.start()
     before_run()
     transport.sim.run(until=2 * spec.workload_span_ticks() + ms(500))
-    return {sink: stream_of(consumer)
-            for sink, consumer in shares["coordinator"].consumers.items()}
+    return streams_of(shares["coordinator"])
 
 
 def two_by_one(**fields):
@@ -180,8 +179,7 @@ def endpoints(deployment):
 @pytest.mark.parametrize("engines, followers", [(2, 1), (3, 2)])
 def test_each_share_builds_exactly_its_nodes_and_plans_everything(
         engines, followers):
-    spec = pipeline_spec(engines=engines, messages=30,
-                         followers_per_group=followers)
+    spec = pipeline_spec(engines=engines, messages=30, replicas=followers)
     whole = build_deployment(spec)
     transport, shares = build_shares(spec)
     layout = plan_cluster_nodes(spec)
@@ -230,8 +228,7 @@ def test_default_wire_delays_come_from_the_constructor_not_the_transport():
 
 def test_plan_cluster_nodes_builds_nothing_and_names_every_node(monkeypatch):
     specs = [
-        pipeline_spec(engines=engines, messages=messages,
-                      followers_per_group=followers)
+        pipeline_spec(engines=engines, messages=messages, replicas=followers)
         for engines in (1, 2, 3, 4)
         for followers in (0, 1, 2)
         for messages in (24, 0)  # seeded (sharded from 3 up) / gateway-fed
@@ -248,10 +245,6 @@ def test_plan_cluster_nodes_builds_nothing_and_names_every_node(monkeypatch):
         planned = [node for nodes in layout.values() for node in nodes]
         assert len(planned) == len(set(planned))
         registered = set(build_deployment(spec).network._nodes)
-        if spec.followers() == 0:
-            # The simulated build keeps one inert follower per engine
-            # (``followers=max(1, ...)``); no process hosts it.
-            registered -= {follower_node_id(e, 0) for e in spec.engines}
         # An engine the placement leaves empty (four engines, three
         # components) still has its processes; they host nothing.
         idle = set(spec.engines) - set(component_placement(spec).values())

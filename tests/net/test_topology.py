@@ -114,8 +114,10 @@ def test_reference_run_is_deterministic_and_complete():
 
 class TestReplicationGroups:
     def test_follower_naming_and_rank_zero_compat(self):
-        spec = small_spec(followers_per_group=3)
-        assert spec.followers() == 3
+        spec = small_spec(replicas=3)
+        assert spec.follower_nodes("e0") == [
+            "replica:e0", "replica:e0.1", "replica:e0.2"
+        ]
         assert spec.replica_node("e0") == "replica:e0"
         assert spec.replica_node("e0", 2) == "replica:e0.2"
         assert spec.follower_process("e0", 0) == "replica-e0"
@@ -124,13 +126,16 @@ class TestReplicationGroups:
             "replica-e1", "replica-e1.1", "replica-e1.2"
         ]
 
-    def test_followers_falls_back_to_replicas(self):
-        assert small_spec(replicas=1).followers() == 1
-        assert small_spec(replicas=0).followers() == 0
-        assert small_spec(replicas=0, followers_per_group=2).followers() == 2
+    def test_zero_replicas_build_no_follower(self):
+        spec = pipeline_spec(replicas=0)
+        assert build_deployment(spec).followers == {}
+        assert set(plan_cluster_nodes(spec)) == {
+            "coordinator", "engine-e0", "engine-e1"
+        }
+        assert spec.engine_config().replica_ids == ()
 
     def test_plan_cluster_nodes_multi_follower_layout(self):
-        spec = small_spec(followers_per_group=2)
+        spec = small_spec(replicas=2)
         layout = plan_cluster_nodes(spec)
         assert set(layout) == {
             "coordinator", "engine-e0", "engine-e1",
@@ -139,7 +144,7 @@ class TestReplicationGroups:
         assert layout["replica-e0.1"] == ["replica:e0.1"]
 
     def test_assign_addresses_orders_succession_line(self):
-        spec = small_spec(followers_per_group=2)
+        spec = small_spec(replicas=2)
         ports = {name: ("127.0.0.1", 9200 + i)
                  for i, name in enumerate(sorted(plan_cluster_nodes(spec)))}
         assign_addresses(spec, ports)
@@ -149,13 +154,12 @@ class TestReplicationGroups:
         assert spec.addresses["replica:e0.1"] == [ports["replica-e0.1"]]
 
     def test_deployment_wires_all_follower_ids(self):
-        spec = small_spec(followers_per_group=2)
+        spec = small_spec(replicas=2)
         dep = build_deployment(spec)
         assert [r.node_id for r in dep.followers["e0"]] == [
             "replica:e0", "replica:e0.1"
         ]
         config = dep.engines["e0"].config
-        assert config.replica_id == "replica:e0"
         assert config.replica_ids == ("replica:e0", "replica:e0.1")
         assert [r.rank for r in dep.followers["e0"]] == [0, 1]
 
@@ -181,7 +185,6 @@ class TestSpecValidation:
 
         bad = [
             dict(replicas=-1),
-            dict(followers_per_group=-2),
             dict(speed=0),
             dict(checkpoint_interval_ms=-1.0),
             dict(heartbeat_miss_limit=0),
@@ -206,7 +209,7 @@ class TestSpecValidation:
         assert issubclass(SpecValidationError, WiringError)
 
     def test_valid_spec_passes_and_roundtrips(self):
-        spec = small_spec(followers_per_group=2)
+        spec = small_spec(replicas=2)
         spec.validate()
         assert ClusterSpec.from_json(spec.to_json()) == spec
 

@@ -110,7 +110,7 @@ class TestHealMode:
         live = {name: rt.snapshot(incremental=False)
                 for name, rt in engine.runtimes.items()}
         dep.run(until=dep.sim.now + ms(2))  # let the blob reach the replica
-        replica = dep.replicas["E1"]
+        replica = dep.followers["E1"][0]
         assert replica.last_cp_seq == cp_seq
         assert cpser.dumps(replica.materialize()) == cpser.dumps(live)
 

@@ -52,7 +52,7 @@ class TestCheckpointing:
 
     def test_first_checkpoint_full_then_incremental(self):
         dep = make_deployment(checkpoint_interval=ms(20))
-        replica = dep.replicas["E1"]
+        replica = dep.followers["E1"][0]
         dep.run(until=ms(100))
         chain = replica._chain
         assert chain[0][1] is False        # full base
@@ -63,7 +63,7 @@ class TestCheckpointing:
                               config_kwargs={"full_checkpoint_every": 4})
         dep.run(until=ms(200))
         # Chain resets on each full checkpoint: its length stays < 4 + 1.
-        assert 1 <= len(dep.replicas["E1"]._chain) <= 4
+        assert 1 <= len(dep.followers["E1"][0]._chain) <= 4
 
     def test_stable_ack_trims_retained_buffers(self):
         dep = make_deployment(checkpoint_interval=ms(10))
@@ -93,7 +93,7 @@ class TestCheckpointing:
         import dataclasses
 
         engine = dep.engine("engine0")
-        engine.config = dataclasses.replace(engine.config, replica_id=None)
+        engine.config = dataclasses.replace(engine.config, replica_ids=())
         with pytest.raises(RecoveryError):
             engine.start()
 

@@ -81,8 +81,8 @@ class TestMidCallCheckpointDeferral:
         dep.run(until=ms(300))
         captured = dep.metrics.counter("checkpoints_captured")
         assert captured >= 40  # two engines, ~30 intervals each
-        assert dep.replicas["E1"].has_checkpoint
-        assert dep.replicas["E2"].has_checkpoint
+        assert dep.followers["E1"][0].has_checkpoint
+        assert dep.followers["E2"][0].has_checkpoint
 
     def test_explicit_mid_call_capture_raises(self):
         from repro.errors import SchedulingError
@@ -160,6 +160,6 @@ class TestFailoverPlumbing:
         FailureInjector(dep).kill_engine("E2", at=ms(200),
                                          detection_delay=ms(2))
         dep.run(until=ms(600))
-        replica = dep.replicas["E2"]
+        replica = dep.followers["E2"][0]
         # Checkpoints kept flowing after failover, with increasing seqs.
         assert replica.last_cp_seq >= 10

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.topology import ClusterSpec
+from repro.net.topology import ClusterSpec, simulated_twin, twin_horizon
 from repro.runtime import checkpoint as cpser
 from repro.runtime.flightrec import (
     BUNDLE_SUFFIX,
@@ -16,10 +16,8 @@ from repro.runtime.flightrec import (
     capture_state,
     decode_events,
     decode_external,
-    default_until,
     encode_events,
     encode_external,
-    prepare_run,
     record_run,
 )
 
@@ -100,10 +98,10 @@ def test_codecs_reject_unknown_format():
 
 def test_capture_state_is_deterministic():
     spec = spec_for_tests()
-    until = default_until(spec)
+    until = twin_horizon(spec)
     docs = []
     for _ in range(2):
-        dep = prepare_run(spec)
+        dep = simulated_twin(spec)
         dep.run(until=until)
         docs.append(cpser.dumps(capture_state(dep)))
     assert docs[0] == docs[1]
@@ -124,8 +122,8 @@ def test_external_replay_reproduces_stamps():
     # A huge checkpoint interval keeps the external log untrimmed, so
     # the recording is complete and the replay can be compared 1:1.
     spec = spec_for_tests(checkpoint_interval_ms=60_000.0)
-    dep = prepare_run(spec)
-    dep.run(until=default_until(spec))
+    dep = simulated_twin(spec)
+    dep.run(until=twin_horizon(spec))
     from repro.runtime.flightrec import external_logs_of
 
     logs, _trunc = external_logs_of(dep)
@@ -134,8 +132,8 @@ def test_external_replay_reproduces_stamps():
     assert not replay_spec.workload
     surviving = {k: v for k, v in logs.items() if v}
     assert surviving, "untrimmed run must retain its external log"
-    twin = prepare_run(replay_spec, external=surviving)
-    twin.run(until=default_until(replay_spec, external=surviving))
+    twin = simulated_twin(replay_spec, external=surviving)
+    twin.run(until=twin_horizon(replay_spec, external=surviving))
     replayed, _ = external_logs_of(twin)
     for input_id, entries in surviving.items():
         got = {(seq, vt) for seq, vt, _p in replayed[input_id]}

@@ -237,3 +237,34 @@ class TestCli:
         rc = main(["why", "--bundle", str(chaos_bundle.path),
                    "--component", "nope"])
         assert rc == 2
+
+    def test_unknown_spec_key_exits_2_with_one_line(self, chaos_bundle,
+                                                    tmp_path, capsys):
+        # A bundle recorded with a since-removed spec field: the load
+        # error names the file instead of ending in a traceback.
+        import shutil
+
+        path = tmp_path / "old.replay"
+        shutil.copytree(chaos_bundle.path, path)
+        spec = json.loads((path / "spec.json").read_text())
+        spec["zz_retired_knob"] = None
+        (path / "spec.json").write_text(json.dumps(spec))
+        rc = main(["info", "--bundle", str(path)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("timetravel: ")
+        assert "spec.json" in err[0] and "zz_retired_knob" in err[0]
+
+    def test_external_log_for_unknown_input_exits_2_with_one_line(
+            self, tmp_path, capsys):
+        from repro.runtime.flightrec import encode_external
+
+        path = record_run(small_spec(workload={}), tmp_path / "gw",
+                          external={}, source="gateway")
+        (path / "external.bin").write_bytes(
+            encode_external({"nope": [(0, 5, {"device": "dev0"})]}))
+        rc = main(["seek", "--bundle", str(path)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("timetravel: ")
+        assert "'nope'" in err[0]
