@@ -67,7 +67,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     spec = pipeline_spec(
         master_seed=args.master_seed,
         connect_timeout_s=0.5,
-        handshake_timeout_s=0.5,
         backoff_min_s=0.02,
         backoff_max_s=0.2,
         fence_attempts=10,

@@ -354,13 +354,12 @@ class ClusterHarness:
             except Exception as exc:  # noqa: BLE001
                 if result["error"] is None:
                     result["error"] = f"{type(exc).__name__}: {exc}"
-        channels = runtime.transport._channels
         runtime.transport.export_metrics()
+        counters = runtime.transport.channel_counters()
         result.update(
-            epoch_resets=sum(ch.epoch_resets for ch in channels.values()),
-            incarnations={dst: ch._known_incarnation
-                          for dst, ch in channels.items()},
-            channel_counters=runtime.transport.channel_counters(),
+            epoch_resets=sum(c["epoch_resets"] for c in counters.values()),
+            incarnations=runtime.transport.incarnations_adopted(),
+            channel_counters=counters,
         )
         if self.chaos is not None:
             await self.chaos.close()

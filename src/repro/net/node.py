@@ -37,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import sys
 from functools import partial
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.errors import FenceDeliveryError
 from repro.net import codec
@@ -183,7 +183,6 @@ class NetTransport:
                 backoff_min=self.spec.backoff_min_s,
                 backoff_max=self.spec.backoff_max_s,
                 connect_timeout=self.spec.connect_timeout_s,
-                handshake_timeout=self.spec.handshake_timeout_s,
                 jitter_seed=self.spec.master_seed,
                 batch_max_items=self.spec.batch_max_items,
             )
@@ -197,6 +196,10 @@ class NetTransport:
     def congested(self) -> bool:
         """Whether any outbound channel is over its high-water mark."""
         return any(ch.congested() for ch in self._channels.values())
+
+    def incarnations_adopted(self) -> Dict[str, Optional[str]]:
+        """dst node -> the incarnation its channel adopted, if any."""
+        return {dst: ch.incarnation for dst, ch in self._channels.items()}
 
     def channel_counters(self) -> Dict[str, Dict[str, int]]:
         """dst node -> its channel's fault/retransmit/epoch counters."""

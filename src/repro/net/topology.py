@@ -86,7 +86,6 @@ class ClusterSpec:
     #: budget.  Chaos runs compress these so partitions and kills are
     #: detected in test-scale wall time; see docs/chaos.md.
     connect_timeout_s: float = 2.0
-    handshake_timeout_s: float = 2.0
     backoff_min_s: float = 0.02
     backoff_max_s: float = 0.5
     fence_attempts: int = 10
@@ -169,8 +168,7 @@ class ClusterSpec:
         if not isinstance(self.speed, (int, float)) or self.speed <= 0:
             bad("speed", self.speed, "must be > 0")
         for key in ("checkpoint_interval_ms", "heartbeat_interval_ms",
-                    "connect_timeout_s", "handshake_timeout_s",
-                    "backoff_min_s", "backoff_max_s"):
+                    "connect_timeout_s", "backoff_min_s", "backoff_max_s"):
             value = getattr(self, key)
             if not isinstance(value, (int, float)) or value <= 0:
                 bad(key, value, "must be > 0")

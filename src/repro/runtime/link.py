@@ -9,11 +9,14 @@ This module builds both layers from scratch:
 
 * :class:`RawLink` — delivers frames after a sampled delay, dropping,
   duplicating, and reordering them per configured probabilities.
+* :class:`SendWindow` — the protocol's sender half, sans I/O; the live
+  socket channel (``repro.net.channel``) runs on it too.
 * :class:`ReliableChannel` — a unidirectional reliable-FIFO channel over
-  two raw links (data + acks): cumulative acks, periodic retransmission,
-  receive-side reorder buffer, exactly-once in-order delivery within an
-  epoch.  Engine crashes reset the channel to a new epoch (the channel's
-  state is volatile); recovery above the channel is TART's replay.
+  two raw links (data + acks): a :class:`SendWindow`, per-frame
+  retransmission, receive-side reorder buffer, exactly-once in-order
+  delivery within an epoch.  Engine crashes reset the channel to a new
+  epoch (the channel's state is volatile); recovery above the channel
+  is TART's replay.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import random
 from functools import partial
 from typing import Any, Callable, Dict, Optional
 
-from repro.errors import TransportError
 from repro.sim.distributions import Constant, Distribution
 from repro.sim.kernel import Simulator, us
 
@@ -97,6 +99,46 @@ class RawLink:
         return queue_wait
 
 
+class SendWindow:
+    """The sender half of a reliable FIFO channel, sans I/O: sequence
+    numbers, the unacked tail and the cumulative-ack window check."""
+
+    __slots__ = ("next_seq", "unacked")
+
+    def __init__(self) -> None:
+        self.next_seq = 0
+        #: seq -> item for the seqs [frontier, next_seq), oldest first.
+        self.unacked: Dict[int, Any] = {}
+
+    @property
+    def frontier(self) -> int:
+        """Every seq below it is acknowledged."""
+        return self.next_seq - len(self.unacked)
+
+    def push(self, item: Any) -> int:
+        """Hold ``item`` until acked under the next seq; returns it."""
+        seq = self.next_seq
+        self.next_seq = seq + 1
+        self.unacked[seq] = item
+        return seq
+
+    def ack(self, upto: int) -> Optional[range]:
+        """Release the seqs below ``upto`` and return them; None (and no
+        change) when ``upto`` lies outside ``[frontier, next_seq]``."""
+        unacked = self.unacked
+        frontier = self.next_seq - len(unacked)
+        if upto < frontier or upto > self.next_seq:
+            return None
+        released = range(frontier, upto)
+        for seq in released:
+            del unacked[seq]
+        return released
+
+    def reset(self) -> None:
+        self.next_seq = 0
+        self.unacked.clear()
+
+
 class ReliableChannel:
     """Reliable FIFO unidirectional channel over raw links.
 
@@ -123,11 +165,7 @@ class ReliableChannel:
         self.rto = int(rto) if rto is not None else max(us(50), 4 * base)
 
         self._epoch = 0
-        # Sender state.
-        self._send_seq = 0
-        # Unacked items by seq.  Acks are cumulative, so the keys are
-        # always a contiguous range ending at _send_seq.
-        self._unacked: Dict[int, Any] = {}
+        self._window = SendWindow()
         # RTT estimation (Jacobson smoothing, Karn's rule: retransmitted
         # frames give no samples).  Queueing on a serialized link inflates
         # the measured RTT and with it the timeout, so congestion damps
@@ -152,10 +190,7 @@ class ReliableChannel:
     # -- sender side -----------------------------------------------------
     def send(self, item: Any) -> None:
         """Queue one item for reliable in-order delivery."""
-        seq = self._send_seq
-        self._send_seq += 1
-        self._unacked[seq] = item
-        self._transmit_frame(seq, attempt=1, first=True)
+        self._transmit_frame(self._window.push(item), attempt=1, first=True)
 
     def _effective_rto(self) -> int:
         if self._srtt is None:
@@ -173,8 +208,8 @@ class ReliableChannel:
         if not first:
             self.retransmissions += 1
             self._tx_meta[seq][2].cancel()  # this transmission supersedes it
-        frame = ("data", self._epoch, seq, self._unacked[seq])
-        queue_wait = self.data_link.transmit(frame, self._on_frame)
+        frame = (self._epoch, seq, self._window.unacked[seq])
+        queue_wait = self.data_link.transmit(frame, self._on_data)
         backoff = min(self._effective_rto() * (2 ** (attempt - 1)),
                       self.max_backoff * self.rto)
         # The timer lives exactly as long as this transmission is the
@@ -187,35 +222,29 @@ class ReliableChannel:
         self._tx_meta[seq] = (self.sim.now, not first, timer)
 
     # -- receiver side ---------------------------------------------------
-    def _on_frame(self, frame) -> None:
-        kind, epoch, seq, item = frame
+    def _on_data(self, frame) -> None:
+        epoch, seq, item = frame
         if epoch != self._epoch:
             return  # stale frame from before a reset
-        if kind == "ack":
-            self._on_ack(seq)
-            return
-        if kind != "data":  # pragma: no cover - defensive
-            raise TransportError(f"unknown frame kind {kind!r}")
+        if seq >= self._recv_expected:  # else a duplicate: just re-ack
+            self._recv_buffer[seq] = item
+            while self._recv_expected in self._recv_buffer:
+                ready = self._recv_buffer.pop(self._recv_expected)
+                self._recv_expected += 1
+                self.delivered += 1
+                self._deliver(ready)
         # Cumulative ack of the highest in-order seq received so far.
-        if seq < self._recv_expected:
-            self._send_ack()
-            return
-        self._recv_buffer[seq] = item
-        while self._recv_expected in self._recv_buffer:
-            ready = self._recv_buffer.pop(self._recv_expected)
-            self._recv_expected += 1
-            self.delivered += 1
-            self._deliver(ready)
-        self._send_ack()
+        self.ack_link.transmit((self._epoch, self._recv_expected),
+                               self._on_ack)
 
-    def _send_ack(self) -> None:
-        frame = ("ack", self._epoch, self._recv_expected, None)
-        self.ack_link.transmit(frame, self._on_frame)
-
-    def _on_ack(self, next_expected: int) -> None:
-        seq = self._send_seq - len(self._unacked)  # lowest outstanding
-        while seq < next_expected:
-            del self._unacked[seq]
+    # -- sender side, acks -------------------------------------------------
+    def _on_ack(self, frame) -> None:
+        epoch, next_expected = frame
+        if epoch != self._epoch:
+            return  # stale ack from before a reset
+        # A reordered (stale) ack releases nothing but still counts
+        # towards fast retransmit below.
+        for seq in self._window.ack(next_expected) or ():
             last_tx, retransmitted, timer = self._tx_meta.pop(seq)
             timer.cancel()
             if not retransmitted:
@@ -225,12 +254,11 @@ class ReliableChannel:
                     self._srtt = sample
                 else:
                     self._srtt = 0.875 * self._srtt + 0.125 * sample
-            seq += 1
         # Fast retransmit: three acks for the same prefix while the next
         # frame is outstanding mean it was lost (later frames arrived).
         if next_expected == self._last_ack_value:
             self._dup_acks += 1
-            if self._dup_acks >= 3 and next_expected in self._unacked:
+            if self._dup_acks >= 3 and next_expected in self._window.unacked:
                 self._dup_acks = 0
                 self._transmit_frame(next_expected, attempt=1, first=False)
         else:
@@ -246,8 +274,7 @@ class ReliableChannel:
         TART's replay protocol recovers from.
         """
         self._epoch += 1
-        self._send_seq = 0
-        self._unacked.clear()
+        self._window.reset()
         for _last_tx, _retransmitted, timer in self._tx_meta.values():
             timer.cancel()
         self._tx_meta.clear()
@@ -260,4 +287,4 @@ class ReliableChannel:
     @property
     def in_flight(self) -> int:
         """Number of unacknowledged items (diagnostic)."""
-        return len(self._unacked)
+        return len(self._window.unacked)

@@ -1,6 +1,9 @@
 """Outbound channels against a scripted in-process receiver."""
 
+import ast
 import asyncio
+import inspect
+import textwrap
 import time
 
 import pytest
@@ -9,11 +12,13 @@ from repro.core.message import SilenceAdvance
 from repro.errors import FenceDeliveryError, TransportError
 from repro.net import codec
 from repro.net.channel import (
+    ChannelState,
     OutboundChannel,
     backoff_jitter_rng,
     send_corrupt_once,
     send_fence_once,
 )
+from repro.runtime.link import SendWindow
 
 
 class FakeHost:
@@ -381,7 +386,7 @@ def test_partition_then_heal_no_dups_no_epoch_reset():
         channel = OutboundChannel(
             "sender:1", "n", [("127.0.0.1", host.port)],
             backoff_min=0.01, backoff_max=0.05,
-            connect_timeout=0.5, handshake_timeout=0.5,
+            connect_timeout=0.5,
         )
         channel.start()
         for i in range(3):
@@ -510,3 +515,54 @@ def test_first_sighting_redirect_keeps_the_buffer():
     host, channel = asyncio.run(scenario())
     assert [m.through_vt for _, _, m in host.items] == [0]
     assert channel.epoch_resets == 0
+
+
+def test_reset_drops_the_connection_and_retires_the_incarnation():
+    """A reset restarts sequence numbers, but the receiver keys its dedup
+    state by (peer, node, incarnation): numbers restarted toward the same
+    incarnation would be discarded as duplicates and acked as an overrun,
+    stranding every later item.  The reset hangs up instead and waits for
+    the node's next incarnation."""
+    async def scenario():
+        host = FakeHost(incarnation="hostA#1")
+        await host.start()
+        channel = OutboundChannel("sender:1", "n",
+                                  [("127.0.0.1", host.port)],
+                                  backoff_min=0.01, backoff_max=0.05)
+        channel.start()
+        for i in range(3):
+            channel.enqueue("src", msg(i))
+        await wait_until(lambda: channel.items_acked == 3)
+        channel.reset()  # the node was declared failed
+        channel.enqueue("src", msg(3))
+        channel.enqueue("src", msg(4))
+        await wait_until(lambda: host.hellos >= 3)  # redialled, refused
+        assert [seq for seq, _, _ in host.items] == [0, 1, 2]
+        assert channel.backlog() == 2 and not channel.connected
+        host.incarnation = "hostA#2"  # re-hosted: a fresh receiver
+        host.expected = 0
+        await wait_until(lambda: channel.items_acked == 5)
+        await channel.close()
+        await host.stop()
+        return host, channel
+
+    host, channel = asyncio.run(scenario())
+    assert [seq for seq, _, _ in host.items] == [0, 1, 2, 0, 1]
+    assert [m.through_vt for _, _, m in host.items] == [0, 1, 2, 3, 4]
+    counters = channel.counters()
+    assert counters["acks_rejected"] == 0
+    assert counters["epoch_resets"] == 1
+    assert channel.incarnation == "hostA#2"
+
+
+def test_channel_state_and_send_window_are_sans_io():
+    """The protocol's decisions name no event loop, clock, socket or
+    print: the driver performs, the state only decides."""
+    for cls in (ChannelState, SendWindow):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+        names = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)}
+        assert not names & {"asyncio", "time", "sleep", "open_connection",
+                            "print"}, cls.__name__

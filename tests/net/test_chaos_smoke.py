@@ -28,7 +28,6 @@ def chaos_spec() -> ClusterSpec:
         workload={"readings": {"n_messages": 200,
                                "mean_interarrival_ms": 1.0}},
         connect_timeout_s=0.5,
-        handshake_timeout_s=0.5,
         backoff_min_s=0.02,
         backoff_max_s=0.2,
         fence_attempts=10,

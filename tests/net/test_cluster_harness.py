@@ -7,6 +7,7 @@ contract test launches one small cluster per entry point.
 import ast
 import asyncio
 import importlib
+import inspect
 import socket
 import sys
 import time
@@ -17,6 +18,7 @@ import pytest
 import repro.gateway.cluster as gateway_cluster
 import repro.net.cluster as net_cluster
 from repro.gateway.client import ClientPlan
+from repro.net.channel import OutboundChannel
 from repro.net.node import NetTransport
 from repro.net.server import ProcessRuntime
 from repro.net.topology import (
@@ -190,6 +192,18 @@ def test_result_keys_and_the_names_the_bench_wraps(monkeypatch):
     assert {arg for _name, arg in keywords} >= {"replicas", "workload"}
     assert {(name, arg) for name, arg in keywords if arg not in fields} \
         == set()
+    # Every keyword bench/ builds an OutboundChannel with is still one.
+    params = set(inspect.signature(OutboundChannel).parameters)
+    channel_keywords = {(path.name, keyword.arg)
+                        for path in sorted(bench.glob("*.py"))
+                        for node in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "OutboundChannel"
+                        for keyword in node.keywords}
+    assert {arg for _name, arg in channel_keywords} >= {"batch_max_items",
+                                                        "ack_watcher"}
+    assert {(name, arg) for name, arg in channel_keywords
+            if arg not in params} == set()
     # wl_wire_stream's receiver: any name, a spec with no addresses.
     receiver = ProcessRuntime("wire-recv", ClusterSpec(
         engines=["e0"], replicas=0, speed=1.0))
