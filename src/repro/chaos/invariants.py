@@ -1,6 +1,13 @@
 """Post-run invariants: what "the cluster survived" actually means.
 
-A chaos run passes only when the live cluster's observable behaviour is
+:func:`check_invariants` is the verdict of every live run kind: chaos
+runs (:mod:`repro.chaos.runner`), seeded-producer runs
+(:mod:`repro.net.cluster`) and gateway-fed runs
+(:mod:`repro.gateway.cluster`).  A kill the harness fires itself
+(``--kill-active``) is judged as one more ``kill`` event of the schedule
+(:func:`judged_schedule`), so every run kind gets the same failover
+window, expected host and survivability from one set of rules.  A run
+passes only when the live cluster's observable behaviour is
 indistinguishable from the failure-free simulation:
 
 1. **Byte identity** — every consumer stream equals the simulated
@@ -42,8 +49,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import UnrecoverableClusterError
-from repro.chaos.schedule import ChaosSchedule
+from repro.chaos.schedule import ChaosEvent, ChaosSchedule
 from repro.net.topology import ClusterSpec, sink_upstream_engines
+from repro.sim.kernel import TICKS_PER_MS
 from repro.tools.verify_determinism import verify_trace_equivalence
 
 
@@ -130,7 +138,8 @@ def liveness_violations(
 
     For every engine kill the schedule lowers, the failover window runs
     from the kill tick to the first output of a sink depending on the
-    victim group (its first recovered byte).  Each sink *independent* of
+    victim group (its first recovered byte), or to the run's last
+    arrival when the victim never recovers.  Each sink *independent* of
     the victim must deliver at least once inside the window, unless its
     stream was already complete before the kill.  Only enforced on
     kill-only schedules: partition/stop/latency windows legitimately
@@ -235,21 +244,41 @@ def audit_violations(
     return violations
 
 
+def judged_schedule(schedule: Optional[ChaosSchedule],
+                    result: Dict) -> ChaosSchedule:
+    """The schedule a live run is judged against.
+
+    ``schedule`` (an empty one when the run had none) plus, when
+    ``result["killed"]`` records a kill the harness fired itself, one
+    more ``kill`` of ``engine-<id>`` at the recorded ``at_ticks``.
+    """
+    schedule = schedule or ChaosSchedule()
+    killed = result.get("killed")
+    if not killed:
+        return schedule
+    kill = ChaosEvent("kill", killed["at_ticks"] / TICKS_PER_MS,
+                      target=f"engine-{killed['engine']}")
+    return ChaosSchedule(events=schedule.events + [kill],
+                         seed=schedule.seed, scenario=schedule.scenario)
+
+
 def check_invariants(
     spec: ClusterSpec,
-    schedule: ChaosSchedule,
+    schedule: Optional[ChaosSchedule],
     reference: Dict[str, List[Tuple]],
     result: Dict,
 ) -> Dict:
     """Judge one live run against the simulated reference.
 
-    ``result`` is the dict returned by
-    :func:`repro.net.cluster.run_networked` (with ``streams`` and
-    ``incarnations`` still present).  Returns a verdict dict with
-    ``ok``, per-invariant booleans, and a ``violations`` list; raises
+    ``result`` is the dict a :class:`repro.net.cluster.ClusterHarness`
+    run returns (with ``streams``, ``arrival_ticks`` and
+    ``incarnations`` still present); ``schedule`` is the chaos schedule
+    the run had, or None.  Returns a verdict dict with ``ok``,
+    per-invariant booleans, and a ``violations`` list; raises
     :class:`UnrecoverableClusterError` when the schedule destroyed
     state and the run (correctly) could not finish.
     """
+    schedule = judged_schedule(schedule, result)
     streams = result.get("streams", {})
     delivered = sum(len(s) for s in streams.values())
     expected = sum(len(s) for s in reference.values())

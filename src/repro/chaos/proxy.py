@@ -71,10 +71,6 @@ class LinkPolicy:
         self.blackholed = False
         self.half_open = False
 
-    def impaired(self) -> bool:
-        return bool(self.delay_s or self.rate_bps or self.blackholed
-                    or self.half_open)
-
 
 class _ProxyConn:
     """One accepted connection being forwarded (or stalled)."""
@@ -181,11 +177,6 @@ class _ProxyConn:
                 self.proxy.count(src, dst, "bytes", len(data))
         except (ConnectionError, OSError):
             pass  # a reset ends the leg as an EOF does
-
-    def on_link(self, a: str, b: str) -> bool:
-        return {self.src_proc, self.dst_proc} & {a, b} == {a, b} or (
-            self.src_proc in (a, b) and self.dst_proc in (a, b)
-        )
 
     def close(self) -> None:
         for task in self.tasks:

@@ -371,12 +371,9 @@ def run_chaos(
         run_spec, ref_counts, deadline_s=budget, chaos=driver,
     ))
 
-    streams = result.pop("streams")
     report["metrics"] = result.pop("metrics", None)
-    result_for_judge = dict(result, streams=streams)
     try:
-        verdict = check_invariants(run_spec, schedule, reference,
-                                   result_for_judge)
+        verdict = check_invariants(run_spec, schedule, reference, result)
     except UnrecoverableClusterError as exc:
         # Every red run ships its own reproducer bundle.
         record_chaos_bundle(

@@ -251,17 +251,26 @@ class ChaosSchedule:
 
         Returns dicts consumed by
         :meth:`repro.runtime.failure.FailureInjector.apply_schedule`.
-        Timing-only kinds are dropped (see module docstring); a kill of
-        a replica process has no simulator lowering either, because the
-        simulated deployment keeps replicas as stable-side state — its
-        *consequences* are covered by :meth:`lost_state`.
+        Timing-only kinds are dropped (see module docstring).
+
+        Kills are lowered promotion-aware.  Killing the process that
+        *currently* hosts an engine — the engine process, or, after an
+        earlier kill, the follower that took over — lowers to a
+        simulator kill of that engine; killing an idle follower lowers
+        to nothing, because the simulated deployment keeps followers as
+        stable-side state (:meth:`lost_state` covers the consequences).
+        Each lowered kill carries ``promote``: whether a live follower
+        is left to take over.  A kill can land while the follower it
+        names is still taking over, its engine down and awaiting
+        detection in the twin.  Then the takeover dies with its host:
+        with a follower left, the next one takes over (the twin's
+        pending detection stands for it); with none left, the twin
+        leaves the group unpromoted, as the live cluster does.  Either
+        way the twin does not raise
+        (:meth:`~repro.runtime.failure.FailureInjector.kill_host`).
         """
         nodes_of = plan_cluster_nodes(spec)
         lowered: List[Dict] = []
-        # Promotion-aware host tracking: killing the process that
-        # *currently* hosts an engine (the engine process, or — after an
-        # earlier kill — the follower process it promoted into) lowers
-        # to a simulator engine kill; killing an idle follower does not.
         current_host = {e: f"engine-{e}" for e in spec.engines}
         dead_procs: set = set()
         for event in self.ordered():
@@ -271,14 +280,15 @@ class ChaosSchedule:
                 victim = next((e for e, host in current_host.items()
                                if host == event.target), None)
                 if victim is not None:
-                    lowered.append({
-                        "kind": "kill", "at_ticks": at_ticks,
-                        "node": victim,
-                    })
                     current_host[victim] = next(
                         (p for p in spec.follower_processes(victim)
                          if p not in dead_procs), None,
                     )
+                    lowered.append({
+                        "kind": "kill", "at_ticks": at_ticks,
+                        "node": victim,
+                        "promote": current_host[victim] is not None,
+                    })
             elif event.kind == "partition":
                 a, b = event.link
                 lowered.append({

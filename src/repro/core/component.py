@@ -39,7 +39,6 @@ time), and no blocking except two-way calls (``yield port.call(...)``).
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
@@ -60,10 +59,6 @@ class HandlerSpec:
     cost: Any  # CostModel or SegmentedCost
     two_way: bool
     method_name: str = ""
-
-    def is_generator(self, fn: Callable) -> bool:
-        """Whether the handler is written as a generator (makes calls)."""
-        return inspect.isgeneratorfunction(fn)
 
 
 def on_message(input_name: str, cost: Optional[Any] = None):

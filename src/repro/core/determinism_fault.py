@@ -130,8 +130,7 @@ class ListFaultLog:
     """A trivially stable in-memory fault log (survives engine objects).
 
     Deployments hold one per engine *outside* the engine, mirroring the
-    paper's stable storage.  Appends are synchronous; ``latency_ticks``
-    lets experiments charge the synchronous-logging cost.
+    paper's stable storage.  Appends are synchronous.
     """
 
     def __init__(self):

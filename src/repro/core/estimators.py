@@ -33,10 +33,6 @@ class Estimator(ABC):
     def estimate(self, features: Mapping[str, int]) -> int:
         """Estimated computation time in ticks for this feature vector."""
 
-    def describe(self) -> str:
-        """Human-readable summary for logs and experiment tables."""
-        return repr(self)
-
 
 class ConstantEstimator(Estimator):
     """Always predicts ``ticks`` regardless of the input message."""

@@ -241,28 +241,6 @@ class ComponentRuntime:
         self._probe_outstanding[spec.wire_id] = False
         self._probe_not_before[spec.wire_id] = 0
 
-    def override_cost(self, input_name: str, cost) -> None:
-        """Replace the cost model of one handler (experiment hook).
-
-        Must be called before the input is wired; experiments use this to
-        sweep estimator coefficients (paper Figure 4) or substitute the
-        "dumb" constant estimator without redefining the component class.
-        """
-        spec = self._handler_specs.get(input_name)
-        if spec is None:
-            raise WiringError(
-                f"{self.component.name}: no handler for input '{input_name}'"
-            )
-        self._handler_specs[input_name] = dataclasses.replace(
-            spec, cost=cost.clone()
-        )
-        for wire in self.in_wires.values():
-            if wire.spec.dst_input == input_name:
-                raise WiringError(
-                    f"{self.component.name}: cost override for '{input_name}' "
-                    f"after wiring"
-                )
-
     def add_out_wire(self, spec: WireSpec) -> None:
         """Register an output wire (data, call, or reply)."""
         if spec.wire_id in self.out_senders:

@@ -131,15 +131,6 @@ class FailoverInProgressError(RecoveryError):
         self.failed_at = failed_at
 
 
-class ReplayGapError(RecoveryError):
-    """A gap in the tick sequence could not be filled by any sender.
-
-    This means a message range was lost and no retained buffer, log, or
-    deterministic re-execution can regenerate it — unrecoverable under the
-    paper's single-failure assumption.
-    """
-
-
 class TransportError(TartError):
     """The inter-engine transport was misconfigured or misused."""
 

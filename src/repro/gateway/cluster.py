@@ -20,9 +20,10 @@ front.  The determinism oracle therefore runs **after** the live run:
    exactly, and a deterministic engine must then reproduce the consumer
    stream byte for byte;
 4. wait for the live consumers to reach the replayed counts and judge
-   the streams with :func:`~repro.tools.verify_determinism
-   .verify_trace_equivalence`, plus the client-side exactly-once checks
-   (no conflicting ACCEPTs, no duplicated ingress sequence numbers).
+   the run with :func:`repro.chaos.invariants.check_invariants` (byte
+   identity, exactly-once delivery, convergence, non-victim liveness),
+   plus the client ledger's exactly-once checks (no conflicting
+   ACCEPTs, no duplicated ingress sequence numbers).
 
 Failover transparency is judged from the client ledger: across a
 ``--kill-active`` run the fleet must report zero reconnects — client
@@ -66,7 +67,9 @@ from repro.gateway.client import (
     fleet_summary,
 )
 from repro.gateway.server import GatewayConfig, GatewayServer
-from repro.tools.verify_determinism import verify_trace_equivalence
+from repro.tools.verify_determinism import (
+    verify_trace_equivalence,  # noqa: F401 - bench/wl_gw_steady.py spans it
+)
 
 #: Extra wall seconds between the GO epoch and the first client send,
 #: so every engine is ticking before load arrives.
@@ -270,8 +273,10 @@ def run_trial(label: str, spec: ClusterSpec, plan: ClientPlan,
               chaos_seed: Optional[int] = None,
               record_dir: Optional[str] = None) -> Dict:
     """One addressed live run + verification; returns the trial report."""
+    from repro.chaos.invariants import check_invariants
+
     run_spec = with_addresses(spec)
-    chaos = None
+    chaos = schedule = None
     if chaos_seed is not None:
         from repro.chaos.runner import ChaosDriver
         from repro.chaos.schedule import generate_schedule
@@ -285,7 +290,9 @@ def run_trial(label: str, spec: ClusterSpec, plan: ClientPlan,
         run_spec, plan, kill_engine=kill_engine,
         kill_fraction=kill_fraction, deadline_s=deadline_s, chaos=chaos,
     ))
-    result.pop("arrival_ticks")  # bulky; nothing here judges it
+    verdict = check_invariants(run_spec, schedule, result.pop("reference"),
+                               result)
+    del result["streams"], result["arrival_ticks"]  # bulky; judged
     shadow = result.pop("shadow", {})
     if record_dir is not None and shadow:
         # Gateway bundles replay the admission shadow log (the spec has
@@ -299,24 +306,28 @@ def run_trial(label: str, spec: ClusterSpec, plan: ClientPlan,
         result["bundle"] = str(bundle)
         print(f"{label}: wrote replay bundle {bundle}",
               file=sys.stderr, flush=True)
-    verdict = verify_trace_equivalence(
-        result.pop("reference"), result.pop("streams"), trial=label,
-        require_complete=True,
-    )
-    result["deterministic"] = verdict.deterministic
-    if not verdict.deterministic:
-        result["divergence"] = verdict.summary()
-    ok = (verdict.deterministic
-          and result["complete"]
-          and result["error"] is None
-          and result["exactly_once_violations"] == 0
-          and result["clients"]["unresolved"] == 0)
-    if kill_engine is not None:
-        # Failover transparency: the engine died, yet no client socket
-        # so much as blinked.
-        ok = ok and result["killed"] is not None
-        ok = ok and result["clients"]["reconnects"] == 0
-    result["ok"] = ok
+    # The client ledger: no conflicting ACCEPTs or duplicated ingress
+    # seqs, no submission left unanswered, and — the engine died, yet
+    # no client socket so much as blinked — failover transparency.
+    violations = verdict["violations"]
+    clients = result["clients"]
+    if result["exactly_once_violations"]:
+        violations.append(f"client ledger: "
+                          f"{result['exactly_once_violations']} "
+                          f"exactly-once violation(s)")
+    if clients["unresolved"]:
+        violations.append(f"client ledger: {clients['unresolved']} "
+                          f"unresolved submission(s)")
+    if kill_engine is not None and result["killed"] is None:
+        violations.append(f"{kill_engine} was never killed")
+    if kill_engine is not None and clients["reconnects"]:
+        violations.append(f"client ledger: {clients['reconnects']} "
+                          f"reconnect(s) across the kill")
+    for violation in violations:
+        print(f"{label}: violation: {violation}", file=sys.stderr, flush=True)
+    result.update(ok=not violations, deterministic=verdict["byte_identical"])
+    if not verdict["byte_identical"]:
+        result["divergence"] = violations[0]  # byte identity is judged first
     return result
 
 
@@ -414,11 +425,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                  f"{result['killed']['at_accepted']} admissions"
                  if result["killed"] else ""),
               file=sys.stderr, flush=True)
-        if result["error"]:
-            print(f"{label}: error: {result['error']}",
-                  file=sys.stderr, flush=True)
-        if "divergence" in result:
-            print(result["divergence"], file=sys.stderr, flush=True)
 
     if args.metrics_out is not None:
         Path(args.metrics_out).write_text(

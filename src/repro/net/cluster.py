@@ -14,9 +14,10 @@ the networked runtime.  It:
    replica process to detect the silence via heartbeat timeout, promote
    from the shipped checkpoint chain, and replay over the sockets;
 4. waits for the consumers to reach the reference output counts and
-   judges the collected streams with
-   :func:`~repro.tools.verify_determinism.verify_trace_equivalence` —
-   byte-identical ``(seq, vt, payload)`` streams or a nonzero exit.
+   judges the run with :func:`repro.chaos.invariants.check_invariants`
+   — byte-identical ``(seq, vt, payload)`` streams, exactly-once
+   delivery, convergence on the expected host, and non-victim groups
+   delivering through the failover window — or a nonzero exit.
 
 Steps 2-4 are one :class:`ClusterHarness` lifecycle, which the
 gateway-fed runs of :mod:`repro.gateway.cluster` and the chaos runs of
@@ -58,10 +59,8 @@ from repro.net.topology import (
     pipeline_spec,
     plan_cluster_nodes,
     reference_run,
-    sink_upstream_engines,
     streams_of,
 )
-from repro.tools.verify_determinism import verify_trace_equivalence
 
 #: Seconds each child gets to bind its socket and print READY.
 READY_TIMEOUT_S = 20.0
@@ -303,7 +302,9 @@ class ClusterHarness:
 
         With ``kill_engine`` set, that engine's process is SIGKILLed the
         first time ``kill_due()`` returns a dict (the trigger's own
-        fields for ``result["killed"]``) instead of None.
+        fields for ``result["killed"]``) instead of None.  Every kill
+        also records the engine, the wall ``at_s`` and the coordinator's
+        ``at_ticks``, which the verdict judges it by.
         """
         while time.monotonic() < self._deadline:
             if self._pump.done():
@@ -316,6 +317,7 @@ class ClusterHarness:
                     self.result["killed"] = {
                         "engine": kill_engine,
                         "at_s": round(time.monotonic() - self.started, 3),
+                        "at_ticks": self.runtime.clock.ticks(),
                         **trigger,
                     }
             if done():
@@ -416,10 +418,7 @@ async def run_networked(
 
     def kill_due() -> Optional[Dict]:
         delivered = sum(counts().values())
-        if delivered < kill_at:
-            return None
-        return {"at_outputs": delivered,
-                "at_ticks": cluster.runtime.clock.ticks()}
+        return {"at_outputs": delivered} if delivered >= kill_at else None
 
     async with cluster:
         cluster.result["complete"] = await cluster.poll(
@@ -434,51 +433,6 @@ def default_victim(spec: ClusterSpec) -> str:
         if engine_id in placed:
             return engine_id
     raise WiringError("no engine hosts any component")
-
-
-def group_liveness(spec: ClusterSpec, result: Dict,
-                   victim: str, ref_counts: Dict[str, int]) -> Optional[Dict]:
-    """Check non-victim groups kept delivering during the failover window.
-
-    The window runs from the SIGKILL tick to the first post-kill output
-    of any sink depending on the victim group (the first recovered
-    byte).  Every sink *independent* of the victim must deliver at least
-    once inside it — unless its stream was already complete before the
-    kill.  Returns None when the invariant does not apply (no kill tick
-    recorded, or no independent sinks to observe).
-    """
-    killed = result.get("killed") or {}
-    kill_tick = killed.get("at_ticks")
-    arrivals: Dict[str, List[int]] = result.get("arrival_ticks") or {}
-    if kill_tick is None:
-        return None
-    upstream = sink_upstream_engines(spec)
-    victim_sinks = sorted(s for s, deps in upstream.items() if victim in deps)
-    others = sorted(s for s, deps in upstream.items() if victim not in deps)
-    if not others:
-        return None
-    end = min((t for sink in victim_sinks
-               for t in arrivals.get(sink, []) if t >= kill_tick),
-              default=None)
-    if end is None:  # victim never recovered; judge against the whole tail
-        end = max((t for ts in arrivals.values() for t in ts),
-                  default=kill_tick)
-    stalled = []
-    for sink in others:
-        ticks = arrivals.get(sink, [])
-        done_before_kill = (len(ticks) >= ref_counts.get(sink, 0)
-                            and all(t < kill_tick for t in ticks))
-        if done_before_kill:
-            continue
-        if not any(kill_tick <= t <= end for t in ticks):
-            stalled.append(sink)
-    return {
-        "ok": not stalled,
-        "window_ticks": [kill_tick, end],
-        "victim_sinks": victim_sinks,
-        "independent_sinks": others,
-        "stalled_sinks": stalled,
-    }
 
 
 #: The options two or more of the cluster CLIs take: (flag, argparse
@@ -608,6 +562,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_cluster_arguments(parser, "n")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    # Imported here: repro.chaos imports this module.
+    from repro.chaos.invariants import check_invariants
 
     check_kill_arguments(parser, args)
     spec = pipeline_spec(master_seed=args.seed, **spec_keywords(args))
@@ -656,21 +612,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             with_addresses(spec), ref_counts, kill_engine=victim,
             kill_fraction=args.kill_fraction, deadline_s=deadline_s,
         ))
-        verdict = verify_trace_equivalence(
-            reference, result.pop("streams"), trial=label,
-            require_complete=True,
-        )
-        liveness = (group_liveness(spec, result, victim, ref_counts)
-                    if victim is not None else None)
-        result.pop("arrival_ticks", None)  # bulky; judged above
+        verdict = check_invariants(spec, None, reference, result)
+        del result["streams"], result["arrival_ticks"]  # bulky; judged
         metrics_docs[label] = result.pop("metrics", None)
-        result["liveness"] = liveness
-        ok = (verdict.deterministic and result["complete"]
-              and not result["error"]
-              and (liveness is None or liveness["ok"]))
+        ok = verdict["ok"]
         failed = failed or not ok
-        result["deterministic"] = verdict.deterministic
-        result["ok"] = ok
+        result.update(verdict=verdict, deterministic=verdict["byte_identical"],
+                      ok=ok)
         report["trials"][label] = result
         status = "OK" if ok else "FAIL"
         print(f"{label}: {status} — {sum(result['counts'].values())}"
@@ -681,21 +629,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                  f"{result['killed']['at_outputs']} outputs"
                  if result["killed"] else ""),
               file=sys.stderr, flush=True)
-        if liveness is not None:
+        if victim is not None:
             print(f"{label}: non-victim liveness "
-                  f"{'OK' if liveness['ok'] else 'FAIL'} — "
-                  f"{len(liveness['independent_sinks'])} independent "
-                  f"sink(s), stalled={liveness['stalled_sinks']}",
+                  f"{'OK' if verdict['liveness'] else 'FAIL'}",
                   file=sys.stderr, flush=True)
         for proc, audit in sorted(result.get("audit_reports", {}).items()):
             print(f"{label}: audit[{proc}]: "
                   f"{json.dumps(audit, sort_keys=True)}",
                   file=sys.stderr, flush=True)
-        if result["error"]:
-            print(f"{label}: error: {result['error']}",
+        for violation in verdict["violations"]:
+            print(f"{label}: violation: {violation}",
                   file=sys.stderr, flush=True)
-        if not verdict.deterministic:
-            print(verdict.summary(), file=sys.stderr, flush=True)
 
     if args.metrics_out is not None:
         Path(args.metrics_out).write_text(

@@ -422,23 +422,10 @@ def component_placement(spec: ClusterSpec) -> Dict[str, str]:
     Cheap (no deployment is built): resolves the spec's explicit
     placement or the default contiguous one.  Used by the chaos
     schedule generator to aim state-corruption faults at the engine
-    actually hosting a given component, and by the liveness invariant
-    to map sinks to replication groups.
+    actually hosting a given component, and by
+    :func:`sink_upstream_engines` to map sinks to replication groups.
     """
     return _placement_of(spec, build_application(spec))
-
-
-def sink_engines(spec: ClusterSpec) -> Dict[str, str]:
-    """sink (external output id) -> engine id feeding it.
-
-    The chaos invariant checker uses this to split output streams into
-    replication groups: a leader kill in group G must stall only the
-    sinks G feeds.
-    """
-    app = build_application(spec)
-    placement = component_placement(spec)
-    return {external_id: placement[src]
-            for external_id, src in app.external_output_sources().items()}
 
 
 def sink_upstream_engines(spec: ClusterSpec) -> Dict[str, set]:

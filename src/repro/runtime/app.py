@@ -193,11 +193,8 @@ class Deployment:
         master_seed: int = 0,
         default_link: Optional[LinkParams] = None,
         links: Optional[Dict[Tuple[str, str], LinkParams]] = None,
-        local_delay: int = 0,
         control_delay: int = 0,
         birth_of: Optional[Callable[[Any], Optional[int]]] = None,
-        cost_overrides: Optional[Dict[Tuple[str, str], Any]] = None,
-        log_latency: int = 0,
         followers: int = 1,
         network: Optional[Transport] = None,
         hosted: Optional[Iterable[str]] = None,
@@ -213,17 +210,15 @@ class Deployment:
         self.rng = RngRegistry(master_seed)
         self.metrics = MetricSet()
         self.birth_of = birth_of
-        self.log_latency = log_latency
         self._default_config = engine_config or EngineConfig()
         self._engine_configs = dict(engine_configs or {})
-        self._cost_overrides = dict(cost_overrides or {})
         self._default_link = default_link or LinkParams()
         self._links = dict(links or {})
         #: Node ids constructed here; None hosts every node.
         self._hosted = None if hosted is None else frozenset(hosted)
         self.network: Transport = (
             network if network is not None
-            else self._simulated_network(local_delay, control_delay))
+            else self._simulated_network(control_delay))
 
         self.router = WireRouter()
         self.engines: Dict[str, ExecutionEngine] = {}
@@ -244,11 +239,9 @@ class Deployment:
         self._build()
 
     # -- construction -------------------------------------------------------
-    def _simulated_network(self, local_delay: int,
-                           control_delay: int) -> Network:
+    def _simulated_network(self, control_delay: int) -> Network:
         """A simulated network with this deployment's link parameters."""
         network = Network(self.sim, self.rng, self._default_link,
-                          local_delay=local_delay,
                           control_delay=control_delay)
         for (src, dst), params in self._links.items():
             network.set_link(src, dst, params)
@@ -323,8 +316,7 @@ class Deployment:
             spec = self._wire_plan[id(decl)][0]
             ingress = ExternalIngress(f"ext:{input_id}", self.sim,
                                       self.network, spec,
-                                      self.placement.engine_of(decl.dst),
-                                      log_latency=self.log_latency)
+                                      self.placement.engine_of(decl.dst))
             self.ingresses[input_id] = ingress
             self.network.register(ingress)
         for consumer_id in self.app._external_outputs:
@@ -440,10 +432,7 @@ class Deployment:
             if name not in local:
                 continue
             component = self.app.component_class(name)(name)
-            runtime = engine.add_component(component)
-            for (comp, input_name), cost in self._cost_overrides.items():
-                if comp == name:
-                    runtime.override_cost(input_name, cost)
+            engine.add_component(component)
 
         for decl in self.app._wires:
             specs = self._wire_plan[id(decl)]

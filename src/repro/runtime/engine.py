@@ -94,12 +94,11 @@ class EngineConfig:
     #: component a dedicated processor (the paper's multiprocessor
     #: configuration).
     shared_cpus: Optional[int] = None
-    #: Thread scheduling under contention (paper II.G.2): "static" uses
-    #: :attr:`thread_priorities`; "vt-lag" dynamically prioritises the
-    #: thread whose virtual time lags real time the most.
+    #: Thread scheduling under contention (paper II.G.2): "static"
+    #: gives every thread priority 0.0 (first come, first served);
+    #: "vt-lag" dynamically prioritises the thread whose virtual time
+    #: lags real time the most.
     priority_mode: str = "static"
-    #: Static priorities by component name (higher runs first).
-    thread_priorities: Dict[str, float] = field(default_factory=dict)
     #: Recovery-time objective driving adaptive checkpoint cadence; when
     #: set, :attr:`checkpoint_interval` becomes the controller's initial
     #: interval rather than a fixed period (see ``repro.runtime.cadence``).
@@ -258,7 +257,7 @@ class ExecutionEngine:
             # A component whose virtual time trails real time is "slow";
             # running it first shrinks everyone's pessimism delays.
             return float(self.sim.now - runtime.component_vt)
-        return self.config.thread_priorities.get(component_name, 0.0)
+        return 0.0
 
     # ------------------------------------------------------------------
     # Deployment-time construction

@@ -34,14 +34,14 @@ class ExternalIngress:
     """Stable ingress node for one external input wire."""
 
     def __init__(self, node_id: str, sim, network, spec: WireSpec,
-                 dst_engine_id: str, log_latency: int = 0):
+                 dst_engine_id: str):
         self.node_id = node_id
         self.alive = True  # stable: never fails in the single-failure model
         self.sim = sim
         self.network = network
         self.spec = spec
         self.dst_engine_id = dst_engine_id
-        self.log = ExternalMessageLog(spec.wire_id, log_latency)
+        self.log = ExternalMessageLog(spec.wire_id)
 
     def offer(self, payload: Any,
               stamp: Optional[Callable[[int, Any], Any]] = None) -> int:

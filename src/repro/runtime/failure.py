@@ -36,27 +36,54 @@ class FailureInjector:
         reset (in-flight traffic lost), and after ``detection_delay`` the
         recovery manager promotes its replica.
         """
-        sim = self.deployment.sim
-        when = sim.now if at is None else at
 
         def _crash() -> None:
             engine = self.deployment.engines.get(engine_id)
             if engine is None or not engine.alive:
                 raise RecoveryError(f"{engine_id}: not alive at crash time")
-            engine.halt()
-            self.deployment.network.fail_node(engine_id)
-            if engine_id in self.deployment.detectors:
-                # Organic detection: the heartbeat detector will notice
-                # the silence and trigger recovery by itself.
-                return
+            self._fail_stop(engine_id, detection_delay)
+
+        self._at(at, _crash, f"kill:{engine_id}")
+
+    def kill_host(self, engine_id: str, at: int, promote: bool) -> None:
+        """A schedule's kill of whichever process hosts ``engine_id``.
+
+        Unlike :meth:`kill_engine`, the host may be a follower that is
+        still taking over: the engine is then already down, and the kill
+        only ends that takeover.  ``promote`` says whether a follower is
+        left to take over; without one the group stays down, its
+        detector stopped.  Never raises (see
+        :meth:`repro.chaos.schedule.ChaosSchedule.sim_events`).
+        """
+
+        def _crash() -> None:
+            detector = self.deployment.detectors.get(engine_id)
+            if detector is not None and not promote:
+                detector.stop()
+            engine = self.deployment.engines.get(engine_id)
+            if engine is not None and engine.alive:
+                self._fail_stop(engine_id, promote=promote)
+
+        self._at(at, _crash, f"kill:{engine_id}")
+
+    def _fail_stop(self, engine_id: str, detection_delay: int = ms(1),
+                   promote: bool = True) -> None:
+        self.deployment.engines[engine_id].halt()
+        self.deployment.network.fail_node(engine_id)
+        if promote and engine_id not in self.deployment.detectors:
+            # Without a heartbeat detector nothing notices the silence
+            # organically; report the death to the recovery manager.
             self.deployment.recovery.engine_failed(
                 engine_id, detection_delay=detection_delay
             )
 
-        if when <= sim.now:
-            sim.call_soon(_crash, f"kill:{engine_id}")
+    def _at(self, at: Optional[int], fn, label: str) -> None:
+        """Run ``fn`` at simulated time ``at`` (default: now)."""
+        sim = self.deployment.sim
+        if at is None or at <= sim.now:
+            sim.call_soon(fn, label)
         else:
-            sim.at(when, _crash, f"kill:{engine_id}")
+            sim.at(at, fn, label)
 
     # -- link faults ----------------------------------------------------------
     def link_outage(self, src_id: str, dst_id: str, start: int,
@@ -96,7 +123,9 @@ class FailureInjector:
         dicts carrying ``kind``, an absolute ``at_ticks`` simulated time,
         and node-id targets.  Supported kinds:
 
-        * ``kill`` — fail-stop the target engine (``node``);
+        * ``kill`` — fail-stop whatever hosts the target engine
+          (``node``), promoting a successor only if ``promote``
+          (:meth:`kill_host`);
         * ``partition`` — bidirectional outage between two node groups
           (``a_nodes`` x ``b_nodes``) for ``duration_ticks``;
         * ``impair`` — steady loss/duplication on one directed link;
@@ -114,7 +143,7 @@ class FailureInjector:
             kind = event.get("kind")
             at = int(event.get("at_ticks", 0))
             if kind == "kill":
-                self.kill_engine(event["node"], at=at)
+                self.kill_host(event["node"], at, event["promote"])
             elif kind == "partition":
                 duration = int(event["duration_ticks"])
                 for a in event["a_nodes"]:
@@ -136,7 +165,6 @@ class FailureInjector:
             elif kind == "corrupt":
                 node_id = event["node"]
                 component = event.get("component")
-                sim = self.deployment.sim
 
                 def _corrupt(n=node_id, c=component) -> None:
                     engine = self.deployment.engines.get(n)
@@ -146,9 +174,6 @@ class FailureInjector:
 
                     corrupt_component_state(engine, c)
 
-                if at <= sim.now:
-                    sim.call_soon(_corrupt, f"corrupt:{node_id}")
-                else:
-                    sim.at(at, _corrupt, f"corrupt:{node_id}")
+                self._at(at, _corrupt, f"corrupt:{node_id}")
             else:
                 raise ChaosError(f"unknown simulated fault kind {kind!r}")

@@ -8,10 +8,9 @@ Only external messages are logged." (paper II.E)
 
 :class:`ExternalMessageLog` is the stable storage for one external input
 wire: it survives the failure of the engine it feeds, and it is the
-replay source for that wire after failover.  ``latency_ticks`` models
-the synchronous logging cost (0 by default: the paper's configuration
-logs to the co-located backup asynchronously relative to the sender but
-before processing; experiments can charge a cost here).
+replay source for that wire after failover.  Appends are free in
+simulated time: the paper's configuration logs to the co-located backup
+asynchronously relative to the sender but before processing.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from repro.errors import RecoveryError
 class ExternalMessageLog:
     """Append-only stable log of (seq, vt, payload) for one wire."""
 
-    def __init__(self, wire_id: int, latency_ticks: int = 0):
+    def __init__(self, wire_id: int):
         self.wire_id = wire_id
-        self.latency_ticks = int(latency_ticks)
         self._entries: List[Tuple[int, int, Any]] = []
         self._truncated_through = -1
         self._last_vt = -1

@@ -352,10 +352,6 @@ class ProcessorPool:
             self._ports[thread_name] = port
         return port
 
-    def set_priority_fn(self, fn: Callable[[str], float]) -> None:
-        """Replace the priority function (engines install theirs late)."""
-        self._priority_fn = fn
-
     # -- internal ---------------------------------------------------------
     def _submit(self, thread: str, duration: int, on_done) -> None:
         self._seq += 1

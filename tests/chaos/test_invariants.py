@@ -7,10 +7,12 @@ from repro.chaos.invariants import (
     convergence_violations,
     exactly_once_violations,
     incarnation_host,
+    judged_schedule,
+    liveness_violations,
 )
 from repro.chaos.schedule import ChaosEvent, ChaosSchedule
 from repro.errors import UnrecoverableClusterError
-from repro.net.topology import ClusterSpec
+from repro.net.topology import ClusterSpec, pipeline_spec
 
 
 def spec_for_tests() -> ClusterSpec:
@@ -213,3 +215,75 @@ class TestAuditViolations:
         assert not verdict["ok"]
         assert not verdict["audit_clean"]
         assert verdict["byte_identical"]
+
+
+class TestNonVictimLiveness:
+    """One lane per engine: ``sink`` <- e0, ``sink1`` <- e1, ``sink2``
+    <- e2.  e0 dies at 10 ms; its failover window runs from the kill to
+    ``sink``'s first recovered output."""
+
+    MS = 1_000_000
+
+    def spec(self):
+        return pipeline_spec(engines=3, messages=30, replicas=1)
+
+    def kill(self):
+        return ChaosSchedule(events=[
+            ChaosEvent("kill", 10.0, target="engine-e0")], seed=5)
+
+    def reference(self, **counts):
+        return {sink: [(seq, seq, "x") for seq in range(n)]
+                for sink, n in counts.items()}
+
+    def result(self, **arrivals_ms):
+        return {"arrival_ticks": {
+            sink: [int(t * self.MS) for t in ticks]
+            for sink, ticks in arrivals_ms.items()}}
+
+    def test_an_independent_sink_silent_through_the_window_is_flagged(self):
+        violations = liveness_violations(
+            self.spec(), self.kill(),
+            self.result(sink=[5, 20], sink1=[5, 25], sink2=[15]),
+            self.reference(sink=2, sink1=2, sink2=1))
+        assert violations == [
+            "sink1: no delivery during e0's failover window "
+            "[10000000, 20000000] ticks"]
+
+    def test_a_sink_complete_before_the_kill_is_excused(self):
+        assert liveness_violations(
+            self.spec(), self.kill(),
+            self.result(sink=[5, 20], sink1=[5, 6], sink2=[15]),
+            self.reference(sink=2, sink1=2, sink2=1)) == []
+
+    def test_when_the_victim_never_recovers_the_window_runs_to_the_end(
+            self):
+        violations = liveness_violations(
+            self.spec(), self.kill(),
+            self.result(sink=[5], sink1=[5, 40], sink2=[5, 8]),
+            self.reference(sink=2, sink1=2, sink2=3))
+        assert violations == [
+            "sink2: no delivery during e0's failover window "
+            "[10000000, 40000000] ticks"]
+
+    def test_a_harness_kill_is_judged_as_the_same_schedule_event(self):
+        spec = self.spec()
+        reference = self.reference(sink=2, sink1=2, sink2=1)
+        result = dict(
+            self.result(sink=[5, 20], sink1=[5, 25], sink2=[15]),
+            streams=reference, complete=True, error=None,
+            incarnations={"e0": "replica-e0:12345678#2"},
+            killed={"engine": "e0", "at_s": 1.0, "at_ticks": 10 * self.MS,
+                    "at_outputs": 2})
+        explicit = ChaosSchedule(events=[
+            ChaosEvent("kill", 10.0, target="engine-e0")])
+        folded = judged_schedule(None, result)
+        assert folded.expected_hosts(spec) == explicit.expected_hosts(spec)
+        assert folded.expected_hosts(spec)["e0"] == "replica-e0"
+        by_harness = check_invariants(spec, None, reference, result)
+        by_schedule = check_invariants(spec, explicit, reference,
+                                       dict(result, killed=None))
+        assert by_harness["violations"] == by_schedule["violations"]
+        assert by_harness["converged"] and not by_harness["liveness"]
+        assert len(by_harness["violations"]) == 1
+        # No kill and no schedule: nothing to fold in.
+        assert judged_schedule(None, dict(result, killed=None)).events == []

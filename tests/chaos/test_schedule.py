@@ -325,6 +325,34 @@ class TestGroupScenarios:
         assert [e["kind"] for e in lowered] == ["kill"] * 3
         assert [e["node"] for e in lowered] == ["e0"] * 3
 
+    def test_a_takeover_dies_with_its_host_and_the_next_follower_takes_over(
+            self):
+        # The rank-0 follower dies 1 ms into its takeover, long before
+        # the 30 ms detection: the twin's engine is still down.
+        spec = self.group_spec(followers=2)
+        schedule = ChaosSchedule(events=[
+            ChaosEvent("kill", 50.0, target="engine-e0"),
+            ChaosEvent("kill", 51.0, target="replica-e0"),
+        ])
+        assert [e["promote"] for e in schedule.sim_events(spec)] \
+            == [True, True]
+        assert reference_run(spec, schedule) == reference_run(spec)
+
+    def test_with_no_follower_left_the_group_stays_down(self):
+        from repro.net.topology import simulated_twin, twin_horizon
+
+        spec = self.group_spec(followers=1)
+        schedule = ChaosSchedule(events=[
+            ChaosEvent("kill", 50.0, target="engine-e0"),
+            ChaosEvent("kill", 51.0, target="replica-e0"),
+        ])
+        assert [e["promote"] for e in schedule.sim_events(spec)] \
+            == [True, False]
+        twin = simulated_twin(spec, schedule)
+        twin.run(until=twin_horizon(spec, schedule))
+        assert twin.recovery.failover_count("e0") == 0
+        assert not twin.engines["e0"].alive
+
     def test_idle_follower_kill_has_no_sim_analogue(self):
         spec = self.group_spec(followers=2)
         schedule = ChaosSchedule(events=[
@@ -366,3 +394,21 @@ def test_every_schedule_aims_at_processes_that_exist():
     assert misses == []
     # A different engine's follower dies too whenever there is one.
     assert bystander_kills == 30
+
+
+def test_unsurvivable_run_records_its_reproducer(tmp_path):
+    """Seed 9 of the unsurvivable scenario, on the chaos CLI's default
+    spec, kills the follower while it is still taking over; its red run
+    must still write a loadable reproducer bundle."""
+    from repro.chaos.runner import record_chaos_bundle
+    from repro.net.topology import pipeline_spec
+    from repro.runtime.flightrec import ReplayBundle
+
+    spec = pipeline_spec(messages=240, master_seed=7, replicas=1)
+    schedule = generate_schedule(9, spec, "unsurvivable")
+    path = record_chaos_bundle(spec, schedule,
+                               tmp_path / "chaos-failure-seed9",
+                               log=lambda line: None)
+    assert path is not None
+    bundle = ReplayBundle.load(path)
+    assert bundle.schedule.to_json() == schedule.to_json()

@@ -4,9 +4,7 @@ replay plumbing, restore hygiene."""
 import pytest
 
 from repro.core.component import Component, on_message
-from repro.core.cost import LinearCost, fixed_cost
-from repro.core.estimators import ConstantEstimator
-from repro.core.cost import CostModel
+from repro.core.cost import LinearCost
 from repro.core.message import DataMessage, SilenceAdvance
 from repro.errors import SchedulingError, WiringError
 from repro.sim.kernel import us
@@ -59,32 +57,6 @@ class TestWiringErrors:
         hub, runtime = make()
         with pytest.raises(SchedulingError):
             runtime.on_silence(SilenceAdvance(999, 1))
-
-    def test_override_cost_unknown_input(self):
-        hub = Hub()
-        runtime = hub.add(Sender("s"))
-        with pytest.raises(WiringError):
-            runtime.override_cost("nope", fixed_cost(1))
-
-    def test_override_cost_after_wiring_rejected(self):
-        hub, runtime = make()
-        with pytest.raises(WiringError):
-            runtime.override_cost("input", fixed_cost(1))
-
-
-class TestOverrideCost:
-    def test_override_before_wiring_takes_effect(self):
-        hub = Hub()
-        runtime = hub.add(Sender("s"))
-        runtime.override_cost("input", CostModel(
-            ConstantEstimator(us(500)), true_per_feature={},
-            true_intercept=us(500)))
-        hub.connect(wire(10, "ext_in", dst="s"), None, "s", external=True)
-        hub.connect(wire(1, "data", src="s", src_port="out"), "s", None,
-                    port_name="out")
-        hub.inject(10, 0, 0, 3)
-        hub.run()
-        assert hub.sunk[0].vt == us(500)
 
 
 class TestPublishSilence:

@@ -5,8 +5,6 @@ import pytest
 from repro.apps.wordcount import birth_of, build_wordcount_app, sentence_factory
 from repro.core.component import Component, on_message
 from repro.core.cost import fixed_cost
-from repro.core.estimators import ConstantEstimator
-from repro.core.cost import CostModel
 from repro.errors import WiringError
 from repro.runtime.app import Application, Deployment
 from repro.runtime.engine import EngineConfig
@@ -124,18 +122,6 @@ class TestDeployment:
         spec = next(s for wid in dep.router.wire_ids()
                     for s in [dep.router.spec(wid)] if s.kind == "data")
         assert spec.delay_estimator.estimate({}) == 0
-
-    def test_cost_override_applied(self):
-        app = simple_app()
-        override = CostModel(ConstantEstimator(us(500)),
-                             true_per_feature={}, true_intercept=us(500))
-        dep = Deployment(
-            app, single_engine_placement(app.component_names()),
-            cost_overrides={("src", "input"): override},
-        )
-        runtime = dep.runtime("src")
-        spec = runtime.in_wires[0].handler_spec
-        assert spec.cost.estimated({}, 0) == us(500)
 
     def test_producers_added_before_or_after_start(self):
         app = simple_app()
