@@ -507,6 +507,57 @@ async def _handshake(address: Tuple[str, int], peer_id: str, dst_node: str,
     return reader, writer, frame
 
 
+#: Connects a crash probe makes when the listener accepts and then drops
+#: the connection unanswered, and the pause in seconds before each retry.
+CRASH_PROBE_TRIES = 4
+CRASH_PROBE_GAP_S = 0.005
+
+
+async def listener_refuses(address: Tuple[str, int], peer_id: str,
+                           dst_node: str, timeout: float) -> bool:
+    """Whether nothing listens at ``address`` any more.
+
+    True only when the connect is refused: the process that bound the
+    address is gone.  An answer to the HELLO for ``dst_node`` (WELCOME,
+    NOT_HERE or a protocol error), a timeout, or any other socket error
+    is False — something may still be alive there.  A connection that
+    is accepted and then reset or closed before any answer is a dying
+    listener racing its own exit (or a proxy front that cannot reach
+    it): it is dialled again :data:`CRASH_PROBE_GAP_S` later,
+    :data:`CRASH_PROBE_TRIES` times in all, before the verdict falls
+    back to False.
+    """
+    host, port = address
+    for attempt in range(CRASH_PROBE_TRIES):
+        if attempt:
+            await asyncio.sleep(CRASH_PROBE_GAP_S)
+        try:
+            reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(host, port), timeout=timeout)
+        except ConnectionRefusedError:
+            return True
+        except ConnectionError:
+            continue  # reset while connecting: the dying listener
+        except (OSError, asyncio.TimeoutError):
+            return False
+        try:
+            writer.write(codec.encode_hello(peer_id, dst_node))
+            await writer.drain()
+            frame = await asyncio.wait_for(codec.read_frame(reader),
+                                           timeout=timeout)
+        except codec.CodecError:
+            return False  # garbled, but an answer
+        except (ConnectionError, TransportError):
+            frame = None  # reset or torn before answering
+        except (OSError, asyncio.TimeoutError):
+            return False
+        finally:
+            writer.close()
+        if frame is not None:
+            return False
+    return False
+
+
 #: Per-attempt connect/handshake timeout of the fence path in seconds.
 FENCE_TIMEOUT_S = 1.0
 

@@ -93,6 +93,9 @@ class ChildProcess:
         #: Parsed AUDIT report printed at clean shutdown (None if the
         #: child crashed or ran without audit/cadence enabled).
         self.audit: Optional[Dict] = None
+        #: Parsed DETECTOR line printed at clean shutdown: detections by
+        #: cause (None if the child crashed or follows no engine).
+        self.detector: Optional[Dict[str, int]] = None
         self._reader = threading.Thread(
             target=self._pump_stdout, name=f"stdout:{name}", daemon=True
         )
@@ -105,9 +108,10 @@ class ChildProcess:
             if line == "READY":
                 self.ready = True
                 self._ready_or_gone.set()
-            elif line.startswith("AUDIT "):
+            elif line.startswith(("AUDIT ", "DETECTOR ")):
+                kind, _, doc = line.partition(" ")
                 try:
-                    self.audit = json.loads(line[len("AUDIT "):])
+                    setattr(self, kind.lower(), json.loads(doc))
                 except ValueError:
                     print(f"[{self.name}] unparseable {line!r}",
                           file=sys.stderr, flush=True)
@@ -390,6 +394,11 @@ class ClusterHarness:
             audit_reports={name: child.audit
                            for name, child in children.items()
                            if child.audit is not None},
+            # Follower process -> detections by cause
+            # (crash_confirmed, timeouts).
+            detector={name: child.detector
+                      for name, child in children.items()
+                      if child.detector is not None},
             metrics=self.deployment.metrics.dump_json(),
         )
         if self.chaos is not None:

@@ -102,7 +102,7 @@ class NetTransport:
         self._channels: Dict[str, OutboundChannel] = {}
         #: node id -> peer currently observed hosting it (from inbound
         #: traffic); seeds redirects for channels created later.
-        self._node_hosts: Dict[str, str] = {}
+        self._hosts: Dict[str, str] = {}
 
     # -- hosting --------------------------------------------------------
     def register(self, node) -> None:
@@ -164,10 +164,16 @@ class NetTransport:
         this very item are enqueued into the new epoch rather than being
         dropped when the reconnect loop discovers the move later.
         """
-        self._node_hosts[src_node] = from_peer
+        self._hosts[src_node] = from_peer
         channel = self._channels.get(src_node)
         if channel is not None:
             channel.redirect(from_peer)
+
+    def host_of(self, node_id: str) -> Optional[str]:
+        """The peer that traffic *from* ``node_id`` last arrived from —
+        the process hosting it now, as far as this one knows (None
+        before any arrived)."""
+        return self._hosts.get(node_id)
 
     # -- channels -------------------------------------------------------
     def channel_to(self, dst_node: str) -> OutboundChannel:
@@ -186,7 +192,7 @@ class NetTransport:
                 jitter_seed=self.spec.master_seed,
                 batch_max_items=self.spec.batch_max_items,
             )
-            host = self._node_hosts.get(dst_node)
+            host = self._hosts.get(dst_node)
             if host is not None:
                 channel.redirect(host)
             self._channels[dst_node] = channel
@@ -310,6 +316,21 @@ def host_deployment(name: str, transport: NetTransport) -> Deployment:
     if deployment.ingresses:
         attach_workload(deployment, spec)
     return deployment
+
+
+def detection_counts(deployment: Deployment) -> Dict[str, int]:
+    """How this process's detectors declared engines dead, by cause,
+    also counted into the deployment's MetricSet as
+    ``detector.crash_confirmed`` / ``detector.timeouts``.  Empty when it
+    follows no engine.  Call once, at teardown."""
+    if not deployment.detectors:
+        return {}
+    counts = {
+        cause: sum(getattr(d, cause) for d in deployment.detectors.values())
+        for cause in ("crash_confirmed", "timeouts")}
+    for cause, n in counts.items():
+        deployment.metrics.count(f"detector.{cause}", n)
+    return counts
 
 
 def engine_audit_report(engine: ExecutionEngine):

@@ -37,6 +37,16 @@ Receiver-side dedup state is keyed by (sender peer, destination node,
 destination *incarnation*): a promoted node starts with a clean slate,
 matching the sender's channel-sequence restart on epoch reset, while
 same-incarnation reconnect replays are deduplicated exactly.
+
+Connection ends are failure evidence.  When an item connection from the
+process currently hosting an engine this process follows ends (and no
+Shutdown has arrived), the server dials every address that may host
+that engine — the ones ``RemoteEngineHandle.halt`` fences — and, if all
+of them refuse, injects
+:meth:`~repro.runtime.detector.HeartbeatDetector.confirm_crash`: a
+crashed leader is promoted without waiting out the heartbeat timeout.
+Anything that still answers, stalls or accepts leaves the timeout in
+charge.
 """
 
 from __future__ import annotations
@@ -52,10 +62,12 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net import codec
+from repro.net.channel import listener_refuses
 from repro.net.clock import RealtimeClock, RealtimeKernel
 from repro.net.node import (
     ControlNode,
     NetTransport,
+    detection_counts,
     engine_audit_report,
     host_deployment,
 )
@@ -88,6 +100,10 @@ class ProcessRuntime:
         self.go = asyncio.Event()
         self.go_t0: Optional[float] = None
         self.stopping = asyncio.Event()
+        #: This process's share of the deployment, once hosted.
+        self.deployment = None
+        #: engine id -> the crash probe in flight for it.
+        self._probes: Dict[str, asyncio.Task] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         #: Connections that died mid-frame (truncation, not clean EOF).
         self.torn_frames = 0
@@ -96,6 +112,7 @@ class ProcessRuntime:
 
     # -- inbound protocol ------------------------------------------------
     async def _handle_conn(self, reader, writer) -> None:
+        welcomed = None  # the peer, once its HELLO was WELCOMEd
         try:
             try:
                 frame = await asyncio.wait_for(codec.read_frame(reader),
@@ -119,6 +136,7 @@ class ProcessRuntime:
             incarnation = self.transport.incarnations[dst]
             writer.write(codec.encode_welcome(incarnation))
             await writer.drain()
+            welcomed = peer
             await self._item_loop(reader, writer, peer, (peer, dst,
                                                          incarnation))
         except codec.CodecError:
@@ -128,13 +146,50 @@ class ProcessRuntime:
         except (ConnectionError, OSError, asyncio.TimeoutError):
             pass
         except asyncio.CancelledError:
-            pass  # loop teardown cancels open connection handlers
+            # Loop teardown cancels open connection handlers: our own
+            # exit, not evidence about the peer.
+            welcomed = None
         finally:
             writer.close()
+            if welcomed is not None:
+                self._suspect(welcomed)
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
+
+    # -- crash confirmation ---------------------------------------------
+    def _suspect(self, peer: str) -> None:
+        """An item connection from ``peer`` ended: probe every engine
+        this process follows that ``peer`` hosts."""
+        if self.deployment is None or self.stopping.is_set():
+            return
+        for engine_id, detector in self.deployment.detectors.items():
+            if (self.transport.host_of(engine_id) == peer
+                    and engine_id not in self._probes):
+                self._probes[engine_id] = asyncio.get_running_loop(
+                ).create_task(self._probe(engine_id, detector),
+                              name=f"crash-probe:{engine_id}")
+
+    async def _probe(self, engine_id: str, detector) -> None:
+        """Confirm the crash when every candidate host refuses.
+
+        The candidates are the engine's primary address and those of the
+        followers ranked below this one — whoever may host the engine
+        now, exactly the set ``RemoteEngineHandle.halt`` fences.  While
+        a lower rank still listens, it is that rank's turn to promote.
+        """
+        try:
+            candidates = self.spec.addresses.get(engine_id, [])
+            for address in candidates[:1 + detector.rank]:
+                if not await listener_refuses(
+                        tuple(address), self.peer_id, engine_id,
+                        self.spec.connect_timeout_s):
+                    return
+            if not self.stopping.is_set():
+                self.rtk.inject(detector.confirm_crash)
+        finally:
+            del self._probes[engine_id]
 
     async def _reject_proto(self, writer, proto) -> None:
         """Version negotiation is enforced: answer a HELLO of another
@@ -237,7 +292,8 @@ class ProcessRuntime:
         self._server = await asyncio.start_server(
             self._handle_conn, listen_host, listen_port
         )
-        deployment = host_deployment(self.name, self.transport)
+        deployment = self.deployment = host_deployment(self.name,
+                                                       self.transport)
         print("READY", flush=True)
         await self.go.wait()
         self.clock.set_epoch(self.go_t0)
@@ -250,14 +306,23 @@ class ProcessRuntime:
         await asyncio.sleep(0.1)
         self.rtk.stop()
         await pump
+        for probe in list(self._probes.values()):
+            probe.cancel()
         stats = self.transport.channel_counters()
+        detection = detection_counts(deployment)
         if stats:
             summary = " ".join(
                 f"{dst}:r{c['reconnects']}/cf{c['connect_failures']}"
                 f"/rs{c['items_resent']}/er{c['epoch_resets']}"
                 for dst, c in stats.items()
             )
+            if detection:
+                summary += " detector:" + "/".join(
+                    f"{cause}={n}" for cause, n in detection.items())
             print(f"channels: {summary}", file=sys.stderr, flush=True)
+        if detection:
+            print("DETECTOR " + json.dumps(detection, sort_keys=True),
+                  flush=True)
         if self.torn_frames or self.proto_rejects:
             print(f"inbound: torn_frames={self.torn_frames} "
                   f"proto_rejects={self.proto_rejects}",

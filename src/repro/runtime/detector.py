@@ -1,4 +1,4 @@
-"""Heartbeat-based failure detection.
+"""Failure detection: a heartbeat timeout, and a crash confirmed at once.
 
 The paper takes failure detection as given ("If an engine fails, its
 passive backup becomes active").  This module supplies the missing
@@ -8,12 +8,31 @@ dead after ``miss_limit`` consecutive silent periods and triggers the
 recovery manager.  With the detector enabled, a fail-stop injected by
 :class:`~repro.runtime.failure.FailureInjector` (or any other cause of
 engine silence) is noticed *organically* — nothing tells the recovery
-path out of band.
+path out of band.  Any traffic from the engine is proof of life: a
+checkpoint re-arms the deadline like a heartbeat does, so a loaded
+leader whose beat queues behind checkpoint frames is not suspected.
 
-Detection time is therefore ``~ miss_limit * heartbeat_interval`` plus
-one transit, and it trades against false positives under delay spikes —
-the classic dilemma, exposed here as two knobs and measured by the
-detection ablation in :mod:`repro.experiments.ablations`.
+There are two detection paths, and both land in the same place
+(:meth:`HeartbeatDetector._declare`: fence, then promote):
+
+* **Timeout** — the only path in simulation, and the one every *stall*
+  waits for: a stopped process, a blackholed or partitioned link, a
+  proxied link.  It takes ``~ miss_limit * heartbeat_interval`` plus one
+  transit, rank-scaled (see :attr:`HeartbeatDetector.timeout`), and it
+  trades against false positives under delay spikes — the classic
+  dilemma, exposed here as two knobs and measured by the detection
+  ablation in :mod:`repro.experiments.ablations`.
+* **Crash confirmed** (:meth:`HeartbeatDetector.confirm_crash`) — on the
+  live cluster a *crash* is visible on the sockets at once: the
+  connection from the engine's process ends, and every address that may
+  host the engine refuses a connect.  The networked server
+  (:mod:`repro.net.server`) gathers that evidence and injects the call;
+  promotion then follows in milliseconds instead of after the timeout.
+
+A refused listener is sound evidence, and detection accuracy never
+carries safety anyway: promotion still fences the old incarnation
+first, so a wrong verdict on either path costs a failover, never two
+live engines with one identity.
 """
 
 from __future__ import annotations
@@ -65,9 +84,10 @@ class HeartbeatDetector:
     """Replica-side: declares the engine dead after missed heartbeats.
 
     Attach with :meth:`watch`; the detector re-arms its timeout on every
-    heartbeat (delivered to it by the replica's ``receive`` hook) and
-    fires :meth:`RecoveryManager.engine_failed` with zero additional
-    detection delay — the heartbeat timeout *is* the detection delay.
+    heartbeat and checkpoint (delivered to it by the replica's
+    ``receive`` hook) and fires :meth:`RecoveryManager.engine_failed`
+    with zero additional detection delay — the heartbeat timeout *is*
+    the detection delay, unless :meth:`confirm_crash` cuts it short.
     After a failover the new engine's emitter resumes and watching
     continues automatically.
     """
@@ -91,8 +111,11 @@ class HeartbeatDetector:
         self.rank = int(rank)
         self._deadline_event = None
         self._last_seq: Optional[int] = None
-        #: Number of times this detector has declared the engine dead.
+        #: Number of times this detector has declared the engine dead,
+        #: and how: by the timeout, or by a crash confirmed on the wire.
         self.detections = 0
+        self.timeouts = 0
+        self.crash_confirmed = 0
         self._watching = False
 
     @property
@@ -115,6 +138,10 @@ class HeartbeatDetector:
         if beat.engine_id != self.engine_id:
             return
         self._last_seq = beat.seq
+        self.on_traffic()
+
+    def on_traffic(self) -> None:
+        """Any traffic from the watched engine is proof of life: re-arm."""
         if self._watching:
             self._arm()
 
@@ -133,8 +160,33 @@ class HeartbeatDetector:
             # Promotion already underway; just keep watching.
             self._arm()
             return
+        self.timeouts += 1
+        self._declare()
+
+    def confirm_crash(self) -> None:
+        """The engine's process is gone: promote now, not at the timeout.
+
+        Called (through the pump) when every address that may host the
+        engine refused a connect.  A no-op while not watching, while a
+        promotion is underway, and once the engine is hosted here — a
+        late connection end after our own promotion says nothing about
+        the engine we now run.
+        """
+        from repro.runtime.engine import ExecutionEngine
+
+        if not self._watching or self.recovery.in_progress(self.engine_id):
+            return
+        engine = self.recovery.deployment.engines.get(self.engine_id)
+        if isinstance(engine, ExecutionEngine):
+            return
+        self.crash_confirmed += 1
+        self._declare()
+
+    def _declare(self) -> None:
+        """Declare the engine dead: fence and promote, keep watching."""
         self.detections += 1
-        # The timeout already covers the detection delay; promote now.
+        # Detection is over (the timeout ran, or the crash is confirmed):
+        # promote now.
         self.recovery.engine_failed(self.engine_id, detection_delay=0)
         # Keep watching: the promoted engine resumes heartbeats; if IT
         # dies too, we detect again.

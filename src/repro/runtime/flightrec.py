@@ -109,10 +109,8 @@ def external_logs_of(deployment) -> Tuple[Dict[str, List[Tuple]],
     logs: Dict[str, List[Tuple]] = {}
     truncated: Dict[str, int] = {}
     for input_id, ingress in deployment.ingresses.items():
-        entries = [entry for entry in ingress.log._entries
-                   if entry is not None]
-        logs[input_id] = [tuple(entry) for entry in entries]
-        truncated[input_id] = ingress.log._truncated_through
+        logs[input_id] = ingress.log.live_entries()
+        truncated[input_id] = ingress.log.truncated_through
     return logs, truncated
 
 

@@ -15,18 +15,28 @@ asynchronously relative to the sender but before processing.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from collections import deque
+from itertools import islice
+from typing import Any, Deque, List, Tuple
 
 from repro.errors import RecoveryError
 
 
 class ExternalMessageLog:
-    """Append-only stable log of (seq, vt, payload) for one wire."""
+    """Append-only stable log of (seq, vt, payload) for one wire.
+
+    Only the entries not yet stable downstream are kept: a deque whose
+    head has sequence number :attr:`truncated_through` + 1.  Garbage
+    collection pops the newly stable prefix and nothing else, so its
+    cost and the log's memory follow the unstable window, not the run.
+    """
 
     def __init__(self, wire_id: int):
         self.wire_id = wire_id
-        self._entries: List[Tuple[int, int, Any]] = []
-        self._truncated_through = -1
+        self._live: Deque[Tuple[int, int, Any]] = deque()
+        #: Sequence number of ``_live[0]`` (every lower one is collected).
+        self._base = 0
+        self._next_seq = 0
         self._last_vt = -1
 
     def append(self, vt: int, payload: Any) -> int:
@@ -37,23 +47,33 @@ class ExternalMessageLog:
                 f"({vt} < {self._last_vt})"
             )
         self._last_vt = vt
-        seq = len(self._entries)
-        self._entries.append((seq, vt, payload))
+        seq = self._next_seq
+        self._next_seq += 1
+        self._live.append((seq, vt, payload))
         return seq
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._next_seq
+
+    @property
+    def truncated_through(self) -> int:
+        """Highest garbage-collected sequence number (-1: none)."""
+        return self._base - 1
+
+    def live_entries(self) -> List[Tuple[int, int, Any]]:
+        """The entries not yet garbage-collected, oldest first."""
+        return list(self._live)
 
     def entries_from(self, from_seq: int) -> List[Tuple[int, int, Any]]:
         """All logged entries with seq >= ``from_seq`` (replay source)."""
         if from_seq < 0:
             raise RecoveryError(f"negative replay seq {from_seq}")
-        if from_seq <= self._truncated_through:
+        if from_seq < self._base:
             raise RecoveryError(
                 f"log {self.wire_id}: seq {from_seq} was garbage-collected "
-                f"(stable through {self._truncated_through})"
+                f"(stable through {self.truncated_through})"
             )
-        return [e for e in self._entries[from_seq:] if e is not None]
+        return list(islice(self._live, from_seq - self._base, None))
 
     def last_vt(self) -> int:
         """Virtual time of the newest entry (-1 if empty)."""
@@ -62,15 +82,13 @@ class ExternalMessageLog:
     def truncate_through(self, seq_inclusive: int) -> int:
         """Garbage-collect a stable prefix (downstream checkpoint covers it).
 
-        Entries are replaced with tombstones rather than shifted so that
-        sequence numbers remain stable.  Returns the number of entries
-        collected.
+        Sequence numbers stay stable: later entries keep theirs.  Only
+        the newly stable entries are visited.  Returns the number of
+        entries collected.
         """
-        collected = 0
-        for i in range(min(seq_inclusive + 1, len(self._entries))):
-            if self._entries[i] is not None:
-                self._entries[i] = None  # type: ignore[assignment]
-                collected += 1
-        self._truncated_through = max(self._truncated_through,
-                                      min(seq_inclusive, len(self._entries) - 1))
+        collected = max(0, min(seq_inclusive + 1, self._next_seq) - self._base)
+        popleft = self._live.popleft
+        for _ in range(collected):
+            popleft()
+        self._base += collected
         return collected

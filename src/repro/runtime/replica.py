@@ -59,7 +59,10 @@ class PassiveReplica:
         self.detector = None
 
     def receive(self, item: Any) -> None:
-        """Store a soft checkpoint / heartbeat and acknowledge data."""
+        """Store a soft checkpoint / heartbeat and acknowledge data.
+
+        Both are proof that the engine lives and re-arm the detector.
+        """
         from repro.runtime.detector import Heartbeat
 
         if isinstance(item, Heartbeat):
@@ -72,6 +75,8 @@ class PassiveReplica:
             raise RecoveryError(
                 f"replica {self.node_id}: checkpoint for {item.engine_id}"
             )
+        if self.detector is not None:
+            self.detector.on_traffic()
         decoded = cpser.loads(item.blob)
         if not item.incremental:
             # A full checkpoint obsoletes the existing chain.

@@ -130,7 +130,8 @@ def test_kill_arguments_need_a_follower(capsys):
 COMMON_KEYS = {
     "killed", "complete", "error", "counts", "streams", "arrival_ticks",
     "stutter", "elapsed_s", "child_exit_codes", "epoch_resets",
-    "incarnations", "channel_counters", "audit_reports", "metrics",
+    "incarnations", "channel_counters", "audit_reports", "detector",
+    "metrics",
 }
 GATEWAY_KEYS = {"reference", "gateway", "clients", "exactly_once_violations",
                 "latency", "shadow"}

@@ -81,7 +81,7 @@ class TestCheckpointing:
         dep = make_deployment(checkpoint_interval=ms(10))
         dep.run(until=seconds(1))
         log = dep.ingress("ext1").log
-        assert log._truncated_through > 100
+        assert log.truncated_through > 100
 
     def test_checkpointing_requires_replica(self):
         app = build_wordcount_app(1)

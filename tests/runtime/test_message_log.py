@@ -1,5 +1,7 @@
 """Unit tests for the stable external-message log."""
 
+from collections import deque
+
 import pytest
 
 from repro.errors import RecoveryError
@@ -71,3 +73,55 @@ class TestTruncation:
         log.truncate_through(0)
         assert log.append(20, "b") == 1
         assert log.entries_from(1) == [(1, 20, "b")]
+
+
+class TestCollectionCost:
+    def test_second_truncation_visits_no_collected_entry(self):
+        class CountingDeque(deque):
+            visits = 0
+
+            def popleft(self):
+                CountingDeque.visits += 1
+                return super().popleft()
+
+            def __iter__(self):
+                raise AssertionError("truncation must not scan the log")
+
+            def __getitem__(self, index):
+                raise AssertionError("truncation must not index the log")
+
+        log = ExternalMessageLog(1)
+        log._live = CountingDeque()
+        for i in range(1000):
+            log.append(i, f"p{i}")
+        assert log.truncate_through(899) == 900
+        visited = CountingDeque.visits
+        assert log.truncate_through(904) == 5
+        assert CountingDeque.visits - visited == 5
+        assert log.truncate_through(904) == 0
+        assert CountingDeque.visits - visited == 5
+
+    def test_memory_is_the_unstable_window(self):
+        log = ExternalMessageLog(1)
+        for i in range(10_000):
+            log.append(i, i)
+            if i % 100 == 99:
+                log.truncate_through(i - 10)
+        assert len(log) == 10_000
+        assert log.truncated_through == 9_989
+        assert len(log.live_entries()) == 10
+        assert log.entries_from(9_990)[0] == (9_990, 9_990, 9_990)
+
+    def test_live_entries_and_mark_after_truncation(self):
+        log = ExternalMessageLog(1)
+        assert log.truncated_through == -1
+        for i in range(4):
+            log.append(i, f"p{i}")
+        log.truncate_through(1)
+        assert log.truncated_through == 1
+        assert log.live_entries() == [(2, 2, "p2"), (3, 3, "p3")]
+        # Truncating past the end collects what exists, nothing more.
+        assert log.truncate_through(10) == 2
+        assert log.truncated_through == 3
+        assert log.append(9, "p4") == 4
+        assert log.live_entries() == [(4, 9, "p4")]
