@@ -387,7 +387,7 @@ def run_chaos(
         if key in ("counts", "complete", "error", "killed", "stutter",
                    "elapsed_s", "child_exit_codes", "epoch_resets",
                    "incarnations", "channel_counters", "chaos",
-                   "audit_reports", "detector")
+                   "audit_reports", "detector", "lifecycle")
     }
     report["verdict"] = verdict
     report["ok"] = verdict["ok"] and report.get("sim", {}).get(

@@ -71,10 +71,6 @@ from repro.tools.verify_determinism import (
     verify_trace_equivalence,  # noqa: F401 - bench/wl_gw_steady.py spans it
 )
 
-#: Extra wall seconds between the GO epoch and the first client send,
-#: so every engine is ticking before load arrives.
-CLIENT_LEAD_S = 0.25
-
 
 def gateway_payload_factory(n_devices: int = 8, n_fields: int = 4):
     """Client payloads for the pipeline app: readings *without* birth.
@@ -151,11 +147,12 @@ async def run_gateway_cluster(
             clients = build_clients(plan, spec.gateway_addr(),
                                     payload_factory
                                     or gateway_payload_factory())
-            client_t0 = (time.monotonic() + (cluster.t0 - time.time())
-                         + CLIENT_LEAD_S)
+            # The fleet starts at the cluster's shared epoch.
+            client_t0 = time.monotonic() + (cluster.t0 - time.time())
             fleet = asyncio.gather(*(c.run(client_t0) for c in clients),
                                    return_exceptions=True)
-            if not await cluster.poll(fleet.done, kill_engine, kill_due):
+            if not await cluster.poll(fleet.done, kill_engine, kill_due,
+                                      wake=fleet):
                 fleet.cancel()
                 raise RuntimeError(
                     f"clients still running at the {deadline_s}s deadline"

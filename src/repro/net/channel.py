@@ -24,6 +24,10 @@ channel only performs them:
   ``FRAME_BATCH`` frames (``batch_max_items`` items each).  The receiver
   acks once per frame; an ``upto`` outside ``[frontier, next_seq]`` is
   rejected, so a stale host can neither regress nor overrun it.
+* **Awaitable milestones.**  :meth:`~OutboundChannel.welcomed` returns
+  once a WELCOME is accepted and :meth:`~OutboundChannel.flushed` once
+  nothing sent is unacknowledged (or the connection is gone): the
+  cluster's GO and shutdown barriers wait on these, not on sleeps.
 
 Address lists are ordered candidates: for an engine node the primary
 host comes first and its replica's process second, so after a failover
@@ -252,6 +256,9 @@ class OutboundChannel:
         self._backoff: Optional[asyncio.Future] = None
         self._closed = False
         self._task: Optional[asyncio.Task] = None
+        #: Parked :meth:`welcomed` and :meth:`flushed` callers.
+        self._welcome_waiters: List[asyncio.Future] = []
+        self._flush_waiters: List[asyncio.Future] = []
         #: Fatal protocol rejection, once one arrived (FRAME_ERROR).
         self.last_error: Optional[Exception] = None
         #: Diagnostics.
@@ -295,6 +302,38 @@ class OutboundChannel:
         exerts backpressure: one group's failover must not stall the
         pump for every other group (its epoch reset drops the backlog)."""
         return self._state.connected and self.backlog() > HIGH_WATER_ITEMS
+
+    async def welcomed(self) -> None:
+        """Return once a WELCOME is accepted (at once while connected).
+
+        NOT_HERE, a refused or failed dial and a refused incarnation do
+        not end the wait; bound it with a timeout.
+        """
+        if not self._state.connected:
+            await self._park(self._welcome_waiters)
+
+    async def flushed(self) -> None:
+        """Return once every item is acknowledged, or the connection is
+        gone (at once if so already).
+
+        A channel that is not connected is not waited for: at shutdown
+        its peer is going away too and would not act on the items.
+        """
+        if self._state.connected and self.backlog():
+            await self._park(self._flush_waiters)
+
+    async def _park(self, waiters: List[asyncio.Future]) -> None:
+        waiter = asyncio.get_running_loop().create_future()
+        waiters.append(waiter)
+        try:
+            await waiter
+        finally:
+            waiters.remove(waiter)
+
+    def _wake_flushed(self) -> None:
+        if not (self._state.connected and self.backlog()):
+            for waiter in self._flush_waiters:
+                _release(waiter)
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
@@ -383,12 +422,15 @@ class OutboundChannel:
                         timer.cancel()
                         self._backoff = None
                 continue
+            for waiter in self._welcome_waiters:
+                _release(waiter)
             try:
                 await self._converse(reader, writer, tail)
             except (ConnectionError, OSError, asyncio.IncompleteReadError):
                 pass
             finally:
                 state.on_disconnect()
+                self._wake_flushed()
                 self.reconnects += 1
                 writer.close()
                 try:
@@ -470,13 +512,31 @@ class OutboundChannel:
                 frame_tag, body = frame
                 if frame_tag != codec.FRAME_ACK:
                     continue
-                if on_ack(body["upto"]) and watcher is not None:
-                    watcher(body["upto"])
+                if on_ack(body["upto"]):
+                    if watcher is not None:
+                        watcher(body["upto"])
+                    if self._flush_waiters:
+                        self._wake_flushed()
         except TransportError:
             # Covers CodecError: the connection died mid-frame or the
             # peer sent garbage — a reset, not an orderly close; the
             # reconnect loop retransmits the unacked tail.
             self.torn_frames += 1
+
+
+async def all_flushed(channels: Sequence[OutboundChannel],
+                      timeout: float) -> bool:
+    """Wait until each of ``channels`` is :meth:`~OutboundChannel.flushed`;
+    False if ``timeout`` seconds pass first."""
+    if not channels:
+        return True
+    try:
+        await asyncio.wait_for(
+            asyncio.gather(*(channel.flushed() for channel in channels)),
+            timeout)
+    except asyncio.TimeoutError:
+        return False
+    return True
 
 
 async def _handshake(address: Tuple[str, int], peer_id: str, dst_node: str,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
@@ -92,6 +92,11 @@ class RealtimeKernel:
     :data:`_MAX_POLL_S`).  An :meth:`inject` into an idle pump swaps
     that timer for a ``call_soon``, so an arrival reaches its handler
     one loop iteration later, without creating a task.
+
+    :meth:`when` lets a watcher wake on the pump instead of on a timer:
+    one plain future, resolved by the first step after which the
+    watcher's predicate holds, so the pump pays one predicate call per
+    step while watched and nothing otherwise.
     """
 
     def __init__(self, sim: Simulator, clock: RealtimeClock,
@@ -110,6 +115,9 @@ class RealtimeKernel:
         #: Whether ``_handle`` is an idle timer an inject may cut short
         #: (a congestion pause is not).
         self._idle_timer = False
+        #: The watcher's (predicate, future), see :meth:`when`.
+        self._watch: Optional[Tuple[Callable[[], bool],
+                                    asyncio.Future]] = None
         #: Diagnostics.
         self.injected = 0
         self.congestion_pauses = 0
@@ -133,6 +141,26 @@ class RealtimeKernel:
         self._disarm()
         if self._done is not None and not self._done.done():
             self._done.set_result(None)
+        self._end_watch()
+
+    def when(self, predicate: Callable[[], bool]) -> asyncio.Future:
+        """A future resolved at the end of the first step after which
+        ``predicate()`` holds (failed with what it raised), or when the
+        pump stops or fails.  One watcher at a time: a new call ends the
+        previous watch.  Resolving the future early (a deadline, another
+        event) just ends the wait."""
+        self._end_watch()
+        future = asyncio.get_running_loop().create_future()
+        self._watch = (predicate, future)
+        return future
+
+    def _end_watch(self, exc: Optional[BaseException] = None) -> None:
+        watch, self._watch = self._watch, None
+        if watch is not None and not watch[1].done():
+            if exc is None:
+                watch[1].set_result(None)
+            else:
+                watch[1].set_exception(exc)
 
     async def run(self) -> None:
         """Pump until :meth:`stop`; raises what a pumped callback raised."""
@@ -163,11 +191,21 @@ class RealtimeKernel:
         self._idle_timer = False
 
     def _step(self) -> None:
-        """One pump iteration: advance, drain the inbox, arm the next."""
+        """One pump iteration, then the watcher's test."""
         self._handle = None
         self._idle_timer = False
         if self._stopped:
             return
+        self._advance()
+        if self._watch is not None:
+            try:
+                if self._done.done() or self._watch[0]():
+                    self._end_watch()
+            except Exception as exc:  # the watcher's: raised in its wait
+                self._end_watch(exc)
+
+    def _advance(self) -> None:
+        """Advance, drain the inbox, arm the next step."""
         try:
             if self.congestion_check is not None and self.congestion_check():
                 # A peer is not keeping up: stop advancing local time so

@@ -45,11 +45,12 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 import repro
-from repro.errors import WiringError
+from repro.errors import TransportError, WiringError
 from repro.net import codec
+from repro.net.channel import OutboundChannel, all_flushed
 from repro.net.node import host_deployment
 from repro.net.server import ProcessRuntime
 from repro.net.topology import (
@@ -62,19 +63,9 @@ from repro.net.topology import (
     streams_of,
 )
 
-#: Seconds each child gets to bind its socket and print READY.
+#: Seconds each child gets to bind its socket and print READY, and
+#: then to answer its control channel's HELLO and acknowledge GO.
 READY_TIMEOUT_S = 20.0
-
-#: Lead time between the GO broadcast and the shared tick-zero epoch,
-#: so control channels can connect before anyone's clock starts.
-GO_LEAD_S = 0.75
-
-#: Period of the coordinator's poll loop (kill trigger, done predicate).
-POLL_S = 0.05
-
-#: Wall seconds between the Shutdown broadcast and stopping the pump,
-#: so in-flight frames and acks drain.
-DRAIN_S = 0.3
 
 
 class ChildProcess:
@@ -216,10 +207,18 @@ class ClusterHarness:
     (``runtime``, and ``deployment``: every ingress and consumer, with
     the spec's producers attached) and opens nothing.  ``async with``
     enters with the cluster running — coordinator socket bound, chaos proxy
-    started, children spawned and past the READY barrier, GO epoch
-    ``t0`` broadcast, pump task started — and leaves with it shut down,
-    reaped, and the common diagnostics in ``result``.  A bring-up that
-    fails part-way releases what it had opened and re-raises.
+    started, children spawned and past the READY barrier, every child's
+    control channel welcomed, GO epoch ``t0`` acknowledged by every
+    child, pump task started — and leaves with it shut down, reaped, and
+    the common diagnostics in ``result``.  A bring-up that fails
+    part-way releases what it had opened and re-raises.
+
+    Every wait ends on the event it stands for, bounded by a timeout
+    that already exists: READY lines, WELCOMEs and acks, pump steps,
+    process exits.  ``result["lifecycle"]`` reports how long they took
+    (``ready_s``, ``go_rtt_ms``, ``shutdown_s``), how many children
+    acknowledged GO only after ``t0`` (``go_late``), and the errors met
+    on the way out (``events``: ``{phase, type, message}``).
 
     The body is the driver.  It starts whatever offers load (seeded
     producers are already running; a gateway and its clients are the
@@ -244,7 +243,12 @@ class ClusterHarness:
         self.runtime = ProcessRuntime("coordinator", spec)
         self.deployment = host_deployment("coordinator",
                                           self.runtime.transport)
-        self.result: Dict = {"killed": None, "complete": False, "error": None}
+        self.result: Dict = {
+            "killed": None, "complete": False, "error": None,
+            "lifecycle": {"ready_s": None, "go_rtt_ms": None,
+                          "go_late": None, "shutdown_s": None,
+                          "events": []},
+        }
         self.children: Dict[str, ChildProcess] = {}
         self.t0 = 0.0
         self._server: Optional[asyncio.AbstractServer] = None
@@ -262,6 +266,8 @@ class ClusterHarness:
 
     async def _bring_up(self) -> None:
         runtime, spec, chaos = self.runtime, self.spec, self.chaos
+        lifecycle = self.result["lifecycle"]
+        started = time.monotonic()
         self._server = await asyncio.start_server(
             runtime._handle_conn, *spec.listen_addr("coordinator")
         )
@@ -278,20 +284,58 @@ class ClusterHarness:
         loop = asyncio.get_running_loop()
         await asyncio.gather(*(loop.run_in_executor(None, child.wait_ready)
                                for child in self.children.values()))
+        lifecycle["ready_s"] = round(time.monotonic() - started, 3)
 
-        # GO: one shared epoch for every tick clock in the cluster.
-        self.t0 = time.time() + GO_LEAD_S
-        for name in self.children:
-            runtime.transport.channel_to(f"proc:{name}").enqueue(
-                runtime.peer_id, codec.GoSignal(t0=self.t0, speed=spec.speed)
-            )
+        # GO: one shared epoch for every tick clock in the cluster, twice
+        # the slowest control-channel connect ahead; each child's ack
+        # then shows whether its GO arrived before t0.
+        controls = {name: runtime.transport.channel_to(f"proc:{name}")
+                    for name in self.children}
+        connect_s = await self._barrier(
+            "answer its control channel's HELLO",
+            {name: channel.welcomed() for name, channel in controls.items()})
+        self.t0 = time.time() + 2.0 * max(connect_s.values(), default=0.0)
+        for channel in controls.values():
+            channel.enqueue(runtime.peer_id,
+                            codec.GoSignal(t0=self.t0, speed=spec.speed))
+        sent = time.time()
+        go_s = await self._barrier(
+            "acknowledge GO",
+            {name: channel.flushed() for name, channel in controls.items()})
+        lifecycle["go_rtt_ms"] = round(
+            1e3 * max(go_s.values(), default=0.0), 3)
+        lifecycle["go_late"] = sum(
+            1 for name, channel in controls.items()
+            if channel.backlog() or sent + go_s[name] > self.t0)
         runtime.clock.set_epoch(self.t0)
         if chaos is not None:
             chaos.on_go(self.t0)
         self.deployment.start()
         self._pump = loop.create_task(runtime.rtk.run(),
                                       name="pump:coordinator")
-        self._deadline = time.monotonic() + self.deadline_s
+        self._deadline = loop.time() + self.deadline_s
+
+    async def _barrier(self, what: str,
+                       waits: Dict[str, Awaitable]) -> Dict[str, float]:
+        """Await every child's ``waits[name]``; name -> seconds it took.
+        A child that takes over :data:`READY_TIMEOUT_S` fails bring-up."""
+        started = time.monotonic()
+        took: Dict[str, float] = {}
+
+        async def timed(name: str, wait: Awaitable) -> None:
+            await wait
+            took[name] = time.monotonic() - started
+
+        try:
+            await asyncio.wait_for(
+                asyncio.gather(*(timed(name, wait)
+                                 for name, wait in waits.items())),
+                READY_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            missing = ", ".join(name for name in waits if name not in took)
+            raise RuntimeError(f"child(ren) {missing} did not {what} "
+                               f"within {READY_TIMEOUT_S}s") from None
+        return took
 
     def counts(self) -> Dict[str, int]:
         """sink -> effective outputs delivered so far."""
@@ -301,8 +345,14 @@ class ClusterHarness:
     async def poll(self, done: Callable[[], bool],
                    kill_engine: Optional[str] = None,
                    kill_due: Optional[Callable[[], Optional[Dict]]] = None,
-                   ) -> bool:
+                   wake: Optional[asyncio.Future] = None) -> bool:
         """Wait for ``done()``; False if the run's deadline comes first.
+
+        The coordinator's pump — where outputs are delivered and
+        admissions stamped — tests the predicates after each of its
+        steps and wakes this wait when one holds; so do the end of the
+        pump, the completion of ``wake`` (say, the client fleet) and the
+        deadline.  No timer polls.
 
         With ``kill_engine`` set, that engine's process is SIGKILLed the
         first time ``kill_due()`` returns a dict (the trigger's own
@@ -310,24 +360,48 @@ class ClusterHarness:
         also records the engine, the wall ``at_s`` and the coordinator's
         ``at_ticks``, which the verdict judges it by.
         """
-        while time.monotonic() < self._deadline:
-            if self._pump.done():
-                self._pump.result()  # surfaces TransportError etc.
-                raise RuntimeError("coordinator pump exited early")
-            if kill_engine is not None and self.result["killed"] is None:
-                trigger = kill_due()
-                if trigger is not None:
-                    self.children[f"engine-{kill_engine}"].kill()
-                    self.result["killed"] = {
-                        "engine": kill_engine,
-                        "at_s": round(time.monotonic() - self.started, 3),
-                        "at_ticks": self.runtime.clock.ticks(),
-                        **trigger,
-                    }
-            if done():
-                return True
-            await asyncio.sleep(POLL_S)
-        return False
+        loop, rtk = asyncio.get_running_loop(), self.runtime.rtk
+        result = self.result
+        waiter: Optional[asyncio.Future] = None
+
+        def ready() -> bool:
+            return done() or (kill_engine is not None
+                              and result["killed"] is None
+                              and kill_due() is not None)
+
+        def end_wait(*_args) -> None:
+            if waiter is not None and not waiter.done():
+                waiter.set_result(None)
+
+        timer = loop.call_at(self._deadline, end_wait)
+        self._pump.add_done_callback(end_wait)
+        if wake is not None:
+            wake.add_done_callback(end_wait)
+        try:
+            while loop.time() < self._deadline:
+                if self._pump.done():
+                    self._pump.result()  # surfaces TransportError etc.
+                    raise RuntimeError("coordinator pump exited early")
+                if kill_engine is not None and result["killed"] is None:
+                    trigger = kill_due()
+                    if trigger is not None:
+                        self.children[f"engine-{kill_engine}"].kill()
+                        result["killed"] = {
+                            "engine": kill_engine,
+                            "at_s": round(time.monotonic() - self.started, 3),
+                            "at_ticks": self.runtime.clock.ticks(),
+                            **trigger,
+                        }
+                if done():
+                    return True
+                waiter = rtk.when(ready)
+                await waiter
+            return False
+        finally:
+            timer.cancel()
+            self._pump.remove_done_callback(end_wait)
+            if wake is not None:
+                wake.remove_done_callback(end_wait)
 
     async def __aexit__(self, exc_type, exc, tb) -> bool:
         reported = isinstance(exc, Exception)
@@ -336,30 +410,64 @@ class ClusterHarness:
         await self._shut_down()
         return reported
 
+    def _event(self, phase: str, exc: BaseException) -> None:
+        """Record an error met at ``phase`` as a lifecycle event."""
+        self.result["lifecycle"]["events"].append(
+            {"phase": phase, "type": type(exc).__name__,
+             "message": str(exc)})
+
+    def _send_shutdown(self, names: List[str]) -> List[OutboundChannel]:
+        """Enqueue a Shutdown to each child of ``names`` still running;
+        the control channels it went out on."""
+        runtime, channels = self.runtime, []
+        for name in names:
+            if self.children[name].proc.poll() is None:
+                try:
+                    channel = runtime.transport.channel_to(f"proc:{name}")
+                except TransportError as exc:  # no address to tell it at
+                    self._event("shutdown", exc)
+                    continue
+                channel.enqueue(runtime.peer_id,
+                                codec.Shutdown("run complete"))
+                channels.append(channel)
+        return channels
+
     async def _shut_down(self) -> None:
         """Release whatever bring-up got as far as opening."""
         runtime, result, children = self.runtime, self.result, self.children
+        loop = asyncio.get_running_loop()
+        stopping = time.monotonic()
         if self._pump is None:
             # Never reached GO: the children are parked before their own
             # pumps and would not act on a Shutdown.
             for child in children.values():
                 child.kill()
         else:
-            for name, child in children.items():
-                if child.proc.poll() is None:
-                    try:
-                        runtime.transport.channel_to(f"proc:{name}").enqueue(
-                            runtime.peer_id, codec.Shutdown("run complete")
-                        )
-                    except Exception:  # noqa: BLE001 - best-effort shutdown
-                        pass
-            await asyncio.sleep(DRAIN_S)
+            # Followers first: once each has acknowledged its Shutdown its
+            # detectors are off, so an engine exiting cannot read as a
+            # crash to a follower still watching.
+            followers = {self.spec.follower_process(engine_id, rank)
+                         for engine_id in self.spec.engines
+                         for rank in range(self.spec.replicas)}
+            await all_flushed(
+                self._send_shutdown([n for n in children if n in followers]),
+                self.spec.connect_timeout_s)
+            self._send_shutdown([n for n in children if n not in followers])
+        # The coordinator keeps pumping — acking and consuming what the
+        # children flush on their way out — until every child has exited.
+        codes = await asyncio.gather(*(loop.run_in_executor(None, child.reap)
+                                       for child in children.values()))
+        exit_codes = dict(zip(children, codes))
+        if self._pump is not None:
             runtime.rtk.stop()
             try:
                 await self._pump
-            except Exception as exc:  # noqa: BLE001
+            except Exception as exc:  # noqa: BLE001 - a pumped callback's
+                self._event("shutdown", exc)
                 if result["error"] is None:
                     result["error"] = f"{type(exc).__name__}: {exc}"
+            result["lifecycle"]["shutdown_s"] = round(
+                time.monotonic() - stopping, 3)
         runtime.transport.export_metrics()
         counters = runtime.transport.channel_counters()
         result.update(
@@ -373,7 +481,6 @@ class ClusterHarness:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        exit_codes = {name: child.reap() for name, child in children.items()}
         if self._spec_path is not None:
             try:
                 self._spec_path.unlink()

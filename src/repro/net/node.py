@@ -41,7 +41,7 @@ from typing import Any, Dict, Optional
 
 from repro.errors import FenceDeliveryError
 from repro.net import codec
-from repro.net.channel import OutboundChannel, send_fence_once
+from repro.net.channel import OutboundChannel, all_flushed, send_fence_once
 from repro.net.topology import (
     ClusterSpec,
     attach_workload,
@@ -230,6 +230,11 @@ class NetTransport:
                 sink.count(f"channel_{name}_total", value)
         if self.fence_failures:
             sink.count("channel_fence_failures_total", self.fence_failures)
+
+    async def flushed(self, timeout: float) -> bool:
+        """Wait until every outbound channel has its items acknowledged
+        or has hung up; False if ``timeout`` seconds pass first."""
+        return await all_flushed(list(self._channels.values()), timeout)
 
     async def close(self) -> None:
         for channel in list(self._channels.values()):

@@ -12,7 +12,10 @@ Each process:
 3. starts its share of the deployment (an engine or a follower, see
    :func:`~repro.net.node.host_deployment`) and pumps the simulator with
    :class:`~repro.net.clock.RealtimeKernel` until a
-   :class:`~repro.net.codec.Shutdown` arrives.
+   :class:`~repro.net.codec.Shutdown` arrives;
+4. stops the pump, waits until every item it sent is acknowledged or
+   its peer has hung up (at most ``connect_timeout_s``), prints its
+   DETECTOR / AUDIT lines and exits.
 
 Inbound connection protocol (the receiving half of
 :class:`~repro.net.channel.OutboundChannel`): a HELLO whose ``proto``
@@ -302,10 +305,11 @@ class ProcessRuntime:
             self.rtk.run(), name=f"pump:{self.name}"
         )
         await self.stopping.wait()
-        # Grace period: let in-flight frames and acks drain.
-        await asyncio.sleep(0.1)
+        # No new items once the pump stops; the ones already sent are
+        # waited for until acknowledged (or their peer hangs up).
         self.rtk.stop()
         await pump
+        await self.transport.flushed(self.spec.connect_timeout_s)
         for probe in list(self._probes.values()):
             probe.cancel()
         stats = self.transport.channel_counters()

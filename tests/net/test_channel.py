@@ -42,6 +42,8 @@ class FakeHost:
         #: When set: per-frame override of the acked ``upto`` (a callable
         #: taking the would-be honest value, returning the sent one).
         self.ack_script = None
+        #: When set: an ``asyncio.Event`` every ack waits for.
+        self.hold_acks = None
         self._writer = None
         self.server = None
         self.port = None
@@ -96,6 +98,8 @@ class FakeHost:
                 upto = self.expected
                 if self.ack_script is not None:
                     upto = self.ack_script(upto)
+                if self.hold_acks is not None:
+                    await self.hold_acks.wait()
                 writer.write(codec.encode_ack(upto))
                 await writer.drain()
         except (ConnectionError, OSError, TransportError):
@@ -566,3 +570,68 @@ def test_channel_state_and_send_window_are_sans_io():
                   if isinstance(node, ast.Name)}
         assert not names & {"asyncio", "time", "sleep", "open_connection",
                             "print"}, cls.__name__
+
+
+def test_welcomed_ends_on_welcome_never_on_not_here_or_a_refusal():
+    async def scenario():
+        host = FakeHost(accept=False)
+        await host.start()
+        quick = dict(backoff_min=0.001, backoff_max=0.002)
+        refused = OutboundChannel("sender:1", "n",
+                                  [("127.0.0.1", dead_port())], **quick)
+        turned_away = OutboundChannel("sender:1", "n",
+                                      [("127.0.0.1", host.port)], **quick)
+        loop = asyncio.get_running_loop()
+        waits = [loop.create_task(channel.welcomed())
+                 for channel in (refused, turned_away)]
+        refused.start()
+        turned_away.start()
+        await wait_until(lambda: refused.connect_failures >= 3
+                         and turned_away.connect_failures >= 3)
+        pending = [not wait.done() for wait in waits]
+        host.accept = True  # NOT_HERE until now; WELCOME from here on
+        await asyncio.wait_for(waits[1], 5.0)
+        await asyncio.wait_for(turned_away.welcomed(), 0.1)  # connected
+        still_refused = not waits[0].done()
+        waits[0].cancel()
+        for channel in (refused, turned_away):
+            await channel.close()
+        await host.stop()
+        return pending, still_refused
+
+    pending, still_refused = asyncio.run(scenario())
+    assert pending == [True, True]
+    assert still_refused
+
+
+def test_flushed_waits_for_the_ack_but_not_for_a_peer_that_hung_up():
+    async def scenario():
+        host = FakeHost()
+        await host.start()
+        channel = OutboundChannel("sender:1", "n", [("127.0.0.1", host.port)])
+        channel.start()
+        await channel.welcomed()
+        await asyncio.wait_for(channel.flushed(), 0.1)  # nothing to wait for
+        host.hold_acks = asyncio.Event()
+        channel.enqueue("src", msg(0))
+        flushing = asyncio.get_running_loop().create_task(channel.flushed())
+        await wait_until(lambda: len(host.items) == 1)
+        held = not flushing.done()
+        host.hold_acks.set()
+        await asyncio.wait_for(flushing, 5.0)
+        acked = channel.items_acked
+
+        host.hold_acks = asyncio.Event()  # never set: a peer going away
+        channel.enqueue("src", msg(1))
+        flushing = asyncio.get_running_loop().create_task(channel.flushed())
+        await wait_until(lambda: len(host.items) == 2)
+        host.kick()
+        await asyncio.wait_for(flushing, 5.0)
+        unacked = channel.backlog()
+        await channel.close()
+        await host.stop()
+        return held, acked, unacked
+
+    held, acked, unacked = asyncio.run(scenario())
+    assert held and acked == 1
+    assert unacked == 1  # ended by the hang-up, not by an ack

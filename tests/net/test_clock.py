@@ -179,3 +179,41 @@ def test_no_step_runs_after_stop_even_with_a_timer_armed():
         return fired
 
     assert asyncio.run(scenario()) == []
+
+
+def test_when_resolves_on_the_step_that_makes_the_predicate_true():
+    class Boom(Exception):
+        pass
+
+    async def scenario():
+        kernel = RealtimeKernel(Simulator(), RealtimeClock(1.0))
+        kernel.clock.set_epoch(time.time())
+        pump = asyncio.get_running_loop().create_task(kernel.run())
+        seen, tested = [], []
+
+        def holds():
+            tested.append(len(seen))
+            return len(seen) >= 2
+
+        watch = kernel.when(holds)
+        kernel.inject(lambda: seen.append(1))
+        await asyncio.sleep(0.005)
+        assert not watch.done()  # a step ran; the predicate did not hold
+        kernel.inject(lambda: seen.append(2))
+        await asyncio.wait_for(watch, 1.0)
+        steps_seen = list(tested)
+
+        def explode():
+            raise Boom("watcher")
+
+        with pytest.raises(Boom, match="watcher"):
+            await asyncio.wait_for(kernel.when(explode), 1.0)
+        stopped = kernel.when(lambda: False)
+        kernel.stop()
+        await asyncio.wait_for(stopped, 0.1)  # stop ends the watch
+        await pump
+        return steps_seen
+
+    steps_seen = asyncio.run(scenario())
+    # Tested after every step, and resolved by the first that held.
+    assert steps_seen[-1] == 2 and steps_seen.count(2) == 1

@@ -21,6 +21,7 @@ from repro.gateway.client import ClientPlan
 from repro.net.channel import OutboundChannel
 from repro.net.node import NetTransport
 from repro.net.server import ProcessRuntime
+from tests.net.test_server import sleeps_awaited_by
 from repro.net.topology import (
     ClusterSpec,
     build_deployment,
@@ -126,12 +127,32 @@ def test_kill_arguments_need_a_follower(capsys):
     assert "--replicas must be >= 0" in err
 
 
+def test_a_clean_run_waits_on_events_not_on_sleeps(monkeypatch):
+    # Bring-up, poll and shutdown each end on the event they stand for
+    # (READY, WELCOME, acks, pump steps, exits): counted, not timed.
+    slept = sleeps_awaited_by(monkeypatch, "repro.net.cluster")
+    spec = pipeline_spec(messages=20, master_seed=5)
+    reference = reference_run(spec)
+    result = asyncio.run(net_cluster.run_networked(
+        net_cluster.with_addresses(spec),
+        {sink: len(stream) for sink, stream in reference.items()},
+        deadline_s=45.0,
+    ))
+    assert result["error"] is None and result["complete"]
+    assert set(result["child_exit_codes"].values()) == {0}
+    lifecycle = result["lifecycle"]
+    assert lifecycle["go_late"] == 0 and lifecycle["events"] == []
+    assert lifecycle["ready_s"] > 0 and lifecycle["go_rtt_ms"] > 0
+    assert lifecycle["shutdown_s"] > 0
+    assert [delay for delay in slept if delay >= 0.01] == []
+
+
 #: What ``bench/`` and ``repro.chaos.runner`` read from a run's result.
 COMMON_KEYS = {
     "killed", "complete", "error", "counts", "streams", "arrival_ticks",
     "stutter", "elapsed_s", "child_exit_codes", "epoch_resets",
     "incarnations", "channel_counters", "audit_reports", "detector",
-    "metrics",
+    "lifecycle", "metrics",
 }
 GATEWAY_KEYS = {"reference", "gateway", "clients", "exactly_once_violations",
                 "latency", "shadow"}

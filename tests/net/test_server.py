@@ -4,6 +4,7 @@ version negotiation, batch delivery, ack coalescing, torn frames."""
 import asyncio
 import json
 import socket
+import sys
 import time
 
 import pytest
@@ -358,3 +359,69 @@ def test_enqueue_and_reset_do_not_end_the_backoff():
     failures, channel = asyncio.run(scenario())
     assert failures == 1
     assert channel.backlog() == 0  # the reset discarded the 50
+
+
+def sleeps_awaited_by(monkeypatch, module):
+    """Make ``asyncio.sleep`` record each delay that code of ``module``
+    awaits; returns the list it fills (a count, not a stopwatch)."""
+    delays = []
+    real_sleep = asyncio.sleep
+
+    async def recording(delay, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == module:
+            delays.append(delay)
+        return await real_sleep(delay, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "sleep", recording)
+    return delays
+
+
+@pytest.mark.parametrize("pending", [True, False])
+def test_shutdown_flushes_unacked_items_before_serve_returns(pending,
+                                                             monkeypatch):
+    """After Shutdown the pump stops and ``serve()`` waits until what was
+    already sent is acknowledged, on the ack itself — with nothing
+    pending it sleeps not at all.  ``connect_timeout_s``, the bound on
+    that wait, is far beyond the test's own timeouts."""
+    from repro.net.cluster import with_addresses
+    from tests.net.test_channel import FakeHost
+
+    slept = sleeps_awaited_by(monkeypatch, "repro.net.server")
+
+    async def scenario():
+        host = FakeHost()
+        await host.start()
+        if pending:
+            host.hold_acks = asyncio.Event()
+        spec = with_addresses(ClusterSpec(engines=["e0"], replicas=0,
+                                          speed=1.0))
+        spec.connect_timeout_s = 60.0
+        spec.addresses["probe"] = [("127.0.0.1", host.port)]
+        runtime = ProcessRuntime("engine-e0", spec)
+        serving = asyncio.get_running_loop().create_task(runtime.serve())
+        await wait_until(lambda: runtime.deployment is not None)
+        control = OutboundChannel("coordinator:1", "proc:engine-e0",
+                                  [spec.listen_addr("engine-e0")])
+        control.start()
+        control.enqueue("coordinator", codec.GoSignal(t0=time.time(),
+                                                      speed=1.0))
+        await wait_until(runtime.go.is_set)
+        probe = runtime.transport.channel_to("probe")
+        if pending:
+            probe.enqueue("e0", SilenceAdvance(wire_id=1, through_vt=0))
+            await wait_until(lambda: len(host.items) == 1)  # ack held
+        control.enqueue("coordinator", codec.Shutdown("test"))
+        await wait_until(runtime.stopping.is_set)
+        waited = None
+        if pending:
+            await asyncio.sleep(0.3)
+            waited = not serving.done()
+            host.hold_acks.set()
+        await asyncio.wait_for(serving, 10.0)
+        await control.close()
+        await host.stop()
+        return waited, probe.items_acked
+
+    waited, acked = asyncio.run(scenario())
+    assert (waited, acked) == ((True, 1) if pending else (None, 0))
+    assert [delay for delay in slept if delay >= 0.01] == []
