@@ -69,8 +69,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         connect_timeout_s=0.5,
         backoff_min_s=0.02,
         backoff_max_s=0.2,
-        fence_attempts=10,
-        fence_gap_s=0.1,
         **spec_keywords(args),
     )
     schedule = None

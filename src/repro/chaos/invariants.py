@@ -115,8 +115,7 @@ def convergence_violations(
             # byte identity already covers their output path.
             continue
         if expected is not None and host != expected:
-            line = ([f"engine-{engine_id}"]
-                    + list(spec.follower_processes(engine_id)))
+            line = spec.succession_line(engine_id)
             host_killed = any(e.kind == "kill" and e.target == host
                               for e in schedule.events)
             if complete and host in line and host_killed:

@@ -30,6 +30,8 @@ from repro.chaos.invariants import check_invariants
 from repro.errors import UnrecoverableClusterError
 from repro.chaos.proxy import FaultProxy, proxied_spec
 from repro.chaos.schedule import ChaosSchedule, generate_schedule
+from repro.net import codec
+from repro.net.channel import OutboundChannel
 from repro.net.cluster import run_networked, with_addresses
 from repro.net.topology import (
     ClusterSpec,
@@ -61,11 +63,11 @@ class ChaosDriver:
         self.children: Dict = {}
         #: Applied-action log lines, in application order (diffable).
         self.applied: List[str] = []
-        #: Corrupt events actually handed to a live process (the audit
-        #: invariant only demands heals for corruption that landed).
-        self.corrupted: List[Dict] = []
         self._task: Optional[asyncio.Task] = None
-        self._corrupt_tasks: List[asyncio.Task] = []
+        #: target process -> its fault channel and the corrupt events
+        #: enqueued on it, in order.
+        self._fault_channels: Dict[str, Tuple[OutboundChannel,
+                                              List[Dict]]] = {}
         self._actions = self._plan()
 
     # -- planning --------------------------------------------------------
@@ -158,14 +160,21 @@ class ChaosDriver:
                 await self._task
             except asyncio.CancelledError:
                 pass
-        for task in self._corrupt_tasks:
-            if not task.done():
-                task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
+        for target, (channel, events) in self._fault_channels.items():
+            await channel.close()
+            for index, event in enumerate(events):
+                outcome = ("delivered to" if index < channel.items_acked
+                           else "undeliverable:")
+                self.log(f"chaos corrupt {outcome} {target} "
+                         f"component={event['component'] or 'auto'}")
         await self.proxy.close()
+
+    @property
+    def corrupted(self) -> List[Dict]:
+        """Corrupt events a live process acknowledged (the audit
+        invariant only demands heals for corruption that landed)."""
+        return [event for channel, events in self._fault_channels.values()
+                for event in events[:channel.items_acked]]
 
     # -- execution -------------------------------------------------------
     async def _drive(self, t0: float) -> None:
@@ -182,38 +191,31 @@ class ChaosDriver:
             self.log(line)
 
     def _corrupt(self, target: str, component: str) -> None:
-        """Deliver one CorruptRequest to the process hosting ``target``.
+        """Enqueue one CorruptRequest for the process hosting ``target``.
 
-        Dials the process's *real* address (``proxy.targets``), not its
-        proxy front: corruption is god-mode fault injection and must
-        land regardless of whatever link faults the schedule has up.
-        Delivery is async (connect + handshake take real time); the
-        spawned task records the outcome when it resolves.
+        It rides a channel to the process's ``proc:<name>`` control node
+        at its *real* address (``proxy.targets``), not its proxy front:
+        corruption is god-mode fault injection and must land regardless
+        of whatever link faults the schedule has up.  The channel retries
+        until the driver closes; a corruption counts as delivered once
+        the process acknowledges it.
         """
         address = self.proxy.targets.get(target)
         if address is None:
             raise KeyError(f"no proxied process named {target!r}")
-        engine_id = target.split("-", 1)[-1]
-
-        async def _deliver() -> None:
-            from repro.net.channel import send_corrupt_once
-
-            ok = await send_corrupt_once(
-                address, "chaos-driver", target, engine_id, component,
-            )
-            if ok:
-                self.corrupted.append({
-                    "target": target, "component": component or None,
-                })
-            self.log(f"chaos corrupt "
-                     f"{'delivered to' if ok else 'undeliverable:'} "
-                     f"{target} component={component or 'auto'}")
-
-        self._corrupt_tasks.append(
-            asyncio.get_running_loop().create_task(
-                _deliver(), name=f"corrupt:{target}"
-            )
-        )
+        if target not in self._fault_channels:
+            spec = self.spec
+            channel = OutboundChannel(
+                "chaos-driver", f"proc:{target}", [address],
+                backoff_min=spec.backoff_min_s,
+                backoff_max=spec.backoff_max_s,
+                connect_timeout=spec.connect_timeout_s)
+            self._fault_channels[target] = (channel, [])
+            channel.start()
+        channel, events = self._fault_channels[target]
+        events.append({"target": target, "component": component or None})
+        channel.enqueue("chaos-driver", codec.CorruptRequest(
+            target.split("-", 1)[-1], component))
 
     def _signal(self, kind: str, target: str) -> None:
         child = self.children.get(target)

@@ -136,25 +136,21 @@ class TransportError(TartError):
 
 
 class FenceDeliveryError(TransportError):
-    """A fence request could not be handed to the peer within the retry
-    budget.
+    """A fence was still unacknowledged when its sender tore down.
 
     Fencing is best-effort by design (a dead engine cannot be fenced and
-    does not need to be), but the *attempt* must terminate: after
-    ``attempts`` connect/handshake tries against ``address`` the fence
-    path gives up with this structured error instead of silently
-    returning, so callers can record the failure and chaos tooling can
-    assert the retry budget was honoured.
+    does not need to be): the fence channel retries until the link heals,
+    and whatever is still unacknowledged at teardown is reported with
+    this structured error, naming the engine and the process that was to
+    be fenced, so a partitioned-but-alive primary does not vanish.
     """
 
-    def __init__(self, engine_id: str, address, attempts: int):
+    def __init__(self, engine_id: str, process: str):
         super().__init__(
-            f"fence for {engine_id}: no delivery to {address!r} "
-            f"after {attempts} attempt(s)"
+            f"fence for {engine_id}: not acknowledged by {process}"
         )
         self.engine_id = engine_id
-        self.address = address
-        self.attempts = attempts
+        self.process = process
 
 
 class ChaosError(TartError):

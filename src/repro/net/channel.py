@@ -33,6 +33,14 @@ Address lists are ordered candidates: for an engine node the primary
 host comes first and its replica's process second, so after a failover
 the reconnect loop finds the promoted incarnation by itself (the
 replica process answers NOT_HERE until promotion completes).
+
+This is the only sender.  Control traffic — the coordinator's GO and
+Shutdown, a promoted follower's fence, the chaos driver's corruption —
+rides channels to a process's always-hosted ``proc:<name>`` control
+node, so it is numbered, deduplicated, retried until the link heals and
+acknowledged like any other item.  The receiving half's dedup, resync
+and ack-value rule is the pure :class:`InboundState`, which
+:class:`~repro.net.server.ProcessRuntime` performs.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ import zlib
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import FenceDeliveryError, TransportError
+from repro.errors import TransportError
 from repro.net import codec
 from repro.runtime.link import SendWindow
 
@@ -222,6 +230,36 @@ class ChannelState:
         self.pending.clear()
         self.window.reset()
         self.epoch_resets += 1
+
+
+class InboundState:
+    """The receiving end's decisions for every inbound stream: dedup,
+    resync and the ack value.  No sockets, no event loop, no clock.
+
+    A stream is keyed by (sender peer, destination node, destination
+    incarnation), so a re-hosted node starts clean, matching the
+    sender's sequence restart on an epoch reset.
+    """
+
+    def __init__(self):
+        #: stream key -> the next sequence number expected on it.
+        self.expected: Dict[Tuple[str, str, str], int] = {}
+
+    def accept(self, key: Tuple[str, str, str], seq: int) -> bool:
+        """Whether item ``seq`` on stream ``key`` is fresh (deliver it);
+        False for a duplicate, which is only acked.
+
+        A ``seq`` above the expected one means a lost dedup entry:
+        resync to the sender rather than black-hole its stream.
+        """
+        if seq < self.expected.get(key, 0):
+            return False
+        self.expected[key] = seq + 1
+        return True
+
+    def ack_value(self, key: Tuple[str, str, str]) -> int:
+        """The cumulative ``upto`` to acknowledge on stream ``key``."""
+        return self.expected.get(key, 0)
 
 
 class OutboundChannel:
@@ -616,79 +654,3 @@ async def listener_refuses(address: Tuple[str, int], peer_id: str,
         if frame is not None:
             return False
     return False
-
-
-#: Per-attempt connect/handshake timeout of the fence path in seconds.
-FENCE_TIMEOUT_S = 1.0
-
-
-async def _deliver_once(address: Tuple[str, int], peer_id: str,
-                        dst_node: str, msg: Any, attempts: int, gap: float,
-                        timeout: float) -> Optional[bool]:
-    """Connect, handshake for ``dst_node`` and hand over one item.
-
-    Returns True once ``msg`` was written, False when the peer answered
-    NOT_HERE, and None when the address stayed unreachable for the
-    whole retry budget (``attempts`` tries, ``gap`` seconds apart).
-    """
-    for _ in range(max(1, attempts)):
-        try:
-            conn = await _handshake(address, peer_id, dst_node, timeout)
-        except TransportError:
-            conn = None
-        if conn is None:
-            await asyncio.sleep(gap)
-            continue
-        _reader, writer, frame = conn
-        try:
-            if frame is not None and frame[0] == codec.FRAME_WELCOME:
-                writer.write(codec.encode_item(0, peer_id, msg))
-                await writer.drain()
-                return True
-            return False
-        except (ConnectionError, OSError):
-            await asyncio.sleep(gap)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-    return None
-
-
-async def send_fence_once(address: Tuple[str, int], peer_id: str,
-                          engine_id: str, attempts: int = 10,
-                          gap: float = 0.2,
-                          timeout: float = FENCE_TIMEOUT_S) -> bool:
-    """One-shot fence delivery to an engine's *primary* address (never
-    the replica's, so a completed promotion cannot fence itself).
-
-    True when the fence was handed over, False on NOT_HERE (nothing to
-    fence — the common post-crash case).  An address unreachable for the
-    whole retry budget raises :class:`~repro.errors.FenceDeliveryError`:
-    a partitioned-but-alive primary is what operators need to see.
-    """
-    delivered = await _deliver_once(address, peer_id, engine_id,
-                                    codec.FenceRequest(engine_id),
-                                    attempts, gap, timeout)
-    if delivered is None:
-        raise FenceDeliveryError(engine_id, address, max(1, attempts))
-    return delivered
-
-
-async def send_corrupt_once(address: Tuple[str, int], peer_id: str,
-                            process: str, engine_id: str,
-                            component: str = "", attempts: int = 10,
-                            gap: float = 0.2,
-                            timeout: float = FENCE_TIMEOUT_S) -> bool:
-    """One-shot chaos fault: ask ``process`` to corrupt an engine's state.
-
-    Addressed to the always-hosted ``proc:<process>`` control node, so
-    it lands wherever the engine runs.  True when handed over; False on
-    NOT_HERE or a spent retry budget (a dead process makes it a no-op).
-    """
-    delivered = await _deliver_once(address, peer_id, f"proc:{process}",
-                                    codec.CorruptRequest(engine_id, component),
-                                    attempts, gap, timeout)
-    return bool(delivered)

@@ -24,7 +24,10 @@ on different machines — so external input wires are wired
 The fence lives here too: a follower's deployment holds a
 :class:`RemoteEngineHandle` in place of the engine it follows, so the
 unmodified :class:`~repro.runtime.recovery.RecoveryManager` fences the
-old leader over the wire by calling ``halt()`` on it.
+old leader over the wire by calling ``halt()`` on it.  The fence rides
+an ordinary channel to each earlier process's ``proc:<name>`` control
+node, so it is retried until the link heals and counted as a failure
+only if it is still unacknowledged at teardown.
 
 Known restriction: determinism-fault logs are process-local, so the net
 runtime must run with ``calibrate=False`` (the spec's engine config
@@ -34,14 +37,13 @@ from the replica's replay.
 
 from __future__ import annotations
 
-import asyncio
 import sys
 from functools import partial
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import FenceDeliveryError
 from repro.net import codec
-from repro.net.channel import OutboundChannel, all_flushed, send_fence_once
+from repro.net.channel import OutboundChannel, all_flushed
 from repro.net.topology import (
     ClusterSpec,
     attach_workload,
@@ -54,12 +56,13 @@ from repro.sim.kernel import Simulator
 
 
 class ControlNode:
-    """Per-process node addressing the GO/shutdown barrier.
+    """Per-process node addressing cluster control messages.
 
-    Hosted as ``proc:<process name>`` in every process so the
-    coordinator's control channel has a handshake target; the control
-    messages themselves are intercepted by the server's connection loop
-    (they must work before the simulator pump starts).
+    Hosted as ``proc:<process name>`` in every process, always alive, so
+    the coordinator's GO/shutdown barrier, a follower's fence and the
+    chaos driver's faults have a handshake target wherever the engines
+    are; the control messages themselves are intercepted by the server's
+    connection loop (they must work before the simulator pump starts).
     """
 
     def __init__(self, node_id: str):
@@ -92,9 +95,9 @@ class NetTransport:
         #: :meth:`export_metrics`); :func:`host_deployment` binds the
         #: deployment's.
         self.metrics = None
-        #: Fence attempts that exhausted their retry budget (see
+        #: (engine id, process, channel) of every fence sent (see
         #: :class:`RemoteEngineHandle`).
-        self.fence_failures = 0
+        self.fences: List[Tuple[str, str, OutboundChannel]] = []
         self._local: Dict[str, Any] = {}
         #: node id -> incarnation string advertised in WELCOME frames.
         self.incarnations: Dict[str, str] = {}
@@ -219,7 +222,17 @@ class NetTransport:
         read back with ``MetricSet.channel_counters``) and as cluster
         totals (``channel_<name>_total``).  Call once at teardown —
         exporting mid-run would double-count.
+
+        A fence whose channel still holds it unacknowledged is logged as
+        a :class:`~repro.errors.FenceDeliveryError` and counted in
+        ``channel_fence_failures_total``: a dead primary needs no fence,
+        but a partitioned-but-alive one is what operators need to see.
         """
+        failed = [FenceDeliveryError(engine_id, process)
+                  for engine_id, process, channel in self.fences
+                  if channel.backlog()]
+        for exc in failed:
+            print(f"fence: {exc}", file=sys.stderr, flush=True)
         sink = self.metrics
         if sink is None:
             return
@@ -228,8 +241,8 @@ class NetTransport:
                 if value:
                     sink.count(f"chan.{dst}.{name}", value)
                 sink.count(f"channel_{name}_total", value)
-        if self.fence_failures:
-            sink.count("channel_fence_failures_total", self.fence_failures)
+        if failed:
+            sink.count("channel_fence_failures_total", len(failed))
 
     async def flushed(self, timeout: float) -> bool:
         """Wait until every outbound channel has its items acknowledged
@@ -247,11 +260,12 @@ class RemoteEngineHandle:
 
     Gives :class:`~repro.runtime.recovery.RecoveryManager` the two
     things it touches on the failed engine — ``alive`` and ``halt()`` —
-    where ``halt`` becomes a best-effort *fence*: a one-shot FenceRequest
-    fired at the engine's primary address only (never the replica-side
-    address, so a completed promotion can never fence itself).  Fencing
-    bypasses the normal channel on purpose: ``fail_node`` resets that
-    channel, which would silently drop a fence queued through it.
+    where ``halt`` becomes a *fence*: a FenceRequest enqueued on the
+    channel to the ``proc:<name>`` control node of every process that
+    may still host a stale incarnation.  The control node never moves
+    and is never declared failed, so ``fail_node`` cannot drop the
+    fence, and the fence is numbered on a stream of its own, so no
+    earlier traffic to the engine can make it read as a duplicate.
     """
 
     def __init__(self, engine_id: str, transport: "NetTransport", rank: int):
@@ -265,42 +279,19 @@ class RemoteEngineHandle:
         """Nothing to start: the engine runs in its own process."""
 
     def halt(self) -> None:
-        """Fence every process that may still host a stale incarnation.
-
-        The engine node's address candidates are ordered primary first,
-        then the follower processes in promotion (rank) order.  When
-        rank *r* promotes, the engine may previously have been hosted by
-        the primary or by any follower of rank < r (each earlier link in
-        the succession line) — fence them all; never our own process or
-        higher ranks, which cannot have hosted the engine yet.
-        """
+        """Fence the processes before this follower on the engine's
+        succession line: the primary and every follower of a lower rank
+        may have hosted it; this one and higher ranks cannot have.  A
+        process with no address in the spec is not fenced."""
         self.alive = False
-        addresses = self._transport.spec.addresses.get(self.engine_id) or []
-        for idx, address in enumerate(addresses[:1 + self.rank]):
-            asyncio.get_running_loop().create_task(
-                self._fence(tuple(address)),
-                name=f"fence:{self.engine_id}:{idx}",
-            )
-
-    async def _fence(self, address) -> None:
-        """Deliver the fence within the spec's capped retry budget.
-
-        Exhausting the budget is not fatal to the promotion (the common
-        cause is that the primary is simply dead), but it is recorded:
-        the structured :class:`~repro.errors.FenceDeliveryError` is
-        logged and counted so a partitioned-but-alive primary shows up
-        in the run report instead of vanishing into a silent False.
-        """
         transport = self._transport
-        try:
-            await send_fence_once(
-                address, transport.peer_id, self.engine_id,
-                attempts=transport.spec.fence_attempts,
-                gap=transport.spec.fence_gap_s,
-            )
-        except FenceDeliveryError as exc:
-            transport.fence_failures += 1
-            print(f"fence: {exc}", file=sys.stderr, flush=True)
+        spec = transport.spec
+        for process in spec.succession_line(self.engine_id)[:1 + self.rank]:
+            if spec.addresses.get(f"proc:{process}"):
+                channel = transport.channel_to(f"proc:{process}")
+                channel.enqueue(transport.peer_id,
+                                codec.FenceRequest(self.engine_id))
+                transport.fences.append((self.engine_id, process, channel))
 
 
 def host_deployment(name: str, transport: NetTransport) -> Deployment:

@@ -14,8 +14,9 @@ Each process:
    :class:`~repro.net.clock.RealtimeKernel` until a
    :class:`~repro.net.codec.Shutdown` arrives;
 4. stops the pump, waits until every item it sent is acknowledged or
-   its peer has hung up (at most ``connect_timeout_s``), prints its
-   DETECTOR / AUDIT lines and exits.
+   its peer has hung up (at most ``connect_timeout_s``), reports any
+   fence still unacknowledged, prints its DETECTOR / AUDIT lines and
+   exits.
 
 Inbound connection protocol (the receiving half of
 :class:`~repro.net.channel.OutboundChannel`): a HELLO whose ``proto``
@@ -36,16 +37,20 @@ batch of N items costs one ack write instead of the historical N — and
 the ack carries the connection's next expected sequence number either
 way.
 
-Receiver-side dedup state is keyed by (sender peer, destination node,
-destination *incarnation*): a promoted node starts with a clean slate,
-matching the sender's channel-sequence restart on epoch reset, while
-same-incarnation reconnect replays are deduplicated exactly.
+Dedup, resync and the ack value are decided by a pure
+:class:`~repro.net.channel.InboundState`, keyed by (sender peer,
+destination node, destination *incarnation*): a promoted node starts
+with a clean slate, matching the sender's channel-sequence restart on
+epoch reset, while same-incarnation reconnect replays are deduplicated
+exactly.  Control messages (GO, Shutdown, a fence, a chaos corruption)
+arrive on channels to this process's ``proc:<name>`` node, pass the
+same dedup, and are applied by :meth:`ProcessRuntime._control_message`.
 
 Connection ends are failure evidence.  When an item connection from the
 process currently hosting an engine this process follows ends (and no
-Shutdown has arrived), the server dials every address that may host
-that engine — the ones ``RemoteEngineHandle.halt`` fences — and, if all
-of them refuse, injects
+Shutdown has arrived), the server dials every process before this
+follower on the engine's succession line — the ones
+``RemoteEngineHandle.halt`` fences — and, if all of them refuse, injects
 :meth:`~repro.runtime.detector.HeartbeatDetector.confirm_crash`: a
 crashed leader is promoted without waiting out the heartbeat timeout.
 Anything that still answers, stalls or accepts leaves the timeout in
@@ -65,7 +70,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net import codec
-from repro.net.channel import listener_refuses
+from repro.net.channel import InboundState, listener_refuses
 from repro.net.clock import RealtimeClock, RealtimeKernel
 from repro.net.node import (
     ControlNode,
@@ -98,8 +103,8 @@ class ProcessRuntime:
                                   congestion_check=self.transport.congested)
         self.control = ControlNode(f"proc:{name}")
         self.transport.register(self.control)
-        #: (peer, dst node, dst incarnation) -> next expected channel seq.
-        self._recv_expected: Dict[Tuple[str, str, str], int] = {}
+        #: Dedup and ack decisions for every inbound stream.
+        self._inbound = InboundState()
         self.go = asyncio.Event()
         self.go_t0: Optional[float] = None
         self.stopping = asyncio.Event()
@@ -161,6 +166,11 @@ class ProcessRuntime:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
+    @property
+    def _recv_expected(self) -> Dict[Tuple[str, str, str], int]:
+        """(peer, dst node, dst incarnation) -> next expected seq."""
+        return self._inbound.expected
+
     # -- crash confirmation ---------------------------------------------
     def _suspect(self, peer: str) -> None:
         """An item connection from ``peer`` ended: probe every engine
@@ -177,17 +187,18 @@ class ProcessRuntime:
     async def _probe(self, engine_id: str, detector) -> None:
         """Confirm the crash when every candidate host refuses.
 
-        The candidates are the engine's primary address and those of the
-        followers ranked below this one — whoever may host the engine
-        now, exactly the set ``RemoteEngineHandle.halt`` fences.  While
-        a lower rank still listens, it is that rank's turn to promote.
+        The candidates are the processes before this follower on the
+        engine's succession line — whoever may host the engine now,
+        exactly the ones ``RemoteEngineHandle.halt`` fences.  While a
+        lower rank still listens, it is that rank's turn to promote.
         """
+        spec = self.spec
         try:
-            candidates = self.spec.addresses.get(engine_id, [])
-            for address in candidates[:1 + detector.rank]:
-                if not await listener_refuses(
-                        tuple(address), self.peer_id, engine_id,
-                        self.spec.connect_timeout_s):
+            for process in spec.succession_line(engine_id)[:1 + detector.rank]:
+                address = spec.addresses.get(f"proc:{process}")
+                if address and not await listener_refuses(
+                        tuple(address[0]), self.peer_id, engine_id,
+                        spec.connect_timeout_s):
                     return
             if not self.stopping.is_set():
                 self.rtk.inject(detector.confirm_crash)
@@ -223,7 +234,7 @@ class ProcessRuntime:
                     return
             # Ack coalescing: one cumulative ACK per received frame —
             # a batch of N items costs one ack write, not N.
-            writer.write(encoder.encode_ack(self._recv_expected.get(key, 0)))
+            writer.write(encoder.encode_ack(self._inbound.ack_value(key)))
             await writer.drain()
 
     def _accept_item(self, item, peer: str, key) -> bool:
@@ -238,12 +249,7 @@ class ProcessRuntime:
         target = self.transport.local_node(dst_node)
         if target is None or not target.alive:
             return False
-        seq = item["seq"]
-        if seq >= self._recv_expected.get(key, 0):
-            # Fresh (seq == expected) — or the sender is ahead of
-            # us, which only a lost dedup entry can cause: resync to
-            # the sender rather than black-holing its stream.
-            self._recv_expected[key] = seq + 1
+        if self._inbound.accept(key, item["seq"]):
             msg = codec.decode_message(item["msg"])
             if type(msg) in _CONTROL_TYPES:
                 self._control_message(msg)
@@ -312,6 +318,7 @@ class ProcessRuntime:
         await self.transport.flushed(self.spec.connect_timeout_s)
         for probe in list(self._probes.values()):
             probe.cancel()
+        self.transport.export_metrics()  # reports unacknowledged fences
         stats = self.transport.channel_counters()
         detection = detection_counts(deployment)
         if stats:

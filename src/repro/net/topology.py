@@ -82,14 +82,12 @@ class ClusterSpec:
     #: chaos runner fills it so processes bind their real ports while
     #: every dialed address routes through a fault proxy.
     listen: Dict[str, Tuple[str, int]] = field(default_factory=dict)
-    #: Named transport timeouts/backoff (seconds) and fence retry
-    #: budget.  Chaos runs compress these so partitions and kills are
-    #: detected in test-scale wall time; see docs/chaos.md.
+    #: Named transport timeouts/backoff (seconds).  Chaos runs compress
+    #: these so partitions and kills are detected in test-scale wall
+    #: time; see docs/chaos.md.
     connect_timeout_s: float = 2.0
     backoff_min_s: float = 0.02
     backoff_max_s: float = 0.5
-    fence_attempts: int = 10
-    fence_gap_s: float = 0.2
     #: Cap on items per FRAME_BATCH on outbound channels (1 disables
     #: batching — every item rides its own ITEM frame).
     batch_max_items: int = 64
@@ -176,12 +174,10 @@ class ClusterSpec:
             bad("backoff_max_s", self.backoff_max_s,
                 f"must be >= backoff_min_s ({self.backoff_min_s})")
         for key in ("full_checkpoint_every", "heartbeat_miss_limit",
-                    "fence_attempts", "batch_max_items", "audit_every"):
+                    "batch_max_items", "audit_every"):
             value = getattr(self, key)
             if not isinstance(value, int) or value < 1:
                 bad(key, value, "must be an integer >= 1")
-        if not isinstance(self.fence_gap_s, (int, float)) or self.fence_gap_s < 0:
-            bad("fence_gap_s", self.fence_gap_s, "must be >= 0")
         if self.recovery_target_ms is not None and (
                 not isinstance(self.recovery_target_ms, (int, float))
                 or self.recovery_target_ms <= 0):
@@ -215,6 +211,13 @@ class ClusterSpec:
         """One engine's follower process names, in promotion order."""
         return [self.follower_process(engine_id, rank)
                 for rank in range(self.replicas)]
+
+    def succession_line(self, engine_id: str) -> List[str]:
+        """The processes that may host an engine, in promotion order:
+        ``engine-<id>``, then its followers by rank.  The follower of
+        rank *r* probes and fences exactly the processes before it on
+        the line: only those can have hosted the engine."""
+        return [f"engine-{engine_id}"] + self.follower_processes(engine_id)
 
     def listen_addr(self, process: str) -> Tuple[str, int]:
         """The address the named process binds its server socket to."""
@@ -614,19 +617,19 @@ def assign_addresses(spec: ClusterSpec,
                      listen_ports: Dict[str, Tuple[str, int]]) -> None:
     """Fill ``spec.addresses`` from per-process listen addresses.
 
-    ``listen_ports`` maps process name -> (host, port).  Engine nodes
-    get ``1 + followers`` candidates — the engine process first, then
-    each follower process in promotion (rank) order, so a channel that
-    loses the leader walks the candidate list straight down the group's
-    succession line; every other node lives in exactly one process.
+    ``listen_ports`` maps process name -> (host, port).  An engine node's
+    candidates are its :meth:`~ClusterSpec.succession_line`, so a
+    channel that loses the leader walks the candidate list straight
+    down the group's line; every other node lives in exactly one
+    process.
     """
     addresses: Dict[str, List[Tuple[str, int]]] = {}
     for process, nodes in plan_cluster_nodes(spec).items():
         for node in nodes:
-            addresses.setdefault(node, []).append(listen_ports[process])
+            addresses[node] = [listen_ports[process]]
         addresses[f"proc:{process}"] = [listen_ports[process]]
     for engine_id in spec.engines:
-        for process in spec.follower_processes(engine_id):
-            if process in listen_ports:
-                addresses[engine_id].append(listen_ports[process])
+        addresses[engine_id] = [listen_ports[process] for process
+                                in spec.succession_line(engine_id)
+                                if process in listen_ports]
     spec.addresses = addresses

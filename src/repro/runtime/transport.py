@@ -26,6 +26,7 @@ simulation and :class:`repro.net.node.NetTransport` over TCP.
 
 from __future__ import annotations
 
+import copy
 from functools import partial
 from typing import Any, Dict, Optional, Protocol, Tuple, runtime_checkable
 
@@ -145,11 +146,14 @@ class Network:
         channel = self._channels.get(key)
         if channel is None:
             params = self._links.get(key, self.default_link)
+            # Each channel owns its fault knobs: an outage or impairment
+            # on one pair must not reach every pair sharing the params.
             rng = self.rng_registry.stream(f"link:{src_id}->{dst_id}")
             channel = ReliableChannel(
                 self.sim, rng, f"{src_id}->{dst_id}",
                 deliver=partial(self._deliver, dst_id),
-                delay=params.delay, fault=params.fault, rto=params.rto,
+                delay=params.delay, fault=copy.copy(params.fault),
+                rto=params.rto,
                 serialize_ticks=params.serialize_ticks,
             )
             self._channels[key] = channel

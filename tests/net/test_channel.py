@@ -6,17 +6,14 @@ import inspect
 import textwrap
 import time
 
-import pytest
-
 from repro.core.message import SilenceAdvance
-from repro.errors import FenceDeliveryError, TransportError
+from repro.errors import TransportError
 from repro.net import codec
 from repro.net.channel import (
     ChannelState,
+    InboundState,
     OutboundChannel,
     backoff_jitter_rng,
-    send_corrupt_once,
-    send_fence_once,
 )
 from repro.runtime.link import SendWindow
 
@@ -274,98 +271,6 @@ def dead_port():
         return sock.getsockname()[1]
 
 
-def test_send_fence_once_delivers_fence():
-    async def scenario():
-        host = FakeHost(incarnation="engineproc#1")
-        await host.start()
-        ok = await send_fence_once(("127.0.0.1", host.port),
-                                   "replica:x", "e0", attempts=3,
-                                   gap=0.05)
-        await asyncio.sleep(0.05)  # let the host record the item
-        await host.stop()
-        return ok, host
-
-    ok, host = asyncio.run(scenario())
-    assert ok
-    assert len(host.items) == 1
-    fence = host.items[0][2]
-    assert isinstance(fence, codec.FenceRequest)
-    assert fence.engine_id == "e0"
-
-
-def test_send_fence_once_raises_after_capped_attempts():
-    """Nobody listening: the fence path terminates with a structured
-    error after exactly the retry budget, instead of silently giving up."""
-    async def scenario():
-        await send_fence_once(("127.0.0.1", dead_port()), "replica:x",
-                              "e0", attempts=3, gap=0.01, timeout=0.2)
-
-    with pytest.raises(FenceDeliveryError) as info:
-        asyncio.run(scenario())
-    err = info.value
-    assert err.engine_id == "e0"
-    assert err.attempts == 3
-    assert "after 3 attempt(s)" in str(err)
-
-
-def test_send_fence_once_returns_false_on_not_here():
-    async def scenario():
-        host = FakeHost(accept=False)
-        await host.start()
-        ok = await send_fence_once(("127.0.0.1", host.port), "replica:x",
-                                   "e0", attempts=3, gap=0.05)
-        await host.stop()
-        return ok, host
-
-    ok, host = asyncio.run(scenario())
-    assert ok is False
-    assert host.hellos == 1 and host.items == []
-
-
-def test_send_corrupt_once_delivers_the_request():
-    async def scenario():
-        host = FakeHost(incarnation="engine-e1#1")
-        await host.start()
-        ok = await send_corrupt_once(("127.0.0.1", host.port), "chaos:1",
-                                     "engine-e1", "e1", "enricher",
-                                     attempts=3, gap=0.05)
-        await wait_until(lambda: host.items)
-        await host.stop()
-        return ok, host
-
-    ok, host = asyncio.run(scenario())
-    assert ok is True
-    (_seq, src, request), = host.items
-    assert src == "chaos:1"
-    assert isinstance(request, codec.CorruptRequest)
-    assert (request.engine_id, request.component) == ("e1", "enricher")
-
-
-def test_send_corrupt_once_returns_false_on_not_here():
-    async def scenario():
-        host = FakeHost(accept=False)
-        await host.start()
-        ok = await send_corrupt_once(("127.0.0.1", host.port), "chaos:1",
-                                     "engine-e1", "e1", attempts=3, gap=0.05)
-        await host.stop()
-        return ok, host
-
-    ok, host = asyncio.run(scenario())
-    assert ok is False
-    assert host.hellos == 1 and host.items == []
-
-
-def test_send_corrupt_once_returns_false_once_the_budget_is_spent():
-    """A process that is already dead makes the corruption a no-op fault:
-    no error, just False after the retry budget."""
-    started = time.monotonic()
-    ok = asyncio.run(send_corrupt_once(("127.0.0.1", dead_port()), "chaos:1",
-                                       "engine-e1", "e1", attempts=3,
-                                       gap=0.01, timeout=0.2))
-    assert ok is False
-    assert time.monotonic() - started < 2.0
-
-
 def test_backoff_jitter_is_seed_deterministic():
     """Reconnect jitter derives from (seed, process, node) only: the
     uuid suffix in the peer id must not change the draw (else restarts
@@ -562,7 +467,7 @@ def test_reset_drops_the_connection_and_retires_the_incarnation():
 def test_channel_state_and_send_window_are_sans_io():
     """The protocol's decisions name no event loop, clock, socket or
     print: the driver performs, the state only decides."""
-    for cls in (ChannelState, SendWindow):
+    for cls in (ChannelState, InboundState, SendWindow):
         tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
         names = {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute)}

@@ -52,7 +52,7 @@ class Follower:
     def __init__(self, name="replica-e0", replicas=1, at=None):
         self.spec = pipeline_spec(
             engines=2, replicas=replicas, heartbeat_interval_ms=1e6,
-            connect_timeout_s=0.5, fence_attempts=1, fence_gap_s=0.0,
+            connect_timeout_s=0.5,
             backoff_max_s=0.05)
         ports = {process: (at or {}).get(process) or refused_address()
                  for process in plan_cluster_nodes(self.spec)}

@@ -2,10 +2,11 @@
 
 A hypothesis state machine drives
 :class:`~repro.net.channel.ChannelState` the way ``OutboundChannel``
-does, and plays the wire and the receiving server itself.  The model
-receiver uses the server's dedup rule (``repro.net.server``): per
-(peer, node, incarnation) it delivers a seq at or above the one it
-expects (a gap resyncs) and discards anything below as a duplicate.
+does, plays the wire itself, and drives the receiving server's own
+:class:`~repro.net.channel.InboundState` the way ``ProcessRuntime``
+does: per (peer, node, incarnation) it delivers a seq at or above the
+one it expects (a gap resyncs) and discards anything below as a
+duplicate.
 """
 
 import random
@@ -24,7 +25,7 @@ from hypothesis.stateful import (
 
 from repro.core.message import SilenceAdvance
 from repro.net import codec
-from repro.net.channel import ChannelState
+from repro.net.channel import ChannelState, InboundState
 
 HOSTS = ("hostA", "hostB")
 INCARNATIONS = ("hostA#1", "hostA#2", "hostB#1")
@@ -39,13 +40,18 @@ def connected(machine):
     return machine.conn is not None
 
 
+def stream(incarnation):
+    """The receiver's dedup key for this sender's stream to ``n``."""
+    return ("sender", "n", incarnation)
+
+
 class ChannelMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.state = ChannelState("n", ADDRESSES, 0.02, 0.5,
                                   random.Random(0))
-        #: incarnation -> the receiver's next expected seq.
-        self.expected = {}
+        #: The receiving server's decisions, for every incarnation.
+        self.receiver = InboundState()
         #: incarnation -> the seqs its receiver delivered, in order.
         self.delivered = {}
         self.delivered_tokens = set()
@@ -120,9 +126,8 @@ class ChannelMachine(RuleBasedStateMachine):
         key = self.conn
         for _ in range(min(k, len(self.wire))):
             seq, token, first = self.wire.popleft()
-            expected = self.expected.get(key, 0)
-            if seq >= expected:
-                self.expected[key] = seq + 1
+            expected = self.receiver.ack_value(stream(key))
+            if self.receiver.accept(stream(key), seq):
                 self.delivered.setdefault(key, []).append(seq)
                 self.delivered_tokens.add(token)
             else:
@@ -133,7 +138,7 @@ class ChannelMachine(RuleBasedStateMachine):
     @precondition(connected)
     @rule()
     def ack(self):
-        assert self.state.on_ack(self.expected.get(self.conn, 0))
+        assert self.state.on_ack(self.receiver.ack_value(stream(self.conn)))
 
     @precondition(connected)
     @rule(stale=st.booleans(), by=st.integers(1, 4))
@@ -175,7 +180,8 @@ class ChannelMachine(RuleBasedStateMachine):
         send or has had acked: a fresh transmission is never below it."""
         if connected(self):
             window = self.state.window
-            assert window.frontier <= self.expected.get(self.conn, 0) \
+            assert window.frontier \
+                <= self.receiver.ack_value(stream(self.conn)) \
                 <= window.next_seq, self.conn
 
     @invariant()

@@ -124,6 +124,20 @@ class TestFailure:
         sim.run()
         assert replacement.received and not b.received
 
+    def test_an_outage_on_one_default_link_leaves_the_others_up(self):
+        sim, net, a, b = make_net(
+            default_link=LinkParams(delay=Constant(us(40))))
+        c, d = FakeNode("c", sim), FakeNode("d", sim)
+        net.register(c)
+        net.register(d)
+        net.link_fault("a", "b").down = True
+        net.send("a", "b", "cut")
+        net.send("c", "d", "through")
+        sim.run(until=us(100))
+        assert b.received == []
+        assert [i for i, _ in d.received] == ["through"]
+        assert net.link_fault("c", "d").down is False
+
     def test_link_fault_accessor(self):
         sim, net, a, b = make_net()
         fault = net.link_fault("a", "b")
