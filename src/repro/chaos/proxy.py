@@ -1,13 +1,13 @@
 """TCP fault proxy: every inter-process link, interposable.
 
-One :class:`FaultProxy` fronts a whole cluster.  For each process it
-opens a listener on a fresh port and forwards accepted connections to
-the process's real listen address; :func:`proxied_spec` rewrites a
-:class:`~repro.net.topology.ClusterSpec` so every *dialed* address is a
-proxy port while every process still *binds* its real port (the spec's
-``listen`` overrides).  No repro.net code changes behaviour — the
-cluster genuinely cannot tell a proxied link from a direct one until a
-fault fires.
+One :class:`FaultProxy` fronts a whole cluster.  :meth:`FaultProxy.front`
+binds a listener on an OS-assigned port for one process, once the
+process has bound and reported its own, and forwards accepted
+connections to that real address.  The coordinator puts the front,
+not the real port, in the address table it hands out with GO, so every
+peer dials the proxy while the process serves on its own port.  No
+repro.net code changes behaviour — the cluster genuinely cannot tell a
+proxied link from a direct one until a fault fires.
 
 The proxy classifies each connection by **directed link** — (source
 process, destination process) — by sniffing the first frame: every
@@ -41,7 +41,6 @@ import struct
 from typing import Dict, List, Optional, Tuple
 
 from repro.net import codec
-from repro.net.topology import ClusterSpec, plan_cluster_nodes
 
 _LEN = struct.Struct(">I")
 
@@ -205,19 +204,17 @@ class FaultProxy:
         self.counters: Dict[Tuple[str, str, str], int] = {}
 
     # -- wiring ----------------------------------------------------------
-    def plan(self, process: str, target: Tuple[str, int],
-             front: Tuple[str, int]) -> None:
-        """Declare one process's real address and its proxy front."""
+    async def front(self, process: str,
+                    target: Tuple[str, int]) -> Tuple[str, int]:
+        """Bind a front for ``process`` on an OS-assigned localhost port,
+        forwarding to ``target`` (its real address); the front's
+        (host, port)."""
         self.targets[process] = tuple(target)
-        self.fronts[process] = tuple(front)
-
-    async def start(self) -> None:
-        """Bind every planned front (call inside the event loop)."""
-        for process, (host, port) in self.fronts.items():
-            server = await asyncio.start_server(
-                self._make_handler(process), host, port
-            )
-            self._servers.append(server)
+        server = await asyncio.start_server(self._make_handler(process),
+                                            "127.0.0.1", 0)
+        self._servers.append(server)
+        front = self.fronts[process] = server.sockets[0].getsockname()[:2]
+        return front
 
     def _make_handler(self, process: str):
         async def handle(reader, writer):
@@ -301,36 +298,3 @@ class FaultProxy:
         for (src, dst, name), value in sorted(self.counters.items()):
             out.setdefault(f"{src}->{dst}", {})[name] = value
         return out
-
-
-def proxied_spec(spec: ClusterSpec,
-                 port_of=None) -> Tuple[ClusterSpec, FaultProxy]:
-    """Front every address of ``spec`` with a fault proxy.
-
-    ``spec`` must already carry real addresses (see
-    ``repro.net.cluster.with_addresses``).  Returns a deep-copied spec in
-    which every dialed address is a proxy front and each process binds
-    its real port via ``spec.listen``, plus the planned (not yet
-    started) :class:`FaultProxy`.  ``port_of`` is injectable for tests;
-    it defaults to OS-assigned free ports.
-    """
-    if port_of is None:
-        from repro.net.cluster import free_port
-
-        def port_of(_process):
-            return ("127.0.0.1", free_port())
-
-    run_spec = ClusterSpec.from_json(spec.to_json())
-    proxy = FaultProxy()
-    mapping: Dict[Tuple[str, int], Tuple[str, int]] = {}
-    for process in plan_cluster_nodes(run_spec):
-        real = tuple(run_spec.addresses[f"proc:{process}"][0])
-        front = tuple(port_of(process))
-        proxy.plan(process, real, front)
-        mapping[real] = front
-        run_spec.listen[process] = real
-    run_spec.addresses = {
-        node: [mapping.get(tuple(addr), tuple(addr)) for addr in addrs]
-        for node, addrs in run_spec.addresses.items()
-    }
-    return run_spec, proxy

@@ -24,17 +24,18 @@ from __future__ import annotations
 import asyncio
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.invariants import check_invariants
 from repro.errors import UnrecoverableClusterError
-from repro.chaos.proxy import FaultProxy, proxied_spec
+from repro.chaos.proxy import FaultProxy
 from repro.chaos.schedule import ChaosSchedule, generate_schedule
 from repro.net import codec
 from repro.net.channel import OutboundChannel
-from repro.net.cluster import run_networked, with_addresses
+from repro.net.cluster import run_networked
 from repro.net.topology import (
     ClusterSpec,
+    plan_cluster_nodes,
     reference_run,
     simulated_twin,
     streams_of,
@@ -48,18 +49,27 @@ def _stderr(line: str) -> None:
 
 
 class ChaosDriver:
-    """Applies one schedule to one live run (signals + proxy flips)."""
+    """Applies one schedule to one live run (signals + proxy flips).
+
+    ``fronted`` names the processes whose listeners the proxy fronts:
+    their peers dial a proxy front, bound by :meth:`front` once the
+    process has reported its own port.  The builder of the driver
+    decides — :func:`run_chaos` fronts every process of the cluster,
+    a gateway run fronts only the gateway.
+    """
 
     #: Period between live "impair" resets inside the fault window.
     IMPAIR_RESET_GAP_S = 0.4
 
     def __init__(self, schedule: ChaosSchedule, proxy: FaultProxy,
                  spec: ClusterSpec,
-                 log: Callable[[str], None] = _stderr):
+                 log: Callable[[str], None] = _stderr,
+                 fronted: Iterable[str] = ()):
         self.schedule = schedule
         self.proxy = proxy
         self.spec = spec
         self.log = log
+        self.fronted = set(fronted)
         self.children: Dict = {}
         #: Applied-action log lines, in application order (diffable).
         self.applied: List[str] = []
@@ -142,8 +152,14 @@ class ChaosDriver:
         return actions
 
     # -- lifecycle hooks (called by ClusterHarness) ----------------------
-    async def start(self) -> None:
-        await self.proxy.start()
+    async def front(self, ports: Dict[str, Tuple[str, int]]
+                    ) -> Dict[str, Tuple[str, int]]:
+        """process -> the address its peers dial: for a fronted process
+        a proxy front, bound now and forwarding to ``ports[process]``;
+        for any other, ``ports[process]`` itself."""
+        return {process: (await self.proxy.front(process, address)
+                          if process in self.fronted else address)
+                for process, address in ports.items()}
 
     def attach(self, children: Dict) -> None:
         self.children = children
@@ -364,18 +380,18 @@ def run_chaos(
         _maybe_record(spec, schedule, record_dir, report, log)
         return report
 
-    run_spec, proxy = proxied_spec(with_addresses(spec))
-    driver = ChaosDriver(schedule, proxy, run_spec, log=log)
-    budget = chaos_deadline_s(run_spec, schedule, deadline_s)
+    driver = ChaosDriver(schedule, FaultProxy(), spec, log=log,
+                         fronted=plan_cluster_nodes(spec))
+    budget = chaos_deadline_s(spec, schedule, deadline_s)
     log(f"chaos: live run (deadline {budget:.1f}s, "
         f"{len(driver._actions)} scheduled action(s)) ...")
     result = asyncio.run(run_networked(
-        run_spec, ref_counts, deadline_s=budget, chaos=driver,
+        spec, ref_counts, deadline_s=budget, chaos=driver,
     ))
 
     report["metrics"] = result.pop("metrics", None)
     try:
-        verdict = check_invariants(run_spec, schedule, reference, result)
+        verdict = check_invariants(spec, schedule, reference, result)
     except UnrecoverableClusterError as exc:
         # Every red run ships its own reproducer bundle.
         record_chaos_bundle(

@@ -44,8 +44,10 @@ Simulator lowering (:meth:`ChaosSchedule.sim_events`) keeps only the
 events with *content* consequences — kills, partitions, impairments —
 because the reliability protocols hide pure timing faults from the
 output stream by design, and content is exactly what the determinism
-oracle checks.  Process-level targets become node-level targets via
-:func:`repro.net.topology.plan_cluster_nodes`.
+oracle checks.  Process-level targets become node-level targets: the
+nodes :func:`repro.net.topology.plan_cluster_nodes` starts the process
+with, adjusted for the promotions the schedule's kills have caused by
+then — a link fault cuts a process where its engines *are*.
 """
 
 from __future__ import annotations
@@ -268,11 +270,24 @@ class ChaosSchedule:
         leaves the group unpromoted, as the live cluster does.  Either
         way the twin does not raise
         (:meth:`~repro.runtime.failure.FailureInjector.kill_host`).
+
+        Partitions and impairments cut each process at the nodes it
+        hosts when they fire: its startup nodes, less the engines that
+        moved away, plus the engines promoted into it — the layout the
+        live proxy cuts.
         """
         nodes_of = plan_cluster_nodes(spec)
         lowered: List[Dict] = []
         current_host = {e: f"engine-{e}" for e in spec.engines}
         dead_procs: set = set()
+
+        def hosted(process: str) -> List[str]:
+            startup = nodes_of.get(process, [])
+            return ([n for n in startup
+                     if current_host.get(n, process) == process]
+                    + [e for e, host in current_host.items()
+                       if host == process and e not in startup])
+
         for event in self.ordered():
             at_ticks = int(ms(event.at_ms))
             if event.kind == "kill":
@@ -294,13 +309,13 @@ class ChaosSchedule:
                 lowered.append({
                     "kind": "partition", "at_ticks": at_ticks,
                     "duration_ticks": int(ms(event.duration_ms or 0.0)),
-                    "a_nodes": list(nodes_of.get(a, [])),
-                    "b_nodes": list(nodes_of.get(b, [])),
+                    "a_nodes": hosted(a),
+                    "b_nodes": hosted(b),
                 })
             elif event.kind == "impair":
                 a, b = event.link
-                for src in nodes_of.get(a, []):
-                    for dst in nodes_of.get(b, []):
+                for src in hosted(a):
+                    for dst in hosted(b):
                         for s, d in ((src, dst), (dst, src)):
                             lowered.append({
                                 "kind": "impair", "at_ticks": at_ticks,

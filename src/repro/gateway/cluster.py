@@ -49,10 +49,8 @@ from repro.net.cluster import (
     ClusterHarness,
     add_cluster_arguments,
     check_kill_arguments,
-    free_port,
     spawn_children,  # noqa: F401 - bench/wl_gw_steady.py spans it by name
     spec_keywords,
-    with_addresses,
 )
 from repro.net.topology import (
     ClusterSpec,
@@ -108,16 +106,16 @@ async def run_gateway_cluster(
 ) -> Dict:
     """One live gateway run; returns streams, reference, and diagnostics.
 
-    ``spec`` must carry addresses and a gateway config (see
-    :func:`~repro.net.cluster.with_addresses`).  A gateway in front of
-    the coordinator's ingresses and ``plan``'s client fleet drive the
-    load.  With ``kill_engine`` set, that engine's process is SIGKILLed
-    once ``kill_fraction`` of the planned submissions have been
-    admitted; the run is complete when the fleet has finished, the
-    admission shadow log has been replayed, and every sink's count
-    equals the replay's.  ``chaos`` is an optional
-    :class:`~repro.chaos.runner.ChaosDriver` whose proxy has been
-    planned to front the gateway (see :func:`gateway_front`).
+    ``spec`` must carry a gateway config.  A gateway in front of the
+    coordinator's ingresses and ``plan``'s client fleet drive the load;
+    the clients dial the address the gateway bound.  With
+    ``kill_engine`` set, that engine's process is SIGKILLed once
+    ``kill_fraction`` of the planned submissions have been admitted;
+    the run is complete when the fleet has finished, the admission
+    shadow log has been replayed, and every sink's count equals the
+    replay's.  ``chaos`` is an optional
+    :class:`~repro.chaos.runner.ChaosDriver`; when it fronts
+    ``"gateway"``, the clients dial that front instead.
     """
     cluster = ClusterHarness(spec, chaos, deadline_s)
     deployment, runtime = cluster.deployment, cluster.runtime
@@ -142,10 +140,11 @@ async def run_gateway_cluster(
         return {"at_accepted": accepted} if accepted >= kill_at else None
 
     async with cluster:
-        await gateway.start()
+        address = await gateway.start()
         try:
-            clients = build_clients(plan, spec.gateway_addr(),
-                                    payload_factory
+            if chaos is not None:
+                address = (await chaos.front({"gateway": address}))["gateway"]
+            clients = build_clients(plan, address, payload_factory
                                     or gateway_payload_factory())
             # The fleet starts at the cluster's shared epoch.
             client_t0 = time.monotonic() + (cluster.t0 - time.time())
@@ -211,28 +210,6 @@ def _pct(metrics, q: float, samples: int) -> Optional[float]:
     return round(metrics.latency_percentile_us(q), 3)
 
 
-def gateway_front(spec: ClusterSpec):
-    """Front the gateway's dial address with a fault proxy.
-
-    Returns ``(run_spec, proxy)``: a deep copy of ``spec`` whose
-    ``gateway.host/port`` is a proxy front while the gateway itself
-    binds its real address via ``gateway.listen``; the proxy forwards
-    and applies the ``("clients", "gateway")`` link policy.  Engine and
-    replica links stay direct — gateway chaos scenarios fault the edge,
-    not the interior (``repro.chaos`` covers the interior).
-    """
-    from repro.chaos.proxy import FaultProxy
-
-    run_spec = ClusterSpec.from_json(spec.to_json())
-    real = run_spec.gateway_addr()
-    front = ("127.0.0.1", free_port())
-    proxy = FaultProxy()
-    proxy.plan("gateway", real, front)
-    run_spec.gateway["listen"] = real
-    run_spec.gateway["host"], run_spec.gateway["port"] = front
-    return run_spec, proxy
-
-
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -269,25 +246,31 @@ def run_trial(label: str, spec: ClusterSpec, plan: ClientPlan,
               deadline_s: float,
               chaos_seed: Optional[int] = None,
               record_dir: Optional[str] = None) -> Dict:
-    """One addressed live run + verification; returns the trial report."""
+    """One live run + verification; returns the trial report.
+
+    With ``chaos_seed``, the seeded ``gateway_client_reset`` schedule
+    runs through a fault proxy that fronts the gateway alone: engine and
+    replica links stay direct — gateway chaos faults the edge, not the
+    interior (``repro.chaos`` covers the interior).
+    """
     from repro.chaos.invariants import check_invariants
 
-    run_spec = with_addresses(spec)
     chaos = schedule = None
     if chaos_seed is not None:
+        from repro.chaos.proxy import FaultProxy
         from repro.chaos.runner import ChaosDriver
         from repro.chaos.schedule import generate_schedule
 
-        run_spec, proxy = gateway_front(run_spec)
         schedule = generate_schedule(
-            chaos_seed, run_spec, scenario="gateway_client_reset"
+            chaos_seed, spec, scenario="gateway_client_reset"
         )
-        chaos = ChaosDriver(schedule, proxy, run_spec)
+        chaos = ChaosDriver(schedule, FaultProxy(), spec,
+                            fronted=["gateway"])
     result = asyncio.run(run_gateway_cluster(
-        run_spec, plan, kill_engine=kill_engine,
+        spec, plan, kill_engine=kill_engine,
         kill_fraction=kill_fraction, deadline_s=deadline_s, chaos=chaos,
     ))
-    verdict = check_invariants(run_spec, schedule, result.pop("reference"),
+    verdict = check_invariants(spec, schedule, result.pop("reference"),
                                result)
     del result["streams"], result["arrival_ticks"]  # bulky; judged
     shadow = result.pop("shadow", {})

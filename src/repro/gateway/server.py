@@ -59,9 +59,9 @@ _HELLO_TIMEOUT_S = 10.0
 class GatewayConfig:
     """Resolved gateway knobs (see ``ClusterSpec.gateway``)."""
 
+    #: The address to bind (port 0: OS-assigned).
     host: str = "127.0.0.1"
     port: int = 0
-    listen: Optional[Tuple[str, int]] = None
     #: Global admission caps (non-positive disables a bound).
     max_inflight_msgs: int = 1024
     max_inflight_bytes: int = 8 * 1024 * 1024
@@ -74,11 +74,9 @@ class GatewayConfig:
     @classmethod
     def from_spec(cls, spec: ClusterSpec) -> "GatewayConfig":
         gw = spec.gateway
-        listen = gw.get("listen")
         return cls(
             host=gw.get("host", "127.0.0.1"),
             port=int(gw.get("port", 0)),
-            listen=(listen[0], int(listen[1])) if listen else None,
             max_inflight_msgs=int(gw.get("max_inflight_msgs", 1024)),
             max_inflight_bytes=int(gw.get("max_inflight_bytes",
                                           8 * 1024 * 1024)),
@@ -86,10 +84,6 @@ class GatewayConfig:
             rate_burst=float(gw.get("rate_burst", 200.0)),
             retry_ms=float(gw.get("retry_ms", 50.0)),
         )
-
-    def bind_addr(self) -> Tuple[str, int]:
-        return self.listen if self.listen is not None else (self.host,
-                                                            self.port)
 
 
 @dataclass
@@ -134,10 +128,10 @@ class GatewayServer:
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
-        """Bind the client listener; returns the bound (host, port)."""
-        host, port = self.config.bind_addr()
-        self._server = await asyncio.start_server(self._handle_conn,
-                                                  host, port)
+        """Bind the client listener; returns the bound (host, port),
+        the address clients dial."""
+        self._server = await asyncio.start_server(
+            self._handle_conn, self.config.host, self.config.port)
         bound = self._server.sockets[0].getsockname()
         return bound[0], bound[1]
 

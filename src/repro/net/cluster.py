@@ -38,7 +38,6 @@ import argparse
 import asyncio
 import json
 import os
-import socket
 import subprocess
 import sys
 import tempfile
@@ -69,7 +68,12 @@ READY_TIMEOUT_S = 20.0
 
 
 class ChildProcess:
-    """One spawned server process with a READY-watching stdout reader."""
+    """One spawned server process with a READY-watching stdout reader.
+
+    The child binds an OS-assigned port and prints ``READY <port>``;
+    ``port`` is that number (None until then, and for a READY line
+    that carries none).
+    """
 
     def __init__(self, name: str, cmd: List[str], env: Dict[str, str]):
         self.name = name
@@ -77,7 +81,9 @@ class ChildProcess:
             cmd, stdout=subprocess.PIPE, stderr=None, env=env,
             text=True, bufsize=1,
         )
-        self.ready = False
+        self.port: Optional[int] = None
+        #: The READY line, once printed.
+        self.ready_line: Optional[str] = None
         #: Set at READY and at stdout EOF, so a READY waiter wakes as
         #: soon as the child is either up or gone.
         self._ready_or_gone = threading.Event()
@@ -96,8 +102,11 @@ class ChildProcess:
         assert self.proc.stdout is not None
         for line in self.proc.stdout:
             line = line.rstrip("\n")
-            if line == "READY":
-                self.ready = True
+            if line.split(" ", 1)[0] == "READY":
+                self.ready_line = line
+                _, _, port = line.partition(" ")
+                if port.isdigit():
+                    self.port = int(port)
                 self._ready_or_gone.set()
             elif line.startswith(("AUDIT ", "DETECTOR ")):
                 kind, _, doc = line.partition(" ")
@@ -112,11 +121,14 @@ class ChildProcess:
         self._ready_or_gone.set()
 
     def wait_ready(self) -> None:
-        """Block until READY; raise once the child exits or times out."""
+        """Block until READY; raise once the child exits or times out,
+        or if its READY line carries no port."""
         self._ready_or_gone.wait(READY_TIMEOUT_S)
-        if not self.ready:
+        if self.port is None:
             rc = self.proc.poll()
             raise RuntimeError(
+                f"child {self.name} printed {self.ready_line!r}, "
+                f"not 'READY <port>'" if self.ready_line is not None else
                 f"child {self.name} exited with rc={rc} before READY"
                 if rc is not None else
                 f"child {self.name} not READY within {READY_TIMEOUT_S}s"
@@ -153,23 +165,10 @@ class ChildProcess:
             self._reader.join(timeout=2.0)
 
 
-def free_port() -> int:
-    """An OS-assigned free localhost TCP port (best effort)."""
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
 def with_addresses(spec: ClusterSpec) -> ClusterSpec:
-    """A deep copy of ``spec`` with fresh localhost listen addresses."""
-    run_spec = ClusterSpec.from_json(spec.to_json())
-    ports = {name: ("127.0.0.1", free_port())
-             for name in plan_cluster_nodes(run_spec)}
-    assign_addresses(run_spec, ports)
-    if run_spec.gateway_enabled() and run_spec.gateway.get("port") is None:
-        run_spec.gateway.setdefault("host", "127.0.0.1")
-        run_spec.gateway["port"] = free_port()
-    return run_spec
+    """``spec`` itself: every listener binds its own port and the
+    address table rides GO (see :class:`ClusterHarness`)."""
+    return spec
 
 
 def child_command(spec_path: Path, name: str) -> List[str]:
@@ -203,14 +202,25 @@ def spawn_children(spec: ClusterSpec, spec_path: Path
 class ClusterHarness:
     """One live cluster's lifecycle, however it is driven.
 
-    Constructing the harness builds the coordinator's in-process share
-    (``runtime``, and ``deployment``: every ingress and consumer, with
-    the spec's producers attached) and opens nothing.  ``async with``
-    enters with the cluster running — coordinator socket bound, chaos proxy
-    started, children spawned and past the READY barrier, every child's
-    control channel welcomed, GO epoch ``t0`` acknowledged by every
-    child, pump task started — and leaves with it shut down, reaped, and
-    the common diagnostics in ``result``.  A bring-up that fails
+    Constructing the harness copies ``spec`` (its ``addresses`` left
+    empty), builds the coordinator's in-process share (``runtime``, and
+    ``deployment``: every ingress and consumer, with the spec's
+    producers attached) and opens nothing.  ``async with`` enters with
+    the cluster running and leaves with it shut down, reaped, and the
+    common diagnostics in ``result``.  Bring-up:
+
+    1. the coordinator binds an OS-assigned port; each child, spawned
+       on the address-free spec file, binds its own and reports it on
+       its ``READY <port>`` line (the READY barrier);
+    2. the coordinator builds the one address table
+       (:func:`~repro.net.topology.assign_addresses`) from those ports —
+       or, for the processes a chaos driver fronts, from the proxy
+       fronts it binds now — and installs it in ``spec``;
+    3. every child's control channel is welcomed (the WELCOME barrier),
+       then GO carries the epoch ``t0`` and the table to every child
+       and is acknowledged; the pump starts.
+
+    Nothing picks a port before it is bound.  A bring-up that fails
     part-way releases what it had opened and re-raises.
 
     Every wait ends on the event it stands for, bounded by a timeout
@@ -228,15 +238,15 @@ class ClusterHarness:
     not raised.
 
     ``chaos`` is an optional :class:`~repro.chaos.runner.ChaosDriver`:
-    ``start()`` once the coordinator's socket is up (its fault-proxy
-    listeners must accept before any child dials), ``attach(children)``
-    after spawning, ``on_go(t0)`` with the epoch, ``close()`` on the
-    way out.
+    ``attach(children)`` after spawning, ``await front(ports)`` for the
+    dial address of every process once the children are READY,
+    ``on_go(t0)`` with the epoch, ``close()`` on the way out.
     """
 
     def __init__(self, spec: ClusterSpec, chaos=None,
                  deadline_s: float = 60.0):
-        self.spec = spec
+        self.spec = spec = ClusterSpec.from_json(spec.to_json())
+        spec.addresses = {}
         self.chaos = chaos
         self.deadline_s = deadline_s
         self.started = time.monotonic()
@@ -251,7 +261,6 @@ class ClusterHarness:
         }
         self.children: Dict[str, ChildProcess] = {}
         self.t0 = 0.0
-        self._server: Optional[asyncio.AbstractServer] = None
         self._spec_path: Optional[Path] = None
         self._pump: Optional[asyncio.Task] = None
         self._deadline = 0.0
@@ -268,11 +277,7 @@ class ClusterHarness:
         runtime, spec, chaos = self.runtime, self.spec, self.chaos
         lifecycle = self.result["lifecycle"]
         started = time.monotonic()
-        self._server = await asyncio.start_server(
-            runtime._handle_conn, *spec.listen_addr("coordinator")
-        )
-        if chaos is not None:
-            await chaos.start()
+        ports = {"coordinator": await runtime.listen()}
         with tempfile.NamedTemporaryFile(
             "w", suffix=".json", prefix="cluster-spec-", delete=False
         ) as spec_file:
@@ -285,6 +290,11 @@ class ClusterHarness:
         await asyncio.gather(*(loop.run_in_executor(None, child.wait_ready)
                                for child in self.children.values()))
         lifecycle["ready_s"] = round(time.monotonic() - started, 3)
+        ports.update((name, ("127.0.0.1", child.port))
+                     for name, child in self.children.items())
+        if chaos is not None:
+            ports = await chaos.front(ports)
+        assign_addresses(spec, ports)
 
         # GO: one shared epoch for every tick clock in the cluster, twice
         # the slowest control-channel connect ahead; each child's ack
@@ -296,8 +306,8 @@ class ClusterHarness:
             {name: channel.welcomed() for name, channel in controls.items()})
         self.t0 = time.time() + 2.0 * max(connect_s.values(), default=0.0)
         for channel in controls.values():
-            channel.enqueue(runtime.peer_id,
-                            codec.GoSignal(t0=self.t0, speed=spec.speed))
+            channel.enqueue(runtime.peer_id, codec.GoSignal(
+                t0=self.t0, addresses=spec.addresses))
         sent = time.time()
         go_s = await self._barrier(
             "acknowledge GO",
@@ -477,10 +487,7 @@ class ClusterHarness:
         )
         if self.chaos is not None:
             await self.chaos.close()
-        await runtime.transport.close()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await runtime.close()
         if self._spec_path is not None:
             try:
                 self._spec_path.unlink()
@@ -522,7 +529,6 @@ async def run_networked(
 ) -> Dict:
     """One multi-process run; returns streams and diagnostics.
 
-    ``spec`` must already carry addresses (see :func:`with_addresses`).
     The spec's seeded producers drive the load.  With ``kill_engine``
     set, that engine's process is SIGKILLed once ``kill_fraction`` of
     the expected outputs have been delivered; the run is complete when
@@ -725,7 +731,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{len(plan_cluster_nodes(spec)) - 1} child process(es) ...",
               file=sys.stderr, flush=True)
         result = asyncio.run(run_networked(
-            with_addresses(spec), ref_counts, kill_engine=victim,
+            spec, ref_counts, kill_engine=victim,
             kill_fraction=args.kill_fraction, deadline_s=deadline_s,
         ))
         verdict = check_invariants(spec, None, reference, result)

@@ -182,10 +182,11 @@ class WireVersionError(CodecError):
 @dataclass(frozen=True)
 class GoSignal:
     """Coordinator's start barrier: all processes begin at wall-clock
-    ``t0`` (unix seconds) with the shared tick ``speed``."""
+    ``t0`` (unix seconds), dialing the cluster's ``addresses`` table
+    (node id -> ordered ``(host, port)`` candidates)."""
 
     t0: float
-    speed: float
+    addresses: Dict[str, List[Tuple[str, int]]]
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,14 @@ Runnable as ``python -m repro.net.server --spec cluster.json --name
 engine-e0`` (the :mod:`repro.net.cluster` coordinator spawns these).
 Each process:
 
-1. binds the listen address the spec assigns to its ``proc:<name>``
-   control node and prints ``READY``;
+1. binds its listener to an OS-assigned localhost port and prints
+   ``READY <port>`` — its spec file names no address, and nothing here
+   dials anyone before GO;
 2. waits for the coordinator's :class:`~repro.net.codec.GoSignal`, which
    carries the shared wall-clock epoch ``t0`` — every process maps real
-   time to ticks from the same origin;
+   time to ticks from the same origin — and the cluster's address
+   table, built from every process's reported port, which it installs
+   as its spec's ``addresses``;
 3. starts its share of the deployment (an engine or a follower, see
    :func:`~repro.net.node.host_deployment`) and pumps the simulator with
    :class:`~repro.net.clock.RealtimeKernel` until a
@@ -113,6 +116,8 @@ class ProcessRuntime:
         #: engine id -> the crash probe in flight for it.
         self._probes: Dict[str, asyncio.Task] = {}
         self._server: Optional[asyncio.AbstractServer] = None
+        #: The (host, port) :meth:`listen` bound.
+        self.address: Optional[Tuple[str, int]] = None
         #: Connections that died mid-frame (truncation, not clean EOF).
         self.torn_frames = 0
         #: HELLOs rejected for a mismatched ``proto`` field.
@@ -165,11 +170,6 @@ class ProcessRuntime:
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
-
-    @property
-    def _recv_expected(self) -> Dict[Tuple[str, str, str], int]:
-        """(peer, dst node, dst incarnation) -> next expected seq."""
-        return self._inbound.expected
 
     # -- crash confirmation ---------------------------------------------
     def _suspect(self, peer: str) -> None:
@@ -270,7 +270,7 @@ class ProcessRuntime:
         """
         if type(msg) is codec.GoSignal:
             self.go_t0 = msg.t0
-            self.clock.speed = float(msg.speed)
+            self.spec.addresses = msg.addresses
             self.go.set()
         elif type(msg) is codec.Shutdown:
             self.stopping.set()
@@ -295,15 +295,27 @@ class ProcessRuntime:
             self.rtk.inject(_corrupt)
 
     # -- lifecycle -------------------------------------------------------
+    async def listen(self) -> Tuple[str, int]:
+        """Bind the server socket to an OS-assigned localhost port; the
+        (host, port) it bound."""
+        self._server = await asyncio.start_server(self._handle_conn,
+                                                  "127.0.0.1", 0)
+        self.address = self._server.sockets[0].getsockname()[:2]
+        return self.address
+
+    async def close(self) -> None:
+        """Close every outbound channel and the listener, if bound."""
+        await self.transport.close()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+
     async def serve(self) -> None:
         """Run the full process lifecycle (returns after Shutdown)."""
-        listen_host, listen_port = self.spec.listen_addr(self.name)
-        self._server = await asyncio.start_server(
-            self._handle_conn, listen_host, listen_port
-        )
+        _host, port = await self.listen()
         deployment = self.deployment = host_deployment(self.name,
                                                        self.transport)
-        print("READY", flush=True)
+        print(f"READY {port}", flush=True)
         await self.go.wait()
         self.clock.set_epoch(self.go_t0)
         deployment.start()
@@ -346,9 +358,7 @@ class ProcessRuntime:
             if report is not None:
                 print("AUDIT " + json.dumps(report, sort_keys=True),
                       flush=True)
-        await self.transport.close()
-        self._server.close()
-        await self._server.wait_closed()
+        await self.close()
 
 
 def main(argv=None) -> int:

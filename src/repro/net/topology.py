@@ -75,13 +75,11 @@ class ClusterSpec:
     heartbeat_miss_limit: int = 3
     #: input_id -> workload parameters for its Poisson producer.
     workload: Dict[str, Dict] = field(default_factory=dict)
-    #: node id -> ordered [host, port] candidates (primary first).
+    #: node id -> ordered [host, port] candidates (primary first): the
+    #: addresses peers dial.  Empty in a spec file; a live cluster's
+    #: coordinator fills it from the ports its processes bound (see
+    #: :func:`assign_addresses`) and hands it to every child with GO.
     addresses: Dict[str, List[Tuple[str, int]]] = field(default_factory=dict)
-    #: process name -> [host, port] to *bind*.  Empty means "bind the
-    #: address everyone dials" (``addresses['proc:<name>'][0]``); the
-    #: chaos runner fills it so processes bind their real ports while
-    #: every dialed address routes through a fault proxy.
-    listen: Dict[str, Tuple[str, int]] = field(default_factory=dict)
     #: Named transport timeouts/backoff (seconds).  Chaos runs compress
     #: these so partitions and kills are detected in test-scale wall
     #: time; see docs/chaos.md.
@@ -92,16 +90,14 @@ class ClusterSpec:
     #: batching — every item rides its own ITEM frame).
     batch_max_items: int = 64
     #: Public ingress gateway config; empty dict disables the gateway.
-    #: Keys (all optional except ``host``/``port``, which
-    #: ``repro.net.cluster.with_addresses`` fills in): ``host``/``port``
-    #: — the address clients *dial*; ``listen`` — ``[host, port]`` bind
-    #: override (the chaos proxy fronts the dial address while the
-    #: gateway binds its real port, mirroring ``listen`` above);
-    #: ``max_inflight_msgs`` / ``max_inflight_bytes`` — global admission
-    #: limits; ``rate_msgs_per_s`` / ``rate_burst`` — per-client token
-    #: bucket; ``retry_ms`` — backoff hint carried by BUSY rejects;
-    #: ``span_ms`` — nominal client-burst span used by seeded gateway
-    #: chaos scenarios on workload-free specs.
+    #: Keys (all optional): ``host``/``port`` — the address the gateway
+    #: binds (default ``127.0.0.1`` and port 0, OS-assigned; clients
+    #: dial what ``GatewayServer.start()`` returns, or a chaos proxy's
+    #: front of it); ``max_inflight_msgs`` / ``max_inflight_bytes`` —
+    #: global admission limits; ``rate_msgs_per_s`` / ``rate_burst`` —
+    #: per-client token bucket; ``retry_ms`` — backoff hint carried by
+    #: BUSY rejects; ``span_ms`` — nominal client-burst span used by
+    #: seeded gateway chaos scenarios on workload-free specs.
     gateway: Dict = field(default_factory=dict)
     #: Recovery-time objective in simulated milliseconds; when set, each
     #: engine runs the adaptive cadence controller with this replay
@@ -131,15 +127,8 @@ class ClusterSpec:
             node: [(host, int(port)) for host, port in addrs]
             for node, addrs in spec.addresses.items()
         }
-        spec.listen = {
-            process: (host, int(port))
-            for process, (host, port) in spec.listen.items()
-        }
         if spec.gateway.get("port") is not None:
             spec.gateway["port"] = int(spec.gateway["port"])
-        if spec.gateway.get("listen") is not None:
-            host, port = spec.gateway["listen"]
-            spec.gateway["listen"] = (host, int(port))
         spec.validate()
         return spec
 
@@ -219,32 +208,9 @@ class ClusterSpec:
         the line: only those can have hosted the engine."""
         return [f"engine-{engine_id}"] + self.follower_processes(engine_id)
 
-    def listen_addr(self, process: str) -> Tuple[str, int]:
-        """The address the named process binds its server socket to."""
-        override = self.listen.get(process)
-        if override is not None:
-            return tuple(override)
-        return self.addresses[f"proc:{process}"][0]
-
     def gateway_enabled(self) -> bool:
         """Whether this spec runs a public ingress gateway."""
         return bool(self.gateway)
-
-    def gateway_addr(self) -> Tuple[str, int]:
-        """The address gateway clients dial (may be a chaos proxy front)."""
-        if not self.gateway or self.gateway.get("port") is None:
-            raise WiringError("spec has no gateway address assigned "
-                              "(see repro.net.cluster.with_addresses)")
-        return (self.gateway.get("host", "127.0.0.1"),
-                int(self.gateway["port"]))
-
-    def gateway_listen_addr(self) -> Tuple[str, int]:
-        """The address the gateway binds (the dial address unless the
-        chaos proxy fronted it via ``gateway["listen"]``)."""
-        override = self.gateway.get("listen")
-        if override is not None:
-            return (override[0], int(override[1]))
-        return self.gateway_addr()
 
     def engine_config(self) -> EngineConfig:
         if self.replicas <= 0:
@@ -615,9 +581,10 @@ def plan_cluster_nodes(spec: ClusterSpec) -> Dict[str, List[str]]:
 
 def assign_addresses(spec: ClusterSpec,
                      listen_ports: Dict[str, Tuple[str, int]]) -> None:
-    """Fill ``spec.addresses`` from per-process listen addresses.
+    """Fill ``spec.addresses`` from per-process dial addresses.
 
-    ``listen_ports`` maps process name -> (host, port).  An engine node's
+    ``listen_ports`` maps process name -> (host, port): the port the
+    process bound, or a chaos proxy's front of it.  An engine node's
     candidates are its :meth:`~ClusterSpec.succession_line`, so a
     channel that loses the leader walks the candidate list straight
     down the group's line; every other node lives in exactly one

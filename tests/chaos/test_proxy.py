@@ -6,10 +6,8 @@ import socket
 import struct
 import time
 
-from repro.chaos.proxy import FaultProxy, proxied_spec
+from repro.chaos.proxy import FaultProxy
 from repro.net import codec
-from repro.net.cluster import free_port, with_addresses
-from repro.net.topology import ClusterSpec, plan_cluster_nodes
 
 from tests.net.test_channel import wait_until
 
@@ -37,9 +35,7 @@ async def start_echo():
 
 async def proxy_for(echo_port):
     proxy = FaultProxy()
-    proxy.plan("echo", ("127.0.0.1", echo_port),
-               ("127.0.0.1", free_port()))
-    await proxy.start()
+    await proxy.front("echo", ("127.0.0.1", echo_port))
     return proxy
 
 
@@ -262,35 +258,6 @@ def test_upstream_reset_mid_stream_leaks_no_task_exception():
         return recorded
 
     assert asyncio.run(scenario()) == []
-
-
-def test_proxied_spec_rewrites_dial_addresses_only():
-    spec = with_addresses(ClusterSpec(
-        engines=["e0", "e1"], replicas=1,
-        workload={"readings": {"n_messages": 10,
-                               "mean_interarrival_ms": 1.0}},
-    ))
-    run_spec, proxy = proxied_spec(spec)
-    processes = list(plan_cluster_nodes(spec))
-    assert sorted(proxy.fronts) == sorted(processes)
-    for process in processes:
-        real = tuple(spec.addresses[f"proc:{process}"][0])
-        # The process still binds its real port ...
-        assert run_spec.listen_addr(process) == real
-        assert proxy.targets[process] == real
-        # ... while everyone dials the proxy front.
-        dialed = tuple(run_spec.addresses[f"proc:{process}"][0])
-        assert dialed == tuple(proxy.fronts[process])
-        assert dialed != real
-    # Engine nodes keep both candidates, each remapped to a front.
-    fronts = set(proxy.fronts.values())
-    for engine in spec.engines:
-        assert [tuple(a) for a in run_spec.addresses[engine]] == [
-            tuple(proxy.fronts[f"engine-{engine}"]),
-            tuple(proxy.fronts[f"replica-{engine}"]),
-        ]
-        assert all(tuple(a) in fronts
-                   for a in run_spec.addresses[engine])
 
 
 def test_gw_hello_classifies_client_group():

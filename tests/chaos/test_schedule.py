@@ -117,6 +117,30 @@ def test_sim_lowering_keeps_content_faults_only():
     assert "e0" in lowered[1]["b_nodes"]
 
 
+def test_link_faults_cut_the_layout_at_the_fault_not_at_startup():
+    # After e0's kill its follower's process hosts e0: that is where the
+    # live proxy cuts "replica-e0", and where the twin must cut it too.
+    spec = spec_for_tests()
+    schedule = ChaosSchedule(events=[
+        ChaosEvent("partition", 10.0, link=("coordinator", "replica-e0"),
+                   duration_ms=5.0),
+        ChaosEvent("kill", 20.0, target="engine-e0"),
+        ChaosEvent("partition", 30.0, link=("coordinator", "replica-e0"),
+                   duration_ms=5.0),
+        ChaosEvent("partition", 40.0, link=("coordinator", "engine-e0"),
+                   duration_ms=5.0),
+        ChaosEvent("impair", 50.0, link=("engine-e1", "replica-e0"),
+                   loss_prob=0.1),
+    ])
+    before, _kill, after, old_host, *impair = schedule.sim_events(spec)
+    assert before["b_nodes"] == ["replica:e0"]
+    assert sorted(after["b_nodes"]) == ["e0", "replica:e0"]
+    assert "e0" not in old_host["b_nodes"] and old_host["b_nodes"] == []
+    assert {(e["src"], e["dst"]) for e in impair} == {
+        ("e1", "replica:e0"), ("replica:e0", "e1"),
+        ("e1", "e0"), ("e0", "e1")}
+
+
 def test_sim_replay_of_kill_schedule_matches_clean_reference():
     """The sim half of the shared-schedule contract: a survivable kill
     schedule applied in-simulator still yields the reference stream."""

@@ -101,37 +101,15 @@ class TestSpecPlumbing:
     def test_gateway_json_roundtrip(self):
         spec = ClusterSpec(gateway={
             "host": "127.0.0.1", "port": 9999,
-            "listen": ["127.0.0.1", 8888],
             "max_inflight_msgs": 64, "rate_msgs_per_s": 100.0,
         })
         back = ClusterSpec.from_json(spec.to_json())
         assert back.gateway_enabled()
-        assert back.gateway_addr() == ("127.0.0.1", 9999)
-        assert back.gateway_listen_addr() == ("127.0.0.1", 8888)
         assert back.gateway["port"] == 9999
 
     def test_disabled_by_default(self):
         assert not ClusterSpec().gateway_enabled()
 
-    def test_with_addresses_assigns_gateway_port(self):
-        spec = ClusterSpec(workload={}, gateway={"max_inflight_msgs": 8})
-        run_spec = with_addresses(spec)
-        host, port = run_spec.gateway_addr()
-        assert host == "127.0.0.1"
-        assert port > 0
-
     def test_with_addresses_skips_disabled_gateway(self):
         run_spec = with_addresses(ClusterSpec(workload={}))
         assert not run_spec.gateway_enabled()
-
-    def test_gateway_front_rewrites_dial_not_bind(self):
-        from repro.gateway.cluster import gateway_front
-
-        spec = with_addresses(ClusterSpec(workload={},
-                                          gateway={"retry_ms": 5.0}))
-        real = spec.gateway_addr()
-        fronted, proxy = gateway_front(spec)
-        assert fronted.gateway_listen_addr() == real
-        assert fronted.gateway_addr() != real
-        assert proxy.targets["gateway"] == real
-        assert proxy.fronts["gateway"] == fronted.gateway_addr()

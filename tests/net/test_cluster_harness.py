@@ -8,6 +8,7 @@ import ast
 import asyncio
 import importlib
 import inspect
+import json
 import socket
 import sys
 import time
@@ -24,25 +25,34 @@ from repro.net.server import ProcessRuntime
 from tests.net.test_server import sleeps_awaited_by
 from repro.net.topology import (
     ClusterSpec,
+    assign_addresses,
     build_deployment,
     pipeline_spec,
+    plan_cluster_nodes,
     reference_run,
 )
 
 #: Stand-ins for ``python -m repro.net.server``.
 READY_THEN_IDLE = [sys.executable, "-c",
-                   "import time; print('READY', flush=True); time.sleep(60)"]
+                   "import socket, time; sock = socket.socket(); "
+                   "sock.bind(('127.0.0.1', 0)); sock.listen(); "
+                   "print('READY', sock.getsockname()[1], flush=True); "
+                   "time.sleep(60)"]
+READY_WITHOUT_PORT = [sys.executable, "-c",
+                      "import time; print('READY', flush=True); "
+                      "time.sleep(60)"]
 EXIT_3 = [sys.executable, "-c", "import sys; sys.exit(3)"]
 
 
 @pytest.fixture
 def stub_children(monkeypatch):
-    """Run ``commands[name]`` (default: READY, then idle) as each child;
-    returns ``(commands, spawned children, spec paths seen)``."""
-    commands, spawned, spec_paths = {}, [], set()
+    """Run ``commands[name]`` (default: bind a port, print ``READY
+    <port>``, then idle) as each child; returns ``(commands, spawned
+    children, spec path -> the text a child was handed)``."""
+    commands, spawned, spec_paths = {}, [], {}
 
     def child_command(spec_path, name):
-        spec_paths.add(Path(spec_path))
+        spec_paths[Path(spec_path)] = Path(spec_path).read_text()
         return commands.get(name, READY_THEN_IDLE)
 
     class Recorded(net_cluster.ChildProcess):
@@ -55,37 +65,162 @@ def stub_children(monkeypatch):
     return commands, spawned, spec_paths
 
 
-def assert_released(spec, spawned, spec_paths):
+def failed_bring_up(spec, error, match=None):
+    """Enter a harness on ``spec``, expecting bring-up to raise
+    ``error``; the harness."""
+    clusters = []
+
+    async def enter():
+        clusters.append(net_cluster.ClusterHarness(spec))
+        async with clusters[0]:
+            pass
+
+    with pytest.raises(error, match=match):
+        asyncio.run(enter())
+    return clusters[0]
+
+
+def assert_released(cluster, spawned, spec_paths):
     """Nothing of a failed bring-up is left behind."""
     assert all(child.proc.poll() is not None for child in spawned)
     assert spec_paths and not any(path.exists() for path in spec_paths)
     with socket.socket() as sock:  # the coordinator's listener is closed
-        sock.bind(spec.listen_addr("coordinator"))
+        sock.bind(cluster.runtime.address)
 
 
 def test_spawn_failure_releases_listener_spec_file_and_children(
         stub_children):
     commands, spawned, spec_paths = stub_children
     commands["engine-e1"] = ["/nonexistent/repro-server"]  # the third child
-    spec = net_cluster.with_addresses(pipeline_spec(messages=10))
-    with pytest.raises(FileNotFoundError):
-        asyncio.run(net_cluster.run_networked(spec, {"sink": 1}))
+    cluster = failed_bring_up(pipeline_spec(messages=10), FileNotFoundError)
     assert [child.name for child in spawned] == ["engine-e0", "replica-e0"]
-    assert_released(spec, spawned, spec_paths)
+    assert_released(cluster, spawned, spec_paths)
 
 
 def test_ready_barrier_names_a_crashed_child_without_waiting_it_out(
         stub_children):
     commands, spawned, spec_paths = stub_children
     commands["engine-e1"] = EXIT_3
-    spec = net_cluster.with_addresses(pipeline_spec(messages=10))
     started = time.monotonic()
-    with pytest.raises(RuntimeError,
-                       match=r"child engine-e1 exited with rc=3 before READY"):
-        asyncio.run(net_cluster.run_networked(spec, {"sink": 1}))
+    cluster = failed_bring_up(
+        pipeline_spec(messages=10), RuntimeError,
+        r"child engine-e1 exited with rc=3 before READY")
     assert time.monotonic() - started < net_cluster.READY_TIMEOUT_S / 2
     assert len(spawned) == 4
-    assert_released(spec, spawned, spec_paths)
+    assert_released(cluster, spawned, spec_paths)
+
+
+def test_a_ready_line_without_a_port_fails_bring_up_by_name(stub_children):
+    commands, spawned, spec_paths = stub_children
+    commands["replica-e1"] = READY_WITHOUT_PORT
+    started = time.monotonic()
+    cluster = failed_bring_up(
+        pipeline_spec(messages=10), RuntimeError,
+        r"child replica-e1 printed 'READY', not 'READY <port>'")
+    assert time.monotonic() - started < net_cluster.READY_TIMEOUT_S / 2
+    assert len(spawned) == 4
+    assert_released(cluster, spawned, spec_paths)
+
+
+def test_the_spec_file_children_get_names_no_address(stub_children):
+    # Even a spec that arrives with a table: the harness copies it and
+    # hands the children none; the table rides GO.
+    commands, _spawned, spec_paths = stub_children
+    commands["replica-e1"] = EXIT_3
+    spec = pipeline_spec(messages=10)
+    assign_addresses(spec, {process: ("127.0.0.1", 1)
+                            for process in plan_cluster_nodes(spec)})
+    failed_bring_up(spec, RuntimeError, "replica-e1")
+    assert spec.addresses  # the caller's spec is left as it was
+    (handed,) = set(spec_paths.values())
+    raw = json.loads(handed)
+    assert raw["addresses"] == {} and "listen" not in raw
+    assert "port" not in raw["gateway"]
+
+
+def test_a_proxied_bring_up_hands_out_fronts_of_the_reported_ports():
+    from repro.chaos.proxy import FaultProxy
+    from repro.chaos.runner import ChaosDriver
+    from repro.chaos.schedule import ChaosSchedule
+
+    spec = pipeline_spec(messages=10, master_seed=3)
+    processes = plan_cluster_nodes(spec)
+    proxy = FaultProxy()
+    driver = ChaosDriver(ChaosSchedule(), proxy, spec,
+                         log=lambda line: None, fronted=processes)
+    seen = {}
+
+    async def scenario():
+        cluster = net_cluster.ClusterHarness(spec, chaos=driver)
+        async with cluster:
+            seen.update(
+                table=dict(cluster.spec.addresses),
+                reported={name: ("127.0.0.1", child.port)
+                          for name, child in cluster.children.items()},
+                coordinator=cluster.runtime.address,
+                bound={server.sockets[0].getsockname()[:2]
+                       for server in proxy._servers})
+        return cluster.result
+
+    result = asyncio.run(scenario())
+    assert result["error"] is None
+    assert set(result["child_exit_codes"].values()) == {0}
+    assert result["lifecycle"]["go_late"] == 0
+    assert proxy.targets == {"coordinator": seen["coordinator"],
+                             **seen["reported"]}
+    fronts = set(proxy.fronts.values())
+    assert fronts == seen["bound"] and len(fronts) == len(processes)
+    assert fronts.isdisjoint(proxy.targets.values())
+    assert {tuple(address) for addresses in seen["table"].values()
+            for address in addresses} == fronts
+    # An engine node's candidates are the fronts of its succession line.
+    for engine in spec.engines:
+        assert [tuple(a) for a in seen["table"][engine]] == [
+            proxy.fronts[process]
+            for process in spec.succession_line(engine)]
+
+
+@pytest.mark.parametrize("chaos_seed", [None, 3])
+def test_gateway_clients_dial_the_address_the_gateway_bound(chaos_seed,
+                                                           monkeypatch):
+    from repro.chaos.proxy import FaultProxy
+    from repro.gateway.server import GatewayServer
+
+    bound, fronted, dialed = [], [], []
+    real_start, real_front = GatewayServer.start, FaultProxy.front
+    real_build = gateway_cluster.build_clients
+
+    async def start(self):
+        assert self.config.port == 0  # OS-assigned, not picked earlier
+        bound.append(await real_start(self))
+        return bound[-1]
+
+    async def front(self, process, target):
+        fronted.append((process, tuple(target),
+                        await real_front(self, process, target)))
+        return fronted[-1][2]
+
+    def build_clients(plan, address, factory):
+        dialed.append(tuple(address))
+        return real_build(plan, address, factory)
+
+    monkeypatch.setattr(GatewayServer, "start", start)
+    monkeypatch.setattr(FaultProxy, "front", front)
+    monkeypatch.setattr(gateway_cluster, "build_clients", build_clients)
+    plan = ClientPlan(n_clients=4, total_messages=20, rate_msgs_per_s=200.0,
+                      seed=13)
+    trial = gateway_cluster.run_trial(
+        "dial", gateway_cluster.gateway_spec(plan, master_seed=13), plan,
+        None, 0.4, 60.0, chaos_seed=chaos_seed)
+    assert trial["ok"], trial
+    (address,) = bound
+    if chaos_seed is None:
+        assert fronted == [] and dialed == [address]
+    else:
+        # Only the gateway is fronted; the clients dial its front.
+        ((process, target, front_address),) = fronted
+        assert (process, target) == ("gateway", address)
+        assert dialed == [front_address] != [address]
 
 
 @pytest.mark.parametrize("flags", [
@@ -134,8 +269,7 @@ def test_a_clean_run_waits_on_events_not_on_sleeps(monkeypatch):
     spec = pipeline_spec(messages=20, master_seed=5)
     reference = reference_run(spec)
     result = asyncio.run(net_cluster.run_networked(
-        net_cluster.with_addresses(spec),
-        {sink: len(stream) for sink, stream in reference.items()},
+        spec, {sink: len(stream) for sink, stream in reference.items()},
         deadline_s=45.0,
     ))
     assert result["error"] is None and result["complete"]
@@ -247,6 +381,8 @@ def test_result_keys_and_the_names_the_bench_wraps(monkeypatch):
     reference = reference_run(spec)  # bench/wl_net_failover.py: one argument
     assert reference["sink"] and all(
         len(item) == 3 for item in reference["sink"])
+    # bench/wl_net_failover.py still wraps its spec in with_addresses.
+    assert net_cluster.with_addresses(spec) is spec
     result = asyncio.run(net_cluster.run_networked(
         net_cluster.with_addresses(spec),
         {sink: len(stream) for sink, stream in reference.items()},

@@ -127,7 +127,7 @@ def test_batch_frame_delivers_items_with_one_ack():
     assert ack == (codec.FRAME_ACK, {"upto": 3})  # one ack for 3 items
     assert ack2 == (codec.FRAME_ACK, {"upto": 3})  # duplicate: no regress
     key = ("peer-x", "sink", runtime.transport.incarnations["sink"])
-    assert runtime._recv_expected[key] == 3
+    assert runtime._inbound.expected[key] == 3
 
 
 def test_torn_item_frame_counts_as_reset_not_eof():
@@ -236,7 +236,7 @@ def test_items_reach_only_the_handshaken_node():
     runtime, chosen, other = asyncio.run(scenario())
     assert [m.through_vt for m in chosen.received] == [0, 1, 2]
     assert other.received == []
-    assert list(runtime._recv_expected) == [
+    assert list(runtime._inbound.expected) == [
         ("peer-x", "chosen", runtime.transport.incarnations["chosen"])]
 
 
@@ -268,7 +268,7 @@ def test_fence_inside_a_batch_stops_the_items_behind_it():
     assert closed is None
     assert not engine.alive
     key = ("peer-x", "e0", runtime.transport.incarnations["e0"])
-    assert runtime._recv_expected[key] == 2  # the third item was refused
+    assert runtime._inbound.expected[key] == 2  # the third item was refused
 
 
 def test_garbage_item_frame_hangs_up_without_crashing_the_handler():
@@ -383,7 +383,6 @@ def test_shutdown_flushes_unacked_items_before_serve_returns(pending,
     already sent is acknowledged, on the ack itself — with nothing
     pending it sleeps not at all.  ``connect_timeout_s``, the bound on
     that wait, is far beyond the test's own timeouts."""
-    from repro.net.cluster import with_addresses
     from tests.net.test_channel import FakeHost
 
     slept = sleeps_awaited_by(monkeypatch, "repro.net.server")
@@ -393,18 +392,16 @@ def test_shutdown_flushes_unacked_items_before_serve_returns(pending,
         await host.start()
         if pending:
             host.hold_acks = asyncio.Event()
-        spec = with_addresses(ClusterSpec(engines=["e0"], replicas=0,
-                                          speed=1.0))
+        spec = ClusterSpec(engines=["e0"], replicas=0, speed=1.0)
         spec.connect_timeout_s = 60.0
-        spec.addresses["probe"] = [("127.0.0.1", host.port)]
         runtime = ProcessRuntime("engine-e0", spec)
         serving = asyncio.get_running_loop().create_task(runtime.serve())
         await wait_until(lambda: runtime.deployment is not None)
         control = OutboundChannel("coordinator:1", "proc:engine-e0",
-                                  [spec.listen_addr("engine-e0")])
+                                  [runtime.address])
         control.start()
-        control.enqueue("coordinator", codec.GoSignal(t0=time.time(),
-                                                      speed=1.0))
+        control.enqueue("coordinator", codec.GoSignal(
+            t0=time.time(), addresses={"probe": [("127.0.0.1", host.port)]}))
         await wait_until(runtime.go.is_set)
         probe = runtime.transport.channel_to("probe")
         if pending:
