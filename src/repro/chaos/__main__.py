@@ -4,7 +4,9 @@ Exit codes: 0 — live run byte-identical to the simulated reference and
 all invariants hold; 1 — an invariant failed (a real bug); 2 — the
 schedule was unsurvivable and the cluster degraded gracefully with a
 structured :class:`~repro.errors.UnrecoverableClusterError` (expected
-for ``--scenario unsurvivable``, a surprise otherwise).
+for ``--scenario unsurvivable``, a surprise otherwise); 3 — refused
+before launch: the spec is too short for the scenario
+(:class:`~repro.errors.ScenarioTooShortError` names the minimum span).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.chaos.schedule import (
     ChaosSchedule,
     generate_schedule,
 )
-from repro.errors import UnrecoverableClusterError
+from repro.errors import ScenarioTooShortError, UnrecoverableClusterError
 from repro.net.cluster import (
     add_cluster_arguments,
     check_kill_arguments,
@@ -71,12 +73,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         backoff_max_s=0.2,
         **spec_keywords(args),
     )
-    schedule = None
-    if args.schedule:
-        schedule = ChaosSchedule.from_json(Path(args.schedule).read_text())
+    try:
+        schedule = (ChaosSchedule.from_json(Path(args.schedule).read_text())
+                    if args.schedule else
+                    generate_schedule(args.seed, spec, args.scenario))
+    except ScenarioTooShortError as exc:
+        print(f"chaos: refused: {exc}", file=sys.stderr, flush=True)
+        return 3
     if args.emit_schedule:
-        schedule = schedule or generate_schedule(args.seed, spec,
-                                                 args.scenario)
         print(schedule.to_json())
         return 0
 

@@ -7,7 +7,8 @@ connections to that real address.  The coordinator puts the front,
 not the real port, in the address table it hands out with GO, so every
 peer dials the proxy while the process serves on its own port.  No
 repro.net code changes behaviour — the cluster genuinely cannot tell a
-proxied link from a direct one until a fault fires.
+proxied link from a direct one until a fault fires, and a front whose
+process refuses (it was killed) stops listening, as the process did.
 
 The proxy classifies each connection by **directed link** — (source
 process, destination process) — by sniffing the first frame: every
@@ -97,7 +98,11 @@ class _ProxyConn:
                 self.proxy.count(self.src_proc, self.dst_proc, "stalled")
                 await self._stall()
                 return
-            reader, writer = await asyncio.open_connection(*self.target)
+            try:
+                reader, writer = await asyncio.open_connection(*self.target)
+            except ConnectionRefusedError:  # killed; processes never restart
+                self.proxy.stop_listening(self.dst_proc)
+                return
             self._upstream_writer = writer
             writer.write(sniffed)
             await writer.drain()
@@ -198,6 +203,7 @@ class FaultProxy:
         #: process name -> (proxy host, proxy port).
         self.fronts: Dict[str, Tuple[str, int]] = {}
         self._servers: List[asyncio.AbstractServer] = []
+        self._front_of: Dict[str, asyncio.AbstractServer] = {}
         self._policies: Dict[Tuple[str, str], LinkPolicy] = {}
         self._conns: set = set()
         #: (src, dst, counter) -> value; the proxy's own diagnostics.
@@ -213,8 +219,13 @@ class FaultProxy:
         server = await asyncio.start_server(self._make_handler(process),
                                             "127.0.0.1", 0)
         self._servers.append(server)
+        self._front_of[process] = server
         front = self.fronts[process] = server.sockets[0].getsockname()[:2]
         return front
+
+    def stop_listening(self, process: str) -> None:
+        """Close ``process``'s front: its upstream refused a connect."""
+        self._front_of[process].close()
 
     def _make_handler(self, process: str):
         async def handle(reader, writer):

@@ -53,11 +53,12 @@ then — a link fault cuts a process where its engines *are*.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ChaosError
+from repro.errors import ChaosError, ScenarioTooShortError
 from repro.net.topology import (
     ClusterSpec,
     component_placement,
@@ -480,16 +481,45 @@ def _gen_corrupt_state(rng, spec):
     this run from a clean one, which is exactly what the scenario
     exercises.  Falls back to auto-picking a cell on a random engine
     for non-pipeline apps.
+
+    A draw outside :func:`_corrupt_window` is moved into it; a seeded
+    workload too short to have one is refused
+    (:class:`~repro.errors.ScenarioTooShortError`).
     """
-    span = _span_ms(spec)
     victim = _pick_engine(rng, spec)
+    span = _span_ms(spec)
+    at = rng.uniform(0.25, 0.45) * span
+    window = _corrupt_window(spec)
+    if window is None and spec.workload:
+        # n * mean must exceed 3 * mean * sqrt(n) by two intervals.
+        mean = max(p["mean_interarrival_ms"] for p in spec.workload.values())
+        root = (3 + (9 + 8 * spec.checkpoint_interval_ms / mean) ** 0.5) / 2
+        need = mean * math.ceil(root ** 2)
+        raise ScenarioTooShortError(
+            f"corrupt_state needs a workload span of at least {need:g} "
+            f"simulated ms; this spec's is {span:g} ms", need)
+    if window is not None and not window[0] < at < window[1]:
+        low, high = window
+        at = low + (high - low) * ((at / span - 0.25) / 0.4 + 0.25)
     component = None
     placement = component_placement(spec)
     if "enricher" in placement:
         component = "enricher"
         victim = placement["enricher"]
-    return [ChaosEvent("corrupt", rng.uniform(0.25, 0.45) * span,
-                       target=f"engine-{victim}", component=component)]
+    return [ChaosEvent("corrupt", at, target=f"engine-{victim}",
+                       component=component)]
+
+
+def _corrupt_window(spec: ClusterSpec) -> Optional[Tuple[float, float]]:
+    """Where an audit sees a corruption: after the victim's first (full)
+    checkpoint, which would write it into the chain, and before the last
+    boundary the run surely reaches (the span less three standard
+    deviations of the workload's end); None if no boundary lies between."""
+    every = spec.checkpoint_interval_ms
+    spread = 3 * max((p["mean_interarrival_ms"] * p["n_messages"] ** 0.5
+                      for p in spec.workload.values()), default=0.0)
+    last_audit = every * ((_span_ms(spec) - spread) // every)
+    return (every, last_audit) if last_audit > every else None
 
 
 def _component_hosting_engines(spec: ClusterSpec) -> List[str]:

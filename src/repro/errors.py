@@ -157,6 +157,15 @@ class ChaosError(TartError):
     """A chaos schedule was malformed or could not be executed."""
 
 
+class ScenarioTooShortError(ChaosError):
+    """The workload is too short for the scenario: it needs a span of at
+    least ``min_span_ms`` simulated ms."""
+
+    def __init__(self, message: str, min_span_ms: float):
+        super().__init__(message)
+        self.min_span_ms = min_span_ms
+
+
 class UnrecoverableClusterError(ChaosError):
     """A fault schedule destroyed state the recovery protocol needs.
 

@@ -1,46 +1,24 @@
-"""Framed, reconnecting socket channels.
+"""Framed, reconnecting socket channels, and the pure protocol behind them.
 
 An :class:`OutboundChannel` carries messages from one process to one
-destination *node* (an engine, replica, ingress, or consumer), wherever
-that node is currently hosted.  A pure :class:`ChannelState` makes every
-protocol decision on the sender window it *shares* with the simulated
-``ReliableChannel`` (:class:`~repro.runtime.link.SendWindow`); the
-channel only performs them:
+destination *node* (an engine, replica, ingress, consumer, or a
+process's ``proc:<name>`` control node), wherever that node is hosted.
+It only performs what a pure :class:`ChannelState` decides, on the
+sender window it shares with the simulated ``ReliableChannel``
+(:class:`~repro.runtime.link.SendWindow`): FIFO exactly-once delivery
+within an incarnation (sequence numbers, resend of the unacked tail,
+cumulative acks inside ``[frontier, next_seq]``), an epoch reset when
+the node is re-hosted (TART's replay regenerates what the dropped
+buffer held), batched writes, backpressure on the real-time pump, and
+awaitable :meth:`~OutboundChannel.welcomed` / :meth:`~OutboundChannel.flushed`
+milestones for the cluster's barriers.  Address lists are ordered
+candidates, for an engine its succession line, so after a failover the
+reconnect loop finds the promoted incarnation by itself.
 
-* **FIFO, exactly-once within an incarnation.**  Items get per-channel
-  sequence numbers and stay buffered until cumulatively acknowledged;
-  after a TCP drop the channel reconnects and resends everything
-  unacknowledged, and the receiver discards sequence numbers it has
-  already seen.
-* **Epoch reset across incarnations.**  The WELCOME handshake carries
-  the hosted node's *incarnation*.  When it changes (the node was
-  re-hosted — i.e. a replica was promoted), buffered traffic for the
-  dead incarnation is discarded and sequence numbers restart, exactly
-  like ``ReliableChannel.reset()`` on engine failure; TART's replay
-  regenerates anything that mattered.
-* **Backpressure.**  The writer honours ``drain()``, and a congested
-  channel stops the real-time pump (``RealtimeKernel.congestion_check``).
-* **Batched wire path.**  The send loop drains once per *burst* of
-  ``FRAME_BATCH`` frames (``batch_max_items`` items each).  The receiver
-  acks once per frame; an ``upto`` outside ``[frontier, next_seq]`` is
-  rejected, so a stale host can neither regress nor overrun it.
-* **Awaitable milestones.**  :meth:`~OutboundChannel.welcomed` returns
-  once a WELCOME is accepted and :meth:`~OutboundChannel.flushed` once
-  nothing sent is unacknowledged (or the connection is gone): the
-  cluster's GO and shutdown barriers wait on these, not on sleeps.
-
-Address lists are ordered candidates: for an engine node the primary
-host comes first and its replica's process second, so after a failover
-the reconnect loop finds the promoted incarnation by itself (the
-replica process answers NOT_HERE until promotion completes).
-
-This is the only sender.  Control traffic — the coordinator's GO and
-Shutdown, a promoted follower's fence, the chaos driver's corruption —
-rides channels to a process's always-hosted ``proc:<name>`` control
-node, so it is numbered, deduplicated, retried until the link heals and
-acknowledged like any other item.  The receiving half's dedup, resync
-and ack-value rule is the pure :class:`InboundState`, which
-:class:`~repro.net.server.ProcessRuntime` performs.
+The receiving side's decisions are pure too: :class:`InboundState`
+(HELLO answers, item verdicts, acks) and :class:`CrashProbe`, which
+:class:`~repro.net.server.ProcessRuntime` performs.  :func:`handshake`
+is the one dialer.  ``docs/net.md`` has the protocol in full.
 """
 
 from __future__ import annotations
@@ -116,6 +94,8 @@ class ChannelState:
         self._jitter = jitter
         self._backoff = self.backoff_min
         self._dials = 0
+        #: Index of the candidate dialled last, and of the one adopted.
+        self._at = self._floor = 0
         #: Dials left before the next backoff sleep (see :meth:`redirect`).
         self.redial_left = 0
         #: Items not yet numbered; the driver appends to it directly.
@@ -125,7 +105,7 @@ class ChannelState:
         #: The adopted incarnation; earlier epochs' ones are retired.
         self.incarnation: Optional[str] = None
         self._retired = set()
-        #: When set, only incarnations hosted by this peer are accepted.
+        #: The host a redirect named, until an incarnation is adopted.
         self.expected_peer: Optional[str] = None
         self.connected = False
         self.epoch_resets = 0
@@ -135,8 +115,9 @@ class ChannelState:
 
     def next_address(self) -> Tuple[str, int]:
         """The candidate to dial next, round robin."""
-        address = self.addresses[self._dials % len(self.addresses)]
+        self._at = self._dials % len(self.addresses)
         self._dials += 1
+        address = self.addresses[self._at]
         if self.redial_left:
             self.redial_left -= 1
         return address
@@ -153,15 +134,19 @@ class ChannelState:
         return delay
 
     def on_welcome(self, incarnation: str) -> Optional[List[Dict[str, Any]]]:
-        """The unacked tail to resend first, in order; None refuses the
-        host (a retired incarnation, or not the peer a redirect named)."""
-        if incarnation in self._retired or (
-                self.expected_peer is not None
+        """The unacked tail to resend first, in order, for a WELCOME
+        from the candidate dialled last; None refuses a retired
+        incarnation, a candidate before the one adopted last (nodes only
+        move down the list), and at that one, a peer other than the one
+        a redirect named (a later candidate is newer than any adopted)."""
+        if incarnation in self._retired or self._at < self._floor or (
+                self._at == self._floor and self.expected_peer is not None
                 and not incarnation.startswith(self.expected_peer + "#")):
             return None
         if self.incarnation not in (None, incarnation):
             self._new_epoch()  # re-hosted: the buffer died with it
-        self.incarnation = incarnation
+        self.incarnation, self.expected_peer = incarnation, None
+        self._floor = self._at
         self._backoff = self.backoff_min
         self.redial_left = 0
         self.connected = True
@@ -203,20 +188,18 @@ class ChannelState:
         """The node is now hosted by ``host_peer_id``.  True when the
         caller must hang up and end any backoff sleep.
 
-        A move resets the epoch and pins the host; every candidate is
-        then dialled once before the next sleep.  A *first sighting*
-        (nothing adopted or pinned yet) is not a move and keeps the
-        buffer, as if the handshake had won the race.
+        The host is pinned and every candidate dialled once before the
+        next sleep.  A move away from an adopted incarnation resets the
+        epoch; with nothing adopted, nothing was numbered yet and the
+        buffer is kept, as if the handshake had won the race.
         """
         if self.incarnation is not None:
             if self.incarnation.startswith(host_peer_id + "#"):
                 return False
+            self._new_epoch()
         elif self.expected_peer == host_peer_id:
             return False
-        moved = self.incarnation is not None or self.expected_peer is not None
         self.expected_peer = host_peer_id
-        if moved:
-            self._new_epoch()
         self.connected = False
         self.redial_left = len(self.addresses)
         return True
@@ -232,9 +215,33 @@ class ChannelState:
         self.epoch_resets += 1
 
 
+#: :meth:`InboundState.hello` answers; :meth:`InboundState.item` verdicts.
+REJECT, NOT_HERE, WELCOME = "reject", "not_here", "welcome"
+DELIVER, CONTROL, DUPLICATE, HANG_UP = "deliver", "control", "dup", "hang"
+#: Messages the receiving process acts on at once: GO and Shutdown work
+#: while the pump is stopped, and a fence stops the items behind it.
+CONTROL_TAGS = frozenset(
+    tag for tag, cls in codec.MESSAGE_TAGS.items()
+    if cls in (codec.GoSignal, codec.Shutdown, codec.FenceRequest,
+               codec.CorruptRequest))
+
+
+def deposed(line: Sequence[str], peer: str, *hosts: Optional[str]) -> bool:
+    """Whether traffic from ``peer`` is a deposed host's leftover: its
+    process comes before that of one of ``hosts`` (peers or incarnations
+    the node is known at) on the node's succession ``line``.  A node only
+    moves down its line, and processes never restart."""
+    rank = {process: n for n, process in enumerate(line)}
+    at = rank.get(peer.split(":", 1)[0], -1)
+    return any(host is not None and rank.get(host.split(":", 1)[0], -1) > at
+               for host in hosts)
+
+
 class InboundState:
-    """The receiving end's decisions for every inbound stream: dedup,
-    resync and the ack value.  No sockets, no event loop, no clock.
+    """Every decision of the receiving end: the HELLO answer, each
+    item's verdict, the ack value and retiring dedup state.  No
+    sockets, no event loop, no clock.  The caller passes the
+    destination's live incarnation (None: not hosted here, or dead).
 
     A stream is keyed by (sender peer, destination node, destination
     incarnation), so a re-hosted node starts clean, matching the
@@ -244,22 +251,106 @@ class InboundState:
     def __init__(self):
         #: stream key -> the next sequence number expected on it.
         self.expected: Dict[Tuple[str, str, str], int] = {}
+        #: node -> the incarnation the last WELCOME for it named.
+        self._welcomed: Dict[str, str] = {}
 
-    def accept(self, key: Tuple[str, str, str], seq: int) -> bool:
-        """Whether item ``seq`` on stream ``key`` is fresh (deliver it);
-        False for a duplicate, which is only acked.
+    def hello(self, proto: Any, peer: str, dst: str,
+              incarnation: Optional[str]):
+        """``(answer, stream key)``: REJECT for another wire version,
+        NOT_HERE without a live incarnation, else WELCOME.  Finding the
+        one welcomed last fenced, dead or re-hosted retires its streams."""
+        if proto != codec.WIRE_VERSION:
+            return REJECT, None
+        if self._welcomed.get(dst, incarnation) != incarnation:
+            gone = (dst, self._welcomed.pop(dst))
+            self.expected = {key: seq for key, seq in self.expected.items()
+                             if key[1:] != gone}
+        if incarnation is None:
+            return NOT_HERE, None
+        self._welcomed[dst] = incarnation
+        return WELCOME, (peer, dst, incarnation)
 
-        A ``seq`` above the expected one means a lost dedup entry:
-        resync to the sender rather than black-hole its stream.
-        """
+    def item(self, key: Tuple[str, str, str], seq: int, tag: int,
+             incarnation: Optional[str]) -> str:
+        """The verdict on item ``seq`` (message ``tag``) of stream
+        ``key``: HANG_UP once its incarnation is not the live one (the
+        sender re-handshakes and finds the successor), DUPLICATE below
+        the expected ``seq`` (only acked), else CONTROL or DELIVER; a
+        ``seq`` above it means a lost dedup entry, so the stream resyncs
+        rather than black-hole the sender."""
+        if incarnation != key[2]:
+            return HANG_UP
         if seq < self.expected.get(key, 0):
-            return False
+            return DUPLICATE
         self.expected[key] = seq + 1
-        return True
+        return CONTROL if tag in CONTROL_TAGS else DELIVER
 
     def ack_value(self, key: Tuple[str, str, str]) -> int:
         """The cumulative ``upto`` to acknowledge on stream ``key``."""
         return self.expected.get(key, 0)
+
+
+#: What :func:`handshake` found instead of an answer.
+REFUSED, DROPPED, TORN, LOST = "refused", "dropped", "torn", "lost"
+#: Dials of a candidate that accepts and drops unanswered, and the pause
+#: in seconds before each redial.
+CRASH_PROBE_TRIES = 4
+CRASH_PROBE_GAP_S = 0.005
+
+
+class CrashProbe:
+    """One crash probe of one engine: which ended connection starts it,
+    which candidates it dials, the verdict.  No sockets, no event loop,
+    no clock.
+
+    The candidates are the processes before the follower on the
+    engine's succession line, the ones ``RemoteEngineHandle.halt``
+    fences.  The crash is confirmed when every one refuses a connect;
+    any answer, timeout or other error leaves the heartbeat timeout in
+    charge.  A candidate that accepts and drops unanswered is a dying
+    listener (or a proxy front finding its upstream gone): it is dialled
+    again, :data:`CRASH_PROBE_TRIES` times in all.
+    """
+
+    def __init__(self, spec, engine_id: str, rank: int):
+        self._left = deque(
+            tuple(spec.addresses[f"proc:{process}"][0])
+            for process in spec.succession_line(engine_id)[:1 + rank]
+            if spec.addresses.get(f"proc:{process}"))
+        self._drops = 0
+        self._alive = False
+
+    @staticmethod
+    def suspects(peer: str, hosts: Dict[str, Optional[str]],
+                 probing, stopping: bool) -> List[str]:
+        """The engines of ``hosts`` (followed engine -> its host peer)
+        an ended item connection from ``peer`` starts probes for: those
+        ``peer`` hosts, not ``probing`` yet; none after a Shutdown."""
+        if stopping:
+            return []
+        return [engine for engine, host in hosts.items()
+                if host == peer and engine not in probing]
+
+    def next_dial(self) -> Optional[Tuple[Tuple[str, int], float]]:
+        """``(address, pause in seconds)``; None once decided."""
+        if self._alive or not self._left:
+            return None
+        return self._left[0], CRASH_PROBE_GAP_S if self._drops else 0.0
+
+    def on_dial(self, outcome: Any) -> None:
+        """Fold in the last dial's outcome (anything else: answered)."""
+        if outcome is REFUSED:
+            self._left.popleft()
+            self._drops = 0
+        elif ((outcome is DROPPED or outcome is TORN)
+              and self._drops + 1 < CRASH_PROBE_TRIES):
+            self._drops += 1
+        else:
+            self._alive = True
+
+    def confirms(self, stopping: bool) -> bool:
+        """Every candidate refused, and no Shutdown arrived."""
+        return not (self._alive or self._left or stopping)
 
 
 class OutboundChannel:
@@ -420,11 +511,10 @@ class OutboundChannel:
         while not self._closed:
             address, tail = state.next_address(), None
             try:
-                conn = await _handshake(address, self.peer_id, self.dst_node,
-                                        self.connect_timeout)
-                if conn is not None:
-                    reader, writer, frame = conn
-                    tag, body = frame if frame is not None else (None, None)
+                conn = await handshake(address, self.peer_id, self.dst_node,
+                                       self.connect_timeout)
+                if type(conn) is tuple:
+                    reader, writer, (tag, body) = conn
                     if tag == codec.FRAME_ERROR:
                         writer.close()
                         raise codec.CodecError(
@@ -434,8 +524,10 @@ class OutboundChannel:
                             f"{codec.WIRE_VERSION})")
                     if tag == codec.FRAME_WELCOME:
                         tail = state.on_welcome(body.get("incarnation", ""))
-                    if tail is None:  # NOT_HERE, EOF, or a refused host
+                    if tail is None:  # NOT_HERE, or a refused host
                         writer.close()
+                elif conn is TORN:
+                    self.torn_frames += 1  # died mid-frame: a reset
             except codec.CodecError as exc:
                 # Structured protocol rejection (e.g. the peer speaks
                 # another wire version): retrying cannot help, so park
@@ -446,8 +538,6 @@ class OutboundChannel:
                 print(f"channel to {self.dst_node}: {exc}",
                       file=sys.stderr, flush=True)
                 return
-            except TransportError:
-                self.torn_frames += 1  # died mid-frame: a reset, not NOT_HERE
             if tail is None:
                 self.connect_failures += 1
                 delay = state.on_dial_failed()
@@ -577,80 +667,40 @@ async def all_flushed(channels: Sequence[OutboundChannel],
     return True
 
 
-async def _handshake(address: Tuple[str, int], peer_id: str, dst_node: str,
-                     timeout: float):
-    """Connect, say HELLO for ``dst_node`` and read the answer frame.
-
-    ``(reader, writer, frame)``, ``frame`` None at EOF; None when the
-    socket failed or ``timeout`` passed.  A torn answer raises
-    :class:`~repro.errors.TransportError`, the writer closed.
-    """
+async def handshake(address: Tuple[str, int], peer_id: str, dst_node: str,
+                    timeout: float):
+    """Connect, say HELLO for ``dst_node`` and read the answer frame:
+    ``(reader, writer, frame)``; else, the writer closed, REFUSED
+    (nothing listens), DROPPED (closed or reset unanswered), TORN (died
+    mid-answer) or LOST (a timeout or other error).  A malformed answer
+    raises :class:`~repro.net.codec.CodecError`."""
     host, port = address
     try:
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(host, port), timeout=timeout)
-    except (ConnectionError, OSError, asyncio.TimeoutError):
-        return None
+    except ConnectionRefusedError:
+        return REFUSED
+    except ConnectionError:
+        return DROPPED  # reset while connecting: a dying listener
+    except (OSError, asyncio.TimeoutError):
+        return LOST
     try:
         writer.write(codec.encode_hello(peer_id, dst_node))
         await writer.drain()
         frame = await asyncio.wait_for(codec.read_frame(reader),
                                        timeout=timeout)
-    except (ConnectionError, OSError, asyncio.TimeoutError):
-        writer.close()
-        return None
-    except TransportError:
+    except codec.CodecError:
         writer.close()
         raise
+    except ConnectionError:
+        frame = None
+    except TransportError:
+        writer.close()
+        return TORN
+    except (OSError, asyncio.TimeoutError):
+        writer.close()
+        return LOST
+    if frame is None:
+        writer.close()
+        return DROPPED
     return reader, writer, frame
-
-
-#: Connects a crash probe makes when the listener accepts and then drops
-#: the connection unanswered, and the pause in seconds before each retry.
-CRASH_PROBE_TRIES = 4
-CRASH_PROBE_GAP_S = 0.005
-
-
-async def listener_refuses(address: Tuple[str, int], peer_id: str,
-                           dst_node: str, timeout: float) -> bool:
-    """Whether nothing listens at ``address`` any more.
-
-    True only when the connect is refused: the process that bound the
-    address is gone.  An answer to the HELLO for ``dst_node`` (WELCOME,
-    NOT_HERE or a protocol error), a timeout, or any other socket error
-    is False — something may still be alive there.  A connection that
-    is accepted and then reset or closed before any answer is a dying
-    listener racing its own exit (or a proxy front that cannot reach
-    it): it is dialled again :data:`CRASH_PROBE_GAP_S` later,
-    :data:`CRASH_PROBE_TRIES` times in all, before the verdict falls
-    back to False.
-    """
-    host, port = address
-    for attempt in range(CRASH_PROBE_TRIES):
-        if attempt:
-            await asyncio.sleep(CRASH_PROBE_GAP_S)
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), timeout=timeout)
-        except ConnectionRefusedError:
-            return True
-        except ConnectionError:
-            continue  # reset while connecting: the dying listener
-        except (OSError, asyncio.TimeoutError):
-            return False
-        try:
-            writer.write(codec.encode_hello(peer_id, dst_node))
-            await writer.drain()
-            frame = await asyncio.wait_for(codec.read_frame(reader),
-                                           timeout=timeout)
-        except codec.CodecError:
-            return False  # garbled, but an answer
-        except (ConnectionError, TransportError):
-            frame = None  # reset or torn before answering
-        except (OSError, asyncio.TimeoutError):
-            return False
-        finally:
-            writer.close()
-        if frame is not None:
-            return False
-    return False

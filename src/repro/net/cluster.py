@@ -10,9 +10,10 @@ the networked runtime.  It:
    repro.net.server``), hosts the ingresses and consumers itself, and
    releases everything through the GO barrier with a shared clock epoch;
 3. optionally SIGKILLs the active engine mid-stream (``--kill-active``)
-   once a fraction of the expected outputs have arrived, leaving the
-   replica process to detect the silence via heartbeat timeout, promote
-   from the shipped checkpoint chain, and replay over the sockets;
+   once a fraction of the expected outputs have arrived; the replica
+   process confirms the crash from the refused socket (the heartbeat
+   timeout only backs that up), promotes from the shipped checkpoint
+   chain, and replays over the sockets;
 4. waits for the consumers to reach the reference output counts and
    judges the run with :func:`repro.chaos.invariants.check_invariants`
    — byte-identical ``(seq, vt, payload)`` streams, exactly-once

@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import sys
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import FenceDeliveryError
 from repro.net import codec
-from repro.net.channel import OutboundChannel, all_flushed
+from repro.net.channel import OutboundChannel, all_flushed, deposed
 from repro.net.topology import (
     ClusterSpec,
     attach_workload,
@@ -61,16 +61,16 @@ class ControlNode:
     Hosted as ``proc:<process name>`` in every process, always alive, so
     the coordinator's GO/shutdown barrier, a follower's fence and the
     chaos driver's faults have a handshake target wherever the engines
-    are; the control messages themselves are intercepted by the server's
-    connection loop (they must work before the simulator pump starts).
+    are.  The server hands each control message to :meth:`receive` at
+    once, not through the pump: GO and Shutdown must work while the
+    pump is not running.
     """
 
-    def __init__(self, node_id: str):
+    def __init__(self, node_id: str, receive: Callable[[Any], None]):
         self.node_id = node_id
         self.alive = True
-
-    def receive(self, item: Any) -> None:  # pragma: no cover - intercepted
-        pass
+        #: Acts on one control message.
+        self.receive = receive
 
 
 class NetTransport:
@@ -125,31 +125,26 @@ class NetTransport:
         node = self._local.get(dst_id)
         if node is not None:
             if node.alive:
-                self.sim.call_soon(partial(self._deliver_local, dst_id, item),
+                self.sim.call_soon(partial(self.deliver, dst_id, item),
                                    f"net-local:{dst_id}")
             # else: fail-stop — traffic to a locally dead node is lost.
             return
         self.channel_to(dst_id).enqueue(src_id, item)
 
-    def _deliver_local(self, dst_id: str, item: Any) -> None:
+    def live_incarnation(self, node_id: str) -> Optional[str]:
+        """The incarnation of hosted node ``node_id`` while it is alive;
+        None when it is not hosted here or dead."""
+        node = self._local.get(node_id)
+        if node is None or not node.alive:
+            return None
+        return self.incarnations[node_id]
+
+    def deliver(self, dst_id: str, item: Any) -> None:
+        """Hand an item to a hosted node, from the pump (the simulator is
+        at the current real tick).  A dead node drops it (fail-stop)."""
         node = self._local.get(dst_id)
         if node is not None and node.alive:
             node.receive(item)
-
-    def deliver(self, dst_id: str, item: Any) -> bool:
-        """Hand an item arriving off the wire to a hosted node.
-
-        Called from the pump (via ``RealtimeKernel.inject``), so the
-        simulator is at the current real tick and the handler may
-        schedule freely.  Returns False when the destination is not
-        hosted or dead, so the server can hang up and force senders to
-        re-resolve the node's location.
-        """
-        node = self._local.get(dst_id)
-        if node is None or not node.alive:
-            return False
-        node.receive(item)
-        return True
 
     def fail_node(self, node_id: str) -> None:
         """Epoch-reset the channel toward a declared-failed node."""
@@ -158,17 +153,22 @@ class NetTransport:
             channel.reset()
 
     def note_item_source(self, src_node: str, from_peer: str) -> None:
-        """Record where traffic *from* ``src_node`` is arriving from.
-
-        Called by the server for every inbound ITEM, before the item is
-        handed to the pump.  If we hold a channel *toward* that node and
-        it is pointed at a different host, the node has moved (its
-        replica was promoted) — redirect the channel now, so replies to
-        this very item are enqueued into the new epoch rather than being
-        dropped when the reconnect loop discovers the move later.
-        """
-        self._hosts[src_node] = from_peer
+        """Record where traffic *from* ``src_node`` arrives from, for
+        every inbound item before the pump sees it: if the node moved,
+        the channel toward it is redirected now, so replies to this very
+        item land in the new epoch.  A deposed host's leftovers move
+        nothing."""
         channel = self._channels.get(src_node)
+        adopted = channel.incarnation if channel is not None else None
+        if self._hosts.get(src_node) == from_peer and (
+                channel is None
+                or (adopted or "").startswith(from_peer + "#")):
+            return  # no news
+        line = (self.spec.succession_line(src_node)
+                if src_node in self.spec.engines else ())
+        if deposed(line, from_peer, self._hosts.get(src_node), adopted):
+            return
+        self._hosts[src_node] = from_peer
         if channel is not None:
             channel.redirect(from_peer)
 

@@ -2,62 +2,27 @@
 
 Runnable as ``python -m repro.net.server --spec cluster.json --name
 engine-e0`` (the :mod:`repro.net.cluster` coordinator spawns these).
-Each process:
+Each process binds an OS-assigned port and prints ``READY <port>``;
+dials no one until the coordinator's :class:`~repro.net.codec.GoSignal`
+brings the shared clock epoch and the address table; pumps its share of
+the deployment (:func:`~repro.net.node.host_deployment`) until a
+:class:`~repro.net.codec.Shutdown`; then waits until what it sent is
+acknowledged or its peer hung up, prints its DETECTOR / AUDIT lines and
+exits (``docs/net.md``, "Cluster lifecycle").
 
-1. binds its listener to an OS-assigned localhost port and prints
-   ``READY <port>`` — its spec file names no address, and nothing here
-   dials anyone before GO;
-2. waits for the coordinator's :class:`~repro.net.codec.GoSignal`, which
-   carries the shared wall-clock epoch ``t0`` — every process maps real
-   time to ticks from the same origin — and the cluster's address
-   table, built from every process's reported port, which it installs
-   as its spec's ``addresses``;
-3. starts its share of the deployment (an engine or a follower, see
-   :func:`~repro.net.node.host_deployment`) and pumps the simulator with
-   :class:`~repro.net.clock.RealtimeKernel` until a
-   :class:`~repro.net.codec.Shutdown` arrives;
-4. stops the pump, waits until every item it sent is acknowledged or
-   its peer has hung up (at most ``connect_timeout_s``), reports any
-   fence still unacknowledged, prints its DETECTOR / AUDIT lines and
-   exits.
-
-Inbound connection protocol (the receiving half of
-:class:`~repro.net.channel.OutboundChannel`): a HELLO whose ``proto``
-field does not match our :data:`~repro.net.codec.WIRE_VERSION` is
-answered with a structured ``FRAME_ERROR`` and hung up (version
-negotiation is enforced, not advisory); a valid HELLO is answered with
-WELCOME carrying the *incarnation* of the hosted destination node, or
-NOT_HERE when the node is not hosted here or no longer alive — the
-latter also applies mid-stream: a connection whose destination died is
-simply hung up, which forces the sender to re-handshake and cycle to
-the node's next address candidate (where its promoted successor lives).
-
-Items arrive as singleton ITEM frames or as BATCH frames carrying many
-item records, and are delivered to the node the connection's HELLO
-named — a record carries no destination of its own.  Acknowledgements
-are *coalesced*: one cumulative ACK is written per received frame — a
-batch of N items costs one ack write instead of the historical N — and
-the ack carries the connection's next expected sequence number either
-way.
-
-Dedup, resync and the ack value are decided by a pure
-:class:`~repro.net.channel.InboundState`, keyed by (sender peer,
-destination node, destination *incarnation*): a promoted node starts
-with a clean slate, matching the sender's channel-sequence restart on
-epoch reset, while same-incarnation reconnect replays are deduplicated
-exactly.  Control messages (GO, Shutdown, a fence, a chaos corruption)
-arrive on channels to this process's ``proc:<name>`` node, pass the
-same dedup, and are applied by :meth:`ProcessRuntime._control_message`.
-
-Connection ends are failure evidence.  When an item connection from the
-process currently hosting an engine this process follows ends (and no
-Shutdown has arrived), the server dials every process before this
-follower on the engine's succession line — the ones
-``RemoteEngineHandle.halt`` fences — and, if all of them refuse, injects
-:meth:`~repro.runtime.detector.HeartbeatDetector.confirm_crash`: a
-crashed leader is promoted without waiting out the heartbeat timeout.
-Anything that still answers, stalls or accepts leaves the timeout in
-charge.
+The receiving half of :class:`~repro.net.channel.OutboundChannel` only
+reads frames, writes answers, dials and injects; sans-I/O code in
+:mod:`repro.net.channel` decides (``docs/net.md``, "Receiving side"):
+:class:`~repro.net.channel.InboundState` answers each HELLO (a
+structured ``FRAME_ERROR`` for another wire version, NOT_HERE, or
+WELCOME with the node's incarnation) and rules on each item — deliver
+it through the pump to the node the HELLO named, hand a control message
+to the ``proc:<name>`` :class:`~repro.net.node.ControlNode` at once, ack
+a duplicate, or hang up because the node died, so the sender finds its
+successor — and :class:`~repro.net.channel.CrashProbe` decides when the
+end of a connection from an engine's host is probed and whether every
+candidate refusing confirms the crash: the follower then promotes
+without waiting out the heartbeat timeout.
 """
 
 from __future__ import annotations
@@ -73,7 +38,16 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net import codec
-from repro.net.channel import InboundState, listener_refuses
+from repro.net.channel import (
+    CONTROL,
+    DELIVER,
+    HANG_UP,
+    NOT_HERE,
+    REJECT,
+    CrashProbe,
+    InboundState,
+    handshake,
+)
 from repro.net.clock import RealtimeClock, RealtimeKernel
 from repro.net.node import (
     ControlNode,
@@ -85,11 +59,6 @@ from repro.net.node import (
 from repro.net.topology import ClusterSpec, plan_cluster_nodes
 from repro.runtime.engine import ExecutionEngine
 from repro.sim.kernel import Simulator
-
-
-#: Messages the server acts on itself instead of delivering to a node.
-_CONTROL_TYPES = frozenset({codec.GoSignal, codec.Shutdown,
-                            codec.FenceRequest, codec.CorruptRequest})
 
 
 class ProcessRuntime:
@@ -104,9 +73,9 @@ class ProcessRuntime:
         self.transport = NetTransport(self.sim, spec, self.peer_id)
         self.rtk = RealtimeKernel(self.sim, self.clock,
                                   congestion_check=self.transport.congested)
-        self.control = ControlNode(f"proc:{name}")
+        self.control = ControlNode(f"proc:{name}", self._control_message)
         self.transport.register(self.control)
-        #: Dedup and ack decisions for every inbound stream.
+        #: The decisions for every inbound connection and stream.
         self._inbound = InboundState()
         self.go = asyncio.Event()
         self.go_t0: Optional[float] = None
@@ -131,27 +100,29 @@ class ProcessRuntime:
                 frame = await asyncio.wait_for(codec.read_frame(reader),
                                                timeout=10.0)
             except codec.WireVersionError as exc:
-                await self._reject_proto(writer, exc.version)
-                return
+                frame = codec.FRAME_HELLO, {"proto": exc.version}
             if frame is None or frame[0] != codec.FRAME_HELLO:
                 return
-            proto = frame[1].get("proto")
-            if proto != codec.WIRE_VERSION:
-                await self._reject_proto(writer, proto)
-                return
-            peer = str(frame[1].get("peer", ""))
-            dst = str(frame[1].get("dst", ""))
-            node = self.transport.local_node(dst)
-            if node is None or not node.alive:
+            hello = frame[1]
+            peer = str(hello.get("peer", ""))
+            dst = str(hello.get("dst", ""))
+            answer, key = self._inbound.hello(
+                hello.get("proto"), peer, dst,
+                self.transport.live_incarnation(dst))
+            if answer is REJECT:
+                # Say why before hanging up, and leak no incarnation.
+                self.proto_rejects += 1
+                writer.write(codec.encode_error(
+                    f"unsupported wire protocol {hello.get('proto')!r}; "
+                    f"{self.name} speaks {codec.WIRE_VERSION}"))
+            elif answer is NOT_HERE:
                 writer.write(codec.encode_not_here())
-                await writer.drain()
-                return
-            incarnation = self.transport.incarnations[dst]
-            writer.write(codec.encode_welcome(incarnation))
+            else:
+                writer.write(codec.encode_welcome(key[2]))
             await writer.drain()
-            welcomed = peer
-            await self._item_loop(reader, writer, peer, (peer, dst,
-                                                         incarnation))
+            if key is not None:
+                welcomed = peer
+                await self._item_loop(reader, writer, key)
         except codec.CodecError:
             pass  # malformed peer: hang up
         except TransportError:
@@ -171,54 +142,12 @@ class ProcessRuntime:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
-    # -- crash confirmation ---------------------------------------------
-    def _suspect(self, peer: str) -> None:
-        """An item connection from ``peer`` ended: probe every engine
-        this process follows that ``peer`` hosts."""
-        if self.deployment is None or self.stopping.is_set():
-            return
-        for engine_id, detector in self.deployment.detectors.items():
-            if (self.transport.host_of(engine_id) == peer
-                    and engine_id not in self._probes):
-                self._probes[engine_id] = asyncio.get_running_loop(
-                ).create_task(self._probe(engine_id, detector),
-                              name=f"crash-probe:{engine_id}")
-
-    async def _probe(self, engine_id: str, detector) -> None:
-        """Confirm the crash when every candidate host refuses.
-
-        The candidates are the processes before this follower on the
-        engine's succession line — whoever may host the engine now,
-        exactly the ones ``RemoteEngineHandle.halt`` fences.  While a
-        lower rank still listens, it is that rank's turn to promote.
-        """
-        spec = self.spec
-        try:
-            for process in spec.succession_line(engine_id)[:1 + detector.rank]:
-                address = spec.addresses.get(f"proc:{process}")
-                if address and not await listener_refuses(
-                        tuple(address[0]), self.peer_id, engine_id,
-                        spec.connect_timeout_s):
-                    return
-            if not self.stopping.is_set():
-                self.rtk.inject(detector.confirm_crash)
-        finally:
-            del self._probes[engine_id]
-
-    async def _reject_proto(self, writer, proto) -> None:
-        """Version negotiation is enforced: answer a HELLO of another
-        wire version (by its frame header or its ``proto`` field) with a
-        structured reject so the peer can log why, then hang up before
-        any WELCOME leaks an incarnation."""
-        self.proto_rejects += 1
-        writer.write(codec.encode_error(
-            f"unsupported wire protocol {proto!r}; "
-            f"{self.name} speaks {codec.WIRE_VERSION}"
-        ))
-        await writer.drain()
-
-    async def _item_loop(self, reader, writer, peer: str, key) -> None:
+    async def _item_loop(self, reader, writer, key) -> None:
+        """Perform the verdict on every item of a WELCOMEd connection
+        and write one cumulative ACK per received frame."""
+        inbound, transport = self._inbound, self.transport
         encoder = codec.FrameEncoder()
+        peer, dst, _incarnation = key
         while True:
             frame = await codec.read_frame(reader)
             if frame is None:
@@ -227,47 +156,63 @@ class ProcessRuntime:
             if tag != codec.FRAME_ITEM and tag != codec.FRAME_BATCH:
                 continue
             for item in codec.batch_items(body):
-                if not self._accept_item(item, peer, key):
-                    # Destination died under this connection: hang up so
-                    # the sender re-handshakes and finds the promoted
-                    # successor at the next address candidate.
+                wire = item["msg"]
+                verdict = inbound.item(key, item["seq"], wire["k"],
+                                       transport.live_incarnation(dst))
+                if verdict is DELIVER:
+                    transport.note_item_source(item["src"], peer)
+                    self.rtk.inject(partial(transport.deliver, dst,
+                                            codec.decode_message(wire)))
+                elif verdict is CONTROL:
+                    self.control.receive(codec.decode_message(wire))
+                elif verdict is HANG_UP:
                     return
-            # Ack coalescing: one cumulative ACK per received frame —
-            # a batch of N items costs one ack write, not N.
-            writer.write(encoder.encode_ack(self._inbound.ack_value(key)))
+            writer.write(encoder.encode_ack(inbound.ack_value(key)))
             await writer.drain()
 
-    def _accept_item(self, item, peer: str, key) -> bool:
-        """Dedup + deliver one item; False when the target is gone.
+    # -- crash confirmation ---------------------------------------------
+    def _suspect(self, peer: str) -> None:
+        """An item connection from ``peer`` ended: start the probes
+        :meth:`CrashProbe.suspects` names."""
+        if self.deployment is None:
+            return
+        detectors = self.deployment.detectors
+        hosts = {engine_id: self.transport.host_of(engine_id)
+                 for engine_id in detectors}
+        for engine_id in CrashProbe.suspects(peer, hosts, self._probes,
+                                             self.stopping.is_set()):
+            self._probes[engine_id] = asyncio.get_running_loop(
+            ).create_task(self._probe(engine_id, detectors[engine_id]),
+                          name=f"crash-probe:{engine_id}")
 
-        The destination is the one the connection's HELLO named
-        (``key[1]``) — an item cannot address any other node — and its
-        liveness is tested per item: a fence earlier in the same batch
-        must stop the items behind it.
-        """
-        dst_node = key[1]
-        target = self.transport.local_node(dst_node)
-        if target is None or not target.alive:
-            return False
-        if self._inbound.accept(key, item["seq"]):
-            msg = codec.decode_message(item["msg"])
-            if type(msg) in _CONTROL_TYPES:
-                self._control_message(msg)
-            else:
-                self.transport.note_item_source(item["src"], peer)
-                self.rtk.inject(
-                    partial(self.transport.deliver, dst_node, msg))
-        return True
+    async def _probe(self, engine_id: str, detector) -> None:
+        """Dial what a :class:`CrashProbe` names; inject its verdict."""
+        probe = CrashProbe(self.spec, engine_id, detector.rank)
+        try:
+            dial = probe.next_dial()
+            while dial is not None:
+                address, pause = dial
+                if pause:
+                    await asyncio.sleep(pause)
+                try:
+                    outcome = await handshake(address, self.peer_id,
+                                              engine_id,
+                                              self.spec.connect_timeout_s)
+                except codec.CodecError:
+                    outcome = None  # garbled, but an answer
+                if type(outcome) is tuple:
+                    outcome[1].close()
+                probe.on_dial(outcome)
+                dial = probe.next_dial()
+            if probe.confirms(self.stopping.is_set()):
+                self.rtk.inject(detector.confirm_crash)
+        finally:
+            del self._probes[engine_id]
 
     def _control_message(self, msg) -> None:
-        """Handle one cluster-control message (``_CONTROL_TYPES``)
-        synchronously.
-
-        GO and Shutdown cannot go through the pump — it is not running
-        before GO and must be stopped by Shutdown.  The fence is also
-        immediate: its entire point is to silence the engine *now*, not
-        at the pump's convenience.
-        """
+        """The control node's ``receive``: act at once, not through the
+        pump, which runs only between GO and Shutdown; a fence silences
+        its engine *now*."""
         if type(msg) is codec.GoSignal:
             self.go_t0 = msg.t0
             self.spec.addresses = msg.addresses
@@ -337,11 +282,7 @@ class ProcessRuntime:
             summary = " ".join(
                 f"{dst}:r{c['reconnects']}/cf{c['connect_failures']}"
                 f"/rs{c['items_resent']}/er{c['epoch_resets']}"
-                for dst, c in stats.items()
-            )
-            if detection:
-                summary += " detector:" + "/".join(
-                    f"{cause}={n}" for cause, n in detection.items())
+                for dst, c in stats.items())
             print(f"channels: {summary}", file=sys.stderr, flush=True)
         if detection:
             print("DETECTOR " + json.dumps(detection, sort_keys=True),

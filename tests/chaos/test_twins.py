@@ -38,3 +38,30 @@ def test_twin_sweep_seeds_0_to_999(tmp_path, monkeypatch):
     diverged = [seed for seed in range(1000)
                 if not twin_verdict(seed, None)["deterministic"]]
     assert diverged == []
+
+
+def test_corrupt_state_lands_where_an_audit_sees_it():
+    """Every corruption the generator places is healed in the twin: it
+    lands after the victim's first (full) checkpoint and before an audit
+    boundary the run reaches.  A spec too short for that is refused."""
+    from repro.chaos.schedule import generate_schedule
+    from repro.errors import ScenarioTooShortError
+    from repro.net.topology import pipeline_spec, simulated_twin, twin_horizon
+
+    short = pipeline_spec(messages=40, master_seed=7, audit="heal")
+    with pytest.raises(ScenarioTooShortError) as refused:
+        generate_schedule(7, short, "corrupt_state")
+    assert refused.value.min_span_ms == 77
+    assert "at least 77 simulated ms" in str(refused.value)
+
+    for messages in (77, 160):
+        spec = pipeline_spec(messages=messages, master_seed=7, audit="heal")
+        unhealed = []
+        for seed in range(10):
+            schedule = generate_schedule(seed, spec, "corrupt_state")
+            twin = simulated_twin(spec, schedule)
+            twin.run(until=twin_horizon(spec, schedule))
+            victim = schedule.events[0].target.split("-", 1)[1]
+            if twin.engines[victim].auditor.heals < 1:
+                unhealed.append(seed)
+        assert unhealed == [], messages

@@ -11,6 +11,7 @@ from repro.errors import TransportError
 from repro.net import codec
 from repro.net.channel import (
     ChannelState,
+    CrashProbe,
     InboundState,
     OutboundChannel,
     backoff_jitter_rng,
@@ -467,7 +468,7 @@ def test_reset_drops_the_connection_and_retires_the_incarnation():
 def test_channel_state_and_send_window_are_sans_io():
     """The protocol's decisions name no event loop, clock, socket or
     print: the driver performs, the state only decides."""
-    for cls in (ChannelState, InboundState, SendWindow):
+    for cls in (ChannelState, InboundState, CrashProbe, SendWindow):
         tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
         names = {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute)}

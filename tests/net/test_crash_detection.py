@@ -12,6 +12,7 @@ import asyncio
 import socket
 import time
 
+from repro.chaos.proxy import FaultProxy
 from repro.net import codec
 from repro.net.channel import CRASH_PROBE_TRIES
 from repro.net.node import host_deployment
@@ -288,6 +289,25 @@ def test_front_that_always_drops_leaves_the_timeout_in_charge():
     follower = asyncio.run(scenario())
     assert len(accepted) == CRASH_PROBE_TRIES
     assert follower.promotions() == 0
+
+
+def test_proxy_front_of_a_dead_process_confirms_the_crash():
+    """A chaos link's front accepts for a dead upstream once, fails to
+    reach it and stops listening: the probe's redial is refused."""
+    async def scenario():
+        proxy = FaultProxy()
+        front = await proxy.front("engine-e0", refused_address())
+        try:
+            async with Follower(at={"engine-e0": front}) as follower:
+                await follower.connection_ends()
+                await wait_until(lambda: follower.promotions() == 1)
+                return follower
+        finally:
+            await proxy.close()
+
+    follower = asyncio.run(scenario())
+    assert follower.detector.crash_confirmed == 1
+    assert follower.detector.timeouts == 0
 
 
 def test_silent_front_leaves_the_timeout_in_charge():
