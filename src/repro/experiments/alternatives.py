@@ -132,7 +132,7 @@ def _total_busy_ticks(deployment: Deployment) -> int:
 
 
 def _total_frames(deployment: Deployment) -> int:
-    return sum(ch.data_link.frames_sent + ch.ack_link.frames_sent
+    return sum(ch.frames_sent
                for ch in deployment.network.channels().values())
 
 

@@ -139,7 +139,7 @@ class DivergenceAuditor:
         rebuild_us = (time.perf_counter() - started) * 1e6
         self.checks += 1
         metrics.count("audit.checks")
-        metrics.gauge("audit.rebuild_us", rebuild_us)
+        metrics.gauge("audit.rebuild_us", rebuild_us, wall_clock=True)
         if self.cadence is not None:
             span = engine.sim.now - self._base_captured_at
             self.cadence.observe_replay(span, rebuild_us / 1000.0)

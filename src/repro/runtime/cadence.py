@@ -147,7 +147,8 @@ class CadenceController:
             self._growth_msgs_per_tick.observe(messages / span_ticks)
         self._capture_us.observe(capture_us)
         if self.metrics is not None:
-            self.metrics.gauge("cadence.capture_us", self._capture_us.value)
+            self.metrics.gauge("cadence.capture_us", self._capture_us.value,
+                               wall_clock=True)
             self.metrics.gauge("cadence.checkpoint_bytes", float(blob_bytes))
 
     def observe_ack(self, lag_ticks: int) -> None:
@@ -221,7 +222,8 @@ class CadenceController:
         g("cadence.detect_ticks", float(self.detect_ticks))
         g("cadence.ack_lag_ticks", self._ack_lag_ticks.value or 0.0)
         g("cadence.predicted_replay_ticks", self.predicted_replay_ticks())
-        g("cadence.replay_rate_ticks_per_ms", self._replay_ticks_per_ms.value)
+        g("cadence.replay_rate_ticks_per_ms", self._replay_ticks_per_ms.value,
+          wall_clock=True)
         growth = self._growth_msgs_per_tick.value
         if growth is not None:
             g("cadence.growth_msgs_per_tick", growth)

@@ -20,7 +20,8 @@ A bundle is a directory::
       state.bin         final per-component state cells + digests
       streams.bin       per-sink effective output streams
       checkpoints.json  per-engine checkpoint-chain manifests
-      metrics.json      MetricSet.dump_json() of the recorded run
+      metrics.json      MetricSet.dump_json() of the recorded run, less
+                        its wall-clock gauges
       verdict.json      judge verdict (failure bundles)
 
 ``repro.tools.timetravel`` re-executes any bundle to an arbitrary VT and
@@ -209,7 +210,8 @@ class FlightRecorder:
             json.dumps(checkpoint_manifests(dep), indent=2, sort_keys=True)
             + "\n")
         (path / "metrics.json").write_text(
-            json.dumps(dep.metrics.dump_json(), indent=2, sort_keys=True)
+            json.dumps(dep.metrics.dump_json(wall_clock=False), indent=2,
+                       sort_keys=True)
             + "\n")
         if verdict is not None:
             (path / "verdict.json").write_text(

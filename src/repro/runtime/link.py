@@ -17,6 +17,14 @@ This module builds both layers from scratch:
   delivery within an epoch.  Engine crashes reset the channel to a new
   epoch (the channel's state is volatile); recovery above the channel
   is TART's replay.
+
+A channel built ``perfect`` over a link that cannot fault (constant
+delay, no serialization, clean knobs that nobody else holds) skips the
+protocol: each frame is one kernel event stamped with the epoch, since
+acks, timers and RTT samples could not change what is delivered.
+:meth:`ReliableChannel.link_fault` hands out the knobs and engages the
+protocol in the exact state, random stream included, that running it
+all along would have left.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import random
 from functools import partial
 from typing import Any, Callable, Dict, Optional
 
+from repro.errors import TransportError
 from repro.sim.distributions import Constant, Distribution
 from repro.sim.kernel import Simulator, us
 
@@ -39,6 +48,12 @@ class LinkFault:
         self.reorder_extra = reorder_extra
         #: While True, every frame is dropped (a link outage).
         self.down = False
+
+    @property
+    def clean(self) -> bool:
+        """Whether these knobs can neither drop, copy nor delay a frame."""
+        return not (self.down or self.loss_prob or self.dup_prob
+                    or self.reorder_extra is not None)
 
 
 class RawLink:
@@ -146,6 +161,10 @@ class ReliableChannel:
     within the current epoch.  :meth:`reset` starts a new epoch (used
     when either endpoint engine fails): unacked data is discarded and
     stale frames from the old epoch are ignored on arrival.
+
+    ``perfect`` says that no caller holds ``fault``: while the link
+    cannot fault either, the channel skips the protocol (see
+    :attr:`perfect`) until :meth:`link_fault` hands the knobs out.
     """
 
     def __init__(self, sim: Simulator, rng: random.Random, name: str,
@@ -153,7 +172,8 @@ class ReliableChannel:
                  delay: Optional[Distribution] = None,
                  fault: Optional[LinkFault] = None,
                  rto: Optional[int] = None,
-                 serialize_ticks: int = 0):
+                 serialize_ticks: int = 0,
+                 perfect: bool = False):
         delay = delay if delay is not None else Constant(0)
         self.sim = sim
         self.name = name
@@ -163,6 +183,18 @@ class ReliableChannel:
         self.ack_link = RawLink(sim, rng, f"{name}:ack", delay, fault)
         base = max(1, int(delay.mean()))
         self.rto = int(rto) if rto is not None else max(us(50), 4 * base)
+        #: True while the channel skips the protocol: every frame takes
+        #: exactly the constant delay, arrives once and in order, and its
+        #: ack would land before the first retransmit timer fires.
+        self.perfect = (perfect and isinstance(delay, Constant)
+                        and not serialize_ticks
+                        and self.data_link.fault.clean
+                        and 2 * delay.value < self.rto)
+        self._one_way = delay.value if self.perfect else 0
+        self._data_label = self.data_link._label
+        # When the ack of the latest current-epoch arrival on a perfect
+        # channel would land; -1 when there is none.
+        self._ack_due = -1
 
         self._epoch = 0
         self._window = SendWindow()
@@ -186,11 +218,23 @@ class ReliableChannel:
         #: Diagnostics.
         self.retransmissions = 0
         self.delivered = 0
+        #: Frames put on the links: data (retransmissions included) and
+        #: one ack per current-epoch arrival; a perfect channel counts
+        #: the same frames it skips.
+        self.frames_sent = 0
 
     # -- sender side -----------------------------------------------------
     def send(self, item: Any) -> None:
         """Queue one item for reliable in-order delivery."""
-        self._transmit_frame(self._window.push(item), attempt=1, first=True)
+        if self.perfect:
+            self._window.next_seq += 1
+            self.frames_sent += 1
+            self.sim.after(self._one_way,
+                           partial(self._arrive, self._epoch, item),
+                           self._data_label)
+        else:
+            self._transmit_frame(self._window.push(item), attempt=1,
+                                 first=True)
 
     def _effective_rto(self) -> int:
         if self._srtt is None:
@@ -205,6 +249,7 @@ class ReliableChannel:
         exponentially per attempt — so a congested or dead link sees a
         geometrically thinning trickle, never a flood.
         """
+        self.frames_sent += 1
         if not first:
             self.retransmissions += 1
             self._tx_meta[seq][2].cancel()  # this transmission supersedes it
@@ -222,10 +267,21 @@ class ReliableChannel:
         self._tx_meta[seq] = (self.sim.now, not first, timer)
 
     # -- receiver side ---------------------------------------------------
+    def _arrive(self, epoch: int, item: Any) -> None:
+        """A perfect channel's frame lands: deliver it, owe its ack."""
+        if epoch != self._epoch:
+            return  # stale frame from before a reset
+        self._recv_expected += 1
+        self.delivered += 1
+        self.frames_sent += 1
+        self._ack_due = self.sim.now + self._one_way
+        self._deliver(item)
+
     def _on_data(self, frame) -> None:
         epoch, seq, item = frame
         if epoch != self._epoch:
             return  # stale frame from before a reset
+        self.frames_sent += 1  # the ack sent below
         if seq >= self._recv_expected:  # else a duplicate: just re-ack
             self._recv_buffer[seq] = item
             while self._recv_expected in self._recv_buffer:
@@ -266,6 +322,32 @@ class ReliableChannel:
             self._dup_acks = 0
 
     # -- lifecycle ---------------------------------------------------------
+    def link_fault(self) -> LinkFault:
+        """The data link's fault knobs; the protocol runs from now on.
+
+        A perfect channel hands over only when idle: a current-epoch
+        frame or ack in flight has no window entry or timer to take
+        over, so that raises :class:`~repro.errors.TransportError`.  An
+        idle one draws what its raw links would have drawn (loss and
+        duplication: two per data frame and per ack) and takes the
+        state a clean history leaves: every frame acked once, after a
+        round trip of exactly twice the delay.
+        """
+        if self.perfect:
+            if (self._window.next_seq != self._recv_expected
+                    or self.sim.now <= self._ack_due):
+                raise TransportError(
+                    f"link {self.name}: cannot hand its fault knobs over "
+                    f"with frames in flight")
+            rng = self.data_link.rng
+            for _ in range(2 * self.frames_sent):
+                rng.random()
+            if self._recv_expected:
+                self._srtt = float(2 * self._one_way)
+                self._last_ack_value = self._recv_expected
+            self.perfect = False
+        return self.data_link.fault
+
     def reset(self) -> None:
         """Start a new epoch, discarding all channel state.
 
@@ -283,8 +365,12 @@ class ReliableChannel:
         self._srtt = None
         self._last_ack_value = -1
         self._dup_acks = 0
+        self._ack_due = -1
 
     @property
     def in_flight(self) -> int:
-        """Number of unacknowledged items (diagnostic)."""
+        """Number of unacknowledged items (diagnostic); on a perfect
+        channel an item counts until it lands."""
+        if self.perfect:
+            return self._window.next_seq - self._recv_expected
         return len(self._window.unacked)

@@ -11,7 +11,7 @@ perturb determinism.
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from repro.vt.time import TICKS_PER_US
 
@@ -23,6 +23,9 @@ class MetricSet:
         self.counters: Dict[str, int] = {}
         self.accumulators: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
+        #: Gauges that read the wall clock: two runs of one seed differ
+        #: in them, so a recorded bundle leaves them out.
+        self.wall_clock: Set[str] = set()
         self._latencies: List[int] = []
 
     # -- write side ------------------------------------------------------
@@ -30,13 +33,18 @@ class MetricSet:
         """Increment a counter."""
         self.counters[name] = self.counters.get(name, 0) + n
 
-    def gauge(self, name: str, value: float) -> None:
+    def gauge(self, name: str, value: float,
+              wall_clock: bool = False) -> None:
         """Set a gauge to its latest observed value (last write wins).
 
         Gauges carry point-in-time control-loop state (e.g. the cadence
         controller's current interval) rather than monotonic totals.
+        ``wall_clock`` marks a value measured in (or derived from) real
+        time; the mark sticks to the name.
         """
         self.gauges[name] = value
+        if wall_clock:
+            self.wall_clock.add(name)
 
     def add(self, name: str, amount: int) -> None:
         """Add to an accumulator."""
@@ -151,14 +159,16 @@ class MetricSet:
             "determinism_faults": float(self.counter("determinism_faults")),
         }
 
-    def dump_json(self) -> Dict:
+    def dump_json(self, wall_clock: bool = True) -> Dict:
         """The full registry as one JSON-safe document.
 
         Everything a run accumulated — counters, gauges, accumulators,
         the latency-percentile summary, and per-channel fault counters —
         in a strictly finite form (``NaN``/``inf`` become ``None`` so
         the output is valid strict JSON).  This is what ``--metrics-out``
-        writes at shutdown and what flight-recorder bundles embed.
+        writes at shutdown and what flight-recorder bundles embed, the
+        latter without the :attr:`wall_clock` gauges (``wall_clock``
+        false) so that a seed's bundle repeats byte for byte.
         """
         def finite(value):
             value = float(value)
@@ -177,7 +187,8 @@ class MetricSet:
         return {
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "gauges": {k: finite(v)
-                       for k, v in sorted(self.gauges.items())},
+                       for k, v in sorted(self.gauges.items())
+                       if wall_clock or k not in self.wall_clock},
             "accumulators": {k: self.accumulators[k]
                              for k in sorted(self.accumulators)},
             "latency": latency,

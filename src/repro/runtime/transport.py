@@ -8,7 +8,10 @@ Delivery semantics:
 
 * between two distinct nodes — through a lazily created
   :class:`~repro.runtime.link.ReliableChannel` with the link parameters
-  configured for that pair (delay distribution, loss/duplication faults);
+  configured for that pair (delay distribution, loss/duplication faults).
+  A pair whose link cannot fault gets a *perfect* channel, one kernel
+  event per frame and no protocol, until :meth:`Network.link_fault`
+  hands its knobs out and the protocol takes over exactly;
 * within one node (component to component on the same engine) — direct,
   after ``local_delay`` ticks (default 0);
 * to a dead node — dropped: messages in transit to a failed engine are
@@ -119,9 +122,14 @@ class Network:
         self._channels.pop((src_id, dst_id), None)
 
     def link_fault(self, src_id: str, dst_id: str) -> LinkFault:
-        """The fault knobs of the (possibly lazily created) channel."""
-        channel = self._channel(src_id, dst_id)
-        return channel.data_link.fault
+        """The fault knobs of the (possibly lazily created) channel.
+
+        The channel runs the reliability protocol from then on; a
+        perfect one with frames in flight raises
+        :class:`~repro.errors.TransportError` instead
+        (:meth:`ReliableChannel.link_fault`).
+        """
+        return self._channel(src_id, dst_id).link_fault()
 
     # -- delivery ----------------------------------------------------------
     def send(self, src_id: str, dst_id: str, item: Any) -> None:
@@ -148,6 +156,8 @@ class Network:
             params = self._links.get(key, self.default_link)
             # Each channel owns its fault knobs: an outage or impairment
             # on one pair must not reach every pair sharing the params.
+            # Nobody holds them until link_fault(), so the channel may
+            # start perfect.
             rng = self.rng_registry.stream(f"link:{src_id}->{dst_id}")
             channel = ReliableChannel(
                 self.sim, rng, f"{src_id}->{dst_id}",
@@ -155,6 +165,7 @@ class Network:
                 delay=params.delay, fault=copy.copy(params.fault),
                 rto=params.rto,
                 serialize_ticks=params.serialize_ticks,
+                perfect=True,
             )
             self._channels[key] = channel
         return channel

@@ -65,3 +65,25 @@ def test_corrupt_state_lands_where_an_audit_sees_it():
             if twin.engines[victim].auditor.heals < 1:
                 unhealed.append(seed)
         assert unhealed == [], messages
+
+
+def test_a_recorded_bundle_repeats_byte_for_byte(tmp_path):
+    """Seed 7 (corrupt_state) audits, which times its rebuild on the
+    wall clock; the bundle keeps such figures out, so two recordings of
+    one seed are the same files."""
+    import json
+    from pathlib import Path
+
+    from repro.chaos.__main__ import main
+
+    bundles = []
+    for run in ("a", "b"):
+        assert main(["--seed", "7", "--messages", "160", "--sim-only",
+                     "--record", str(tmp_path / run)]) == 0
+        bundles.append(tmp_path / f"{run}.replay")
+    first, second = ({p.relative_to(b): p.read_bytes()
+                      for p in sorted(b.rglob("*")) if p.is_file()}
+                     for b in bundles)
+    assert first == second
+    metrics = json.loads(first[Path("metrics.json")])
+    assert metrics["counters"]["audit.checks"] > 0

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.errors import TransportError
 from repro.runtime.link import LinkFault, RawLink, ReliableChannel
 from repro.sim.distributions import Constant, Uniform
 from repro.sim.kernel import Simulator, us
@@ -147,3 +148,71 @@ class TestReliableChannel:
         sim.at(us(500), lambda: setattr(fault, "down", False))
         sim.run()
         assert received == ["x"]
+
+
+class TestPerfectChannel:
+    def _perfect(self, sim, delay=Constant(us(50)), **kwargs):
+        received = []
+        channel = ReliableChannel(
+            sim, random.Random(7), "p",
+            deliver=lambda item: received.append((sim.now, item)),
+            delay=delay, fault=LinkFault(), perfect=True, **kwargs)
+        return channel, received
+
+    def test_built_only_on_a_link_that_cannot_fault(self):
+        sim = Simulator()
+        assert self._perfect(sim)[0].perfect
+        assert not self._perfect(sim, delay=Uniform(0, us(50)))[0].perfect
+        assert not self._perfect(sim, serialize_ticks=us(1))[0].perfect
+        assert not self._perfect(sim, rto=us(100))[0].perfect  # <= 2 d
+        lossy = ReliableChannel(sim, random.Random(7), "l",
+                                deliver=lambda item: None,
+                                fault=LinkFault(loss_prob=0.1),
+                                perfect=True)
+        assert not lossy.perfect
+        assert not make_channel(sim)[0].perfect  # not asked for
+
+    def test_one_kernel_event_per_frame(self):
+        sim = Simulator()
+        channel, received = self._perfect(sim)
+        for i in range(5):
+            channel.send(i)
+        sim.run()
+        assert received == [(us(50), i) for i in range(5)]
+        assert sim.events_executed == 5
+        # Each data frame plus the ack the protocol would have sent.
+        assert channel.frames_sent == 10
+        assert channel.in_flight == 0
+
+    def test_reset_makes_old_epoch_frames_stale(self):
+        sim = Simulator()
+        channel, received = self._perfect(sim)
+        channel.send("doomed")
+        sim.run(until=us(25))
+        channel.reset()
+        channel.send("fresh")
+        sim.run()
+        assert received == [(us(75), "fresh")]
+        assert channel.frames_sent == 3  # no ack for the stale arrival
+
+    def test_a_switch_with_a_frame_in_flight_raises(self):
+        sim = Simulator()
+        channel, _ = self._perfect(sim)
+        channel.send("x")
+        sim.run(until=us(25))
+        with pytest.raises(TransportError, match="link p"):
+            channel.link_fault()
+        assert channel.perfect
+
+    def test_a_switch_with_an_ack_in_flight_raises(self):
+        sim = Simulator()
+        channel, _ = self._perfect(sim)
+        channel.send("x")
+        sim.run(until=us(75))  # landed; its ack lands at 100 us
+        with pytest.raises(TransportError):
+            channel.link_fault()
+        sim.run(until=us(101))
+        fault = channel.link_fault()
+        assert not channel.perfect
+        assert fault is channel.data_link.fault
+        assert channel._srtt == float(2 * us(50))

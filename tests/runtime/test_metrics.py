@@ -132,3 +132,13 @@ class TestDumpJson:
         doc = MetricSet().dump_json()
         json.dumps(doc, allow_nan=False)
         assert doc["latency"] == {"count": 0}
+
+    def test_wall_clock_gauges_can_be_left_out(self):
+        m = MetricSet()
+        m.gauge("audit.rebuild_us", 150.0, wall_clock=True)
+        m.gauge("audit.rebuild_us", 140.0)  # the mark sticks to the name
+        m.gauge("replica.chain_len", 3.0)
+        assert m.dump_json()["gauges"] == {"audit.rebuild_us": 140.0,
+                                           "replica.chain_len": 3.0}
+        assert m.dump_json(wall_clock=False)["gauges"] == {
+            "replica.chain_len": 3.0}

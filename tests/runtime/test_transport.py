@@ -138,6 +138,17 @@ class TestFailure:
         assert [i for i, _ in d.received] == ["through"]
         assert net.link_fault("c", "d").down is False
 
+    def test_link_fault_with_frames_in_flight_raises(self):
+        sim, net, a, b = make_net(
+            default_link=LinkParams(delay=Constant(us(40))))
+        net.send("a", "b", "x")
+        assert net.channels()[("a", "b")].perfect
+        with pytest.raises(TransportError, match="a->b"):
+            net.link_fault("a", "b")
+        sim.run(until=us(81))
+        net.link_fault("a", "b").down = True
+        assert not net.channels()[("a", "b")].perfect
+
     def test_link_fault_accessor(self):
         sim, net, a, b = make_net()
         fault = net.link_fault("a", "b")

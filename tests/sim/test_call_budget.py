@@ -5,7 +5,7 @@ Every replay oracle, chaos judge and time-travel seek is a run of
 costs per dispatched message is guarded here by two counts that repeat
 exactly for a seed and an interpreter — Python-visible calls and fired
 kernel events — so the guard cannot flake on a noisy host.  The run
-measures 238 calls and 4.52 events per dispatch; the budgets leave
+measures 210.5 calls and 3.52 events per dispatch; the budgets leave
 about 1 % and 2 % of headroom.
 """
 
@@ -15,8 +15,8 @@ import pstats
 from repro.experiments.common import Fig1Params, build_fig1
 from repro.sim.kernel import ms
 
-MAX_CALLS_PER_DISPATCH = 240
-MAX_EVENTS_PER_DISPATCH = 4.6
+MAX_CALLS_PER_DISPATCH = 213
+MAX_EVENTS_PER_DISPATCH = 3.6
 
 
 def test_fig1_stays_within_its_call_and_event_budget():
