@@ -217,15 +217,19 @@ class CadenceController:
         if self.metrics is None:
             return
         g = self.metrics.gauge
-        g("cadence.interval_ticks", float(self._interval))
-        g("cadence.budget_ticks", self._budget_ticks())
+        # A wall-clock budget is spent at the measured replay rate, so
+        # the interval and all that follows from it read the wall clock.
+        wall = self.target.max_recovery_wall_ms is not None
+        g("cadence.interval_ticks", float(self._interval), wall_clock=wall)
+        g("cadence.budget_ticks", self._budget_ticks(), wall_clock=wall)
         g("cadence.detect_ticks", float(self.detect_ticks))
         g("cadence.ack_lag_ticks", self._ack_lag_ticks.value or 0.0)
-        g("cadence.predicted_replay_ticks", self.predicted_replay_ticks())
+        g("cadence.predicted_replay_ticks", self.predicted_replay_ticks(),
+          wall_clock=wall)
         g("cadence.replay_rate_ticks_per_ms", self._replay_ticks_per_ms.value,
           wall_clock=True)
         growth = self._growth_msgs_per_tick.value
         if growth is not None:
             g("cadence.growth_msgs_per_tick", growth)
             g("cadence.predicted_replay_msgs",
-              growth * self.predicted_replay_ticks())
+              growth * self.predicted_replay_ticks(), wall_clock=wall)

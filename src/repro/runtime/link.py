@@ -18,13 +18,13 @@ This module builds both layers from scratch:
   epoch (the channel's state is volatile); recovery above the channel
   is TART's replay.
 
-A channel built ``perfect`` over a link that cannot fault (constant
-delay, no serialization, clean knobs that nobody else holds) skips the
-protocol: each frame is one kernel event stamped with the epoch, since
-acks, timers and RTT samples could not change what is delivered.
-:meth:`ReliableChannel.link_fault` hands out the knobs and engages the
-protocol in the exact state, random stream included, that running it
-all along would have left.
+A channel whose link cannot fault (constant delay, no serialization,
+and no fault knobs handed in by its caller) is *perfect*: it skips the
+protocol and sends each frame as one kernel event stamped with the
+epoch, since acks, timers and RTT samples could not change what is
+delivered.  :meth:`ReliableChannel.link_fault` is the one way to its
+knobs; it engages the protocol in the exact state, random stream
+included, that running it all along would have left.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class RawLink:
         self._free_at = 0
         self._label = f"link:{name}"
         #: Diagnostics.
-        self.frames_sent = 0
         self.frames_dropped = 0
         self.frames_duplicated = 0
 
@@ -92,7 +91,6 @@ class RawLink:
         still sitting in its own queue.  Loss happens "on the wire", so
         dropped frames still pay (and report) their queue wait.
         """
-        self.frames_sent += 1
         sim, rng, fault = self.sim, self.rng, self.fault
         queue_wait = 0
         if self.serialize_ticks:
@@ -162,9 +160,11 @@ class ReliableChannel:
     when either endpoint engine fails): unacked data is discarded and
     stale frames from the old epoch are ignored on arrival.
 
-    ``perfect`` says that no caller holds ``fault``: while the link
-    cannot fault either, the channel skips the protocol (see
-    :attr:`perfect`) until :meth:`link_fault` hands the knobs out.
+    A ``fault`` passed in stays in its caller's hands, so the channel
+    runs the protocol from the start.  Without one, the data and ack
+    links share knobs that only :meth:`link_fault` hands out, and a
+    link that cannot fault skips the protocol until then (see
+    :attr:`perfect`).
     """
 
     def __init__(self, sim: Simulator, rng: random.Random, name: str,
@@ -172,26 +172,26 @@ class ReliableChannel:
                  delay: Optional[Distribution] = None,
                  fault: Optional[LinkFault] = None,
                  rto: Optional[int] = None,
-                 serialize_ticks: int = 0,
-                 perfect: bool = False):
+                 serialize_ticks: int = 0):
         delay = delay if delay is not None else Constant(0)
         self.sim = sim
         self.name = name
         self._deliver = deliver
-        self.data_link = RawLink(sim, rng, f"{name}:data", delay, fault,
-                                 serialize_ticks=serialize_ticks)
-        self.ack_link = RawLink(sim, rng, f"{name}:ack", delay, fault)
+        held = fault is not None
+        fault = fault if held else LinkFault()
+        self._data_link = RawLink(sim, rng, f"{name}:data", delay, fault,
+                                  serialize_ticks=serialize_ticks)
+        self._ack_link = RawLink(sim, rng, f"{name}:ack", delay, fault)
         base = max(1, int(delay.mean()))
         self.rto = int(rto) if rto is not None else max(us(50), 4 * base)
         #: True while the channel skips the protocol: every frame takes
         #: exactly the constant delay, arrives once and in order, and its
         #: ack would land before the first retransmit timer fires.
-        self.perfect = (perfect and isinstance(delay, Constant)
+        self.perfect = (not held and isinstance(delay, Constant)
                         and not serialize_ticks
-                        and self.data_link.fault.clean
                         and 2 * delay.value < self.rto)
         self._one_way = delay.value if self.perfect else 0
-        self._data_label = self.data_link._label
+        self._data_label = self._data_link._label
         # When the ack of the latest current-epoch arrival on a perfect
         # channel would land; -1 when there is none.
         self._ack_due = -1
@@ -254,7 +254,7 @@ class ReliableChannel:
             self.retransmissions += 1
             self._tx_meta[seq][2].cancel()  # this transmission supersedes it
         frame = (self._epoch, seq, self._window.unacked[seq])
-        queue_wait = self.data_link.transmit(frame, self._on_data)
+        queue_wait = self._data_link.transmit(frame, self._on_data)
         backoff = min(self._effective_rto() * (2 ** (attempt - 1)),
                       self.max_backoff * self.rto)
         # The timer lives exactly as long as this transmission is the
@@ -290,8 +290,8 @@ class ReliableChannel:
                 self.delivered += 1
                 self._deliver(ready)
         # Cumulative ack of the highest in-order seq received so far.
-        self.ack_link.transmit((self._epoch, self._recv_expected),
-                               self._on_ack)
+        self._ack_link.transmit((self._epoch, self._recv_expected),
+                                self._on_ack)
 
     # -- sender side, acks -------------------------------------------------
     def _on_ack(self, frame) -> None:
@@ -323,7 +323,7 @@ class ReliableChannel:
 
     # -- lifecycle ---------------------------------------------------------
     def link_fault(self) -> LinkFault:
-        """The data link's fault knobs; the protocol runs from now on.
+        """The link's fault knobs; the protocol runs from now on.
 
         A perfect channel hands over only when idle: a current-epoch
         frame or ack in flight has no window entry or timer to take
@@ -339,14 +339,14 @@ class ReliableChannel:
                 raise TransportError(
                     f"link {self.name}: cannot hand its fault knobs over "
                     f"with frames in flight")
-            rng = self.data_link.rng
+            rng = self._data_link.rng
             for _ in range(2 * self.frames_sent):
                 rng.random()
             if self._recv_expected:
                 self._srtt = float(2 * self._one_way)
                 self._last_ack_value = self._recv_expected
             self.perfect = False
-        return self.data_link.fault
+        return self._data_link.fault
 
     def reset(self) -> None:
         """Start a new epoch, discarding all channel state.

@@ -156,16 +156,17 @@ class Network:
             params = self._links.get(key, self.default_link)
             # Each channel owns its fault knobs: an outage or impairment
             # on one pair must not reach every pair sharing the params.
-            # Nobody holds them until link_fault(), so the channel may
-            # start perfect.
+            # Clean params hand in none, so the channel makes its own,
+            # reachable only through link_fault(), and may start perfect.
+            fault = params.fault
             rng = self.rng_registry.stream(f"link:{src_id}->{dst_id}")
             channel = ReliableChannel(
                 self.sim, rng, f"{src_id}->{dst_id}",
                 deliver=partial(self._deliver, dst_id),
-                delay=params.delay, fault=copy.copy(params.fault),
+                delay=params.delay,
+                fault=None if fault.clean else copy.copy(fault),
                 rto=params.rto,
                 serialize_ticks=params.serialize_ticks,
-                perfect=True,
             )
             self._channels[key] = channel
         return channel

@@ -106,16 +106,18 @@ def test_a_perfect_channel_hands_over_to_the_protocol_exactly(
     deliveries, frames and random stream as running the protocol all
     along."""
     runs = []
-    for perfect in (True, False):
+    for reference in (False, True):
         sim = Simulator()
         received = []
+        rng = random.Random(seed)
+        # Knobs handed in keep the reference on the protocol throughout.
         channel = ReliableChannel(
-            sim, random.Random(seed), "prop",
+            sim, rng, "prop",
             deliver=lambda item, got=received, s=sim: got.append((s.now,
                                                                  item)),
-            delay=Constant(us(delay_us)), fault=LinkFault(),
-            perfect=perfect)
-        assert channel.perfect is perfect
+            delay=Constant(us(delay_us)),
+            fault=LinkFault() if reference else None)
+        assert channel.perfect is not reference
         _drive(channel, sim, before, "before")
         if reset_at_switch:
             channel.reset()  # old-epoch frames may still be in flight
@@ -126,7 +128,7 @@ def test_a_perfect_channel_hands_over_to_the_protocol_exactly(
         handed_over = (channel._window.next_seq, channel._recv_expected,
                        channel._srtt, channel._last_ack_value,
                        channel._dup_acks, channel.frames_sent,
-                       channel.data_link.rng.getstate())
+                       rng.getstate())
         fault.loss_prob, fault.dup_prob = loss, dup
         if reorder_span:
             fault.reorder_extra = Uniform(0, us(reorder_span))
@@ -134,6 +136,6 @@ def test_a_perfect_channel_hands_over_to_the_protocol_exactly(
         sim.run(max_events=400_000)
         assert channel.in_flight == 0
         runs.append((handed_over, received, channel.frames_sent,
-                     channel.data_link.rng.getstate()))
+                     rng.getstate()))
     assert runs[0][0] == runs[1][0]  # the state the protocol takes over
     assert runs[0] == runs[1]

@@ -113,6 +113,22 @@ class TestCadenceController:
             assert gauge in metrics.gauges, gauge
         assert metrics.gauge_value("cadence.budget_ticks") == float(ms(40))
         assert metrics.counters.get("cadence.adjustments", 0) == 1
+        assert metrics.wall_clock == {"cadence.capture_us",
+                                      "cadence.replay_rate_ticks_per_ms"}
+
+    def test_a_wall_clock_budget_marks_what_it_steers(self):
+        metrics = MetricSet()
+        target = RecoveryTarget(max_recovery_wall_ms=5.0)
+        ctl = CadenceController(target, base_interval=ms(10),
+                                metrics=metrics)
+        ctl.observe_checkpoint(span_ticks=ms(10), messages=50,
+                               capture_us=120.0, blob_bytes=4096)
+        ctl.next_interval()
+        assert metrics.wall_clock == {
+            "cadence.capture_us", "cadence.replay_rate_ticks_per_ms",
+            "cadence.interval_ticks", "cadence.budget_ticks",
+            "cadence.predicted_replay_ticks",
+            "cadence.predicted_replay_msgs"}
 
     def test_rejects_bad_construction(self):
         target = RecoveryTarget(max_replay_ticks=ms(10))

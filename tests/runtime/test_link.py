@@ -142,7 +142,7 @@ class TestReliableChannel:
     def test_retransmission_survives_outage(self):
         sim = Simulator()
         channel, received = make_channel(sim)
-        fault = channel.data_link.fault
+        fault = channel.link_fault()
         fault.down = True
         channel.send("x")
         sim.at(us(500), lambda: setattr(fault, "down", False))
@@ -156,7 +156,7 @@ class TestPerfectChannel:
         channel = ReliableChannel(
             sim, random.Random(7), "p",
             deliver=lambda item: received.append((sim.now, item)),
-            delay=delay, fault=LinkFault(), perfect=True, **kwargs)
+            delay=delay, **kwargs)
         return channel, received
 
     def test_built_only_on_a_link_that_cannot_fault(self):
@@ -165,12 +165,9 @@ class TestPerfectChannel:
         assert not self._perfect(sim, delay=Uniform(0, us(50)))[0].perfect
         assert not self._perfect(sim, serialize_ticks=us(1))[0].perfect
         assert not self._perfect(sim, rto=us(100))[0].perfect  # <= 2 d
-        lossy = ReliableChannel(sim, random.Random(7), "l",
-                                deliver=lambda item: None,
-                                fault=LinkFault(loss_prob=0.1),
-                                perfect=True)
-        assert not lossy.perfect
-        assert not make_channel(sim)[0].perfect  # not asked for
+        # Knobs handed in stay in the caller's hands, clean or not.
+        assert not self._perfect(sim, fault=LinkFault())[0].perfect
+        assert not make_channel(sim, loss_prob=0.1)[0].perfect
 
     def test_one_kernel_event_per_frame(self):
         sim = Simulator()
@@ -214,5 +211,5 @@ class TestPerfectChannel:
         sim.run(until=us(101))
         fault = channel.link_fault()
         assert not channel.perfect
-        assert fault is channel.data_link.fault
+        assert fault is channel.link_fault()
         assert channel._srtt == float(2 * us(50))

@@ -54,7 +54,9 @@ class TestAdaptiveRto:
         return sim, channel, received
 
     def test_srtt_tracks_clean_round_trips(self):
-        sim, channel, received = self._channel(delay=Constant(us(100)))
+        # Knobs handed in keep a clean channel on the protocol.
+        sim, channel, received = self._channel(delay=Constant(us(100)),
+                                               fault=LinkFault())
         for i in range(5):
             channel.send(i)
         sim.run()
@@ -139,7 +141,7 @@ class TestRetransmitTimerLifetime:
 
     def test_clean_channel_quiesces_with_nothing_pending(self):
         sim, channel, received, labels = self._channel(
-            delay=Constant(us(100)))
+            delay=Constant(us(100)), fault=LinkFault())
         for i in range(5):
             channel.send(i)
         # Stop well before the earliest retransmit deadline (>= 400 us).
