@@ -15,8 +15,9 @@ paper: "highly right-skewed"), and the residual–regressor correlation
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, List, Mapping, Sequence, Tuple
 
 from repro.core.estimators import LinearEstimator
 from repro.errors import ComponentError
@@ -166,29 +167,37 @@ class DriftMonitor:
             raise ComponentError("drift window must be >= 2")
         self.window = window
         self.threshold_fraction = threshold_fraction
-        self._errors: List[int] = []
-        self._actuals: List[int] = []
+        # The window's samples and their running sums: a sample costs
+        # O(1) however long the window (the sums are exact integers).
+        self._errors: Deque[int] = deque(maxlen=window)
+        self._actuals: Deque[int] = deque(maxlen=window)
+        self._error_sum = 0
+        self._actual_sum = 0
 
     def observe(self, estimated_ticks: int, actual_ticks: int) -> None:
         """Record one (estimated, actual) pair."""
-        self._errors.append(int(estimated_ticks) - int(actual_ticks))
-        self._actuals.append(int(actual_ticks))
-        if len(self._errors) > self.window:
-            self._errors.pop(0)
-            self._actuals.pop(0)
+        actual = int(actual_ticks)
+        error = int(estimated_ticks) - actual
+        if len(self._errors) == self.window:
+            self._error_sum -= self._errors[0]
+            self._actual_sum -= self._actuals[0]
+        self._errors.append(error)
+        self._actuals.append(actual)
+        self._error_sum += error
+        self._actual_sum += actual
 
     def drifting(self) -> bool:
         """True when the window is full and mean error exceeds threshold."""
         if len(self._errors) < self.window:
             return False
-        mean_actual = sum(self._actuals) / len(self._actuals)
+        mean_actual = self._actual_sum / self.window
         if mean_actual <= 0:
             return False
-        mean_error = sum(self._errors) / len(self._errors)
+        mean_error = self._error_sum / self.window
         return abs(mean_error) > self.threshold_fraction * mean_actual
 
     def mean_error(self) -> float:
         """Mean signed (estimated - actual) error over the window."""
         if not self._errors:
             return 0.0
-        return sum(self._errors) / len(self._errors)
+        return self._error_sum / len(self._errors)

@@ -350,7 +350,7 @@ class ClusterHarness:
 
     def counts(self) -> Dict[str, int]:
         """sink -> effective outputs delivered so far."""
-        return {sink: len(consumer.effective_outputs)
+        return {sink: len(consumer)
                 for sink, consumer in self.deployment.consumers.items()}
 
     async def poll(self, done: Callable[[], bool],
@@ -500,9 +500,8 @@ class ClusterHarness:
             counts=self.counts(),
             streams=streams_of(self.deployment),
             # Per-sink local-sim arrival tick of every effective output.
-            arrival_ticks={
-                sink: [t for _seq, _vt, _payload, t in c.effective_outputs]
-                for sink, c in consumers.items()},
+            arrival_ticks={sink: c.arrival_ticks()
+                           for sink, c in consumers.items()},
             stutter=sum(c.stutter for c in consumers.values()),
             elapsed_s=round(time.monotonic() - self.started, 3),
             child_exit_codes=exit_codes,

@@ -20,7 +20,9 @@ producer of input, and at least one external consumer."
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from array import array
+from collections.abc import Sequence
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.core.message import CuriosityProbe, DataMessage, ReplayRequest, SilenceAdvance, StableNotice
 from repro.core.ports import WireSpec
@@ -142,8 +144,61 @@ class PoissonProducer:
         self._schedule_next()
 
 
+class OutputRecords(Sequence):
+    """Read-only ``(seq, vt, payload, tick)`` view of a consumer's columns.
+
+    Each record is built when read: iterating yields them one at a time,
+    and ``len`` reads the payload column.  The view follows the consumer
+    as it receives more.  It compares equal to another view or a list
+    holding the same records.
+    """
+
+    __slots__ = ("_vts", "_payloads", "_ticks")
+
+    def __init__(self, vts: array, payloads: List[Any], ticks: array):
+        self._vts = vts
+        self._payloads = payloads
+        self._ticks = ticks
+
+    def __len__(self) -> int:
+        return len(self._payloads)
+
+    def __iter__(self) -> Iterator[Tuple[int, int, Any, int]]:
+        return zip(range(len(self._payloads)), self._vts, self._payloads,
+                   self._ticks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        seq = range(len(self._payloads))[index]
+        return (seq, self._vts[seq], self._payloads[seq], self._ticks[seq])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, OutputRecords):
+            other = list(other)
+        elif not isinstance(other, list):
+            return NotImplemented
+        return list(self) == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"OutputRecords({list(self)!r})"
+
+
 class ExternalConsumer:
-    """Terminal node of one external output wire."""
+    """Terminal node of one external output wire.
+
+    The effective output — the first delivery of each sequence number —
+    is kept in columns: virtual times and arrival ticks in two
+    ``array('q')`` and payloads in a list.  The sequence number is not
+    stored: the wire starts at 0 and a gap raises, so the n-th effective
+    output has seq n.  One output costs its payload, a list slot and 16
+    bytes of ``array('q')`` (a ``(seq, vt, payload, tick)`` tuple with
+    three boxed ints, listed twice, cost about 190).  Re-deliveries
+    (output stutter) are rare and keep whole records in
+    :attr:`stutter_outputs`.
+    """
 
     def __init__(self, node_id: str, sim, metrics,
                  birth_of: Optional[Callable[[Any], Optional[int]]] = None):
@@ -153,11 +208,23 @@ class ExternalConsumer:
         self.metrics = metrics
         self.birth_of = birth_of
         self._receiver: Optional[TickStreamReceiver] = None
-        #: Every delivery, including stutter: (seq, vt, payload, real_time).
-        self.raw_outputs: List[Tuple[int, int, Any, int]] = []
-        #: First delivery of each sequence number only.
-        self.effective_outputs: List[Tuple[int, int, Any, int]] = []
-        self.stutter = 0
+        self._vts = array("q")
+        self._payloads: List[Any] = []
+        self._ticks = array("q")
+        #: First delivery of each sequence number, as
+        #: ``(seq, vt, payload, real_time)`` records built when read.
+        self.effective_outputs = OutputRecords(self._vts, self._payloads,
+                                               self._ticks)
+        #: Every re-delivery of a sequence number already delivered:
+        #: ``(seq, vt, payload, real_time)``.
+        self.stutter_outputs: List[Tuple[int, int, Any, int]] = []
+        #: Data messages received, stutter included.
+        self.deliveries = 0
+
+    @property
+    def stutter(self) -> int:
+        """Re-deliveries received (output stutter)."""
+        return len(self.stutter_outputs)
 
     def receive(self, item: Any) -> None:
         """Record a delivered output message."""
@@ -165,12 +232,12 @@ class ExternalConsumer:
             return  # consumers ignore control traffic (e.g. silence)
         if self._receiver is None:
             self._receiver = TickStreamReceiver(item.wire_id)
-        record = (item.seq, item.vt, item.payload, self.sim.now)
-        self.raw_outputs.append(record)
+        self.deliveries += 1
         verdict = self._receiver.accept(item.seq, item.vt)
         if verdict == "duplicate":
             # Output stutter: a rolled-back engine re-delivered this.
-            self.stutter += 1
+            self.stutter_outputs.append(
+                (item.seq, item.vt, item.payload, self.sim.now))
             self.metrics.count("output_stutter")
             return
         if verdict == "gap":
@@ -180,7 +247,9 @@ class ExternalConsumer:
             raise TransportError(
                 f"consumer {self.node_id}: output gap at seq {item.seq}"
             )
-        self.effective_outputs.append(record)
+        self._vts.append(item.vt)
+        self._payloads.append(item.payload)
+        self._ticks.append(self.sim.now)
         if self.birth_of is not None:
             birth = self.birth_of(item.payload)
             if birth is not None:
@@ -188,7 +257,11 @@ class ExternalConsumer:
 
     def payloads(self) -> List[Any]:
         """Effective output payloads in delivery order."""
-        return [p for _, _, p, _ in self.effective_outputs]
+        return list(self._payloads)
+
+    def arrival_ticks(self) -> List[int]:
+        """Arrival tick of each effective output, in delivery order."""
+        return self._ticks.tolist()
 
     def __len__(self) -> int:
-        return len(self.effective_outputs)
+        return len(self._payloads)

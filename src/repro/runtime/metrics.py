@@ -11,13 +11,18 @@ perturb determinism.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Set
+from array import array
+from typing import Dict, List, Sequence, Set
 
 from repro.vt.time import TICKS_PER_US
 
 
 class MetricSet:
-    """Counters, accumulators, and latency samples for one run."""
+    """Counters, accumulators, and latency samples for one run.
+
+    Latency samples live in an ``array('q')``: 8 bytes each, where a
+    list of boxed ints cost about 40.
+    """
 
     def __init__(self):
         self.counters: Dict[str, int] = {}
@@ -26,7 +31,7 @@ class MetricSet:
         #: Gauges that read the wall clock: two runs of one seed differ
         #: in them, so a recorded bundle leaves them out.
         self.wall_clock: Set[str] = set()
-        self._latencies: List[int] = []
+        self._latencies = array("q")
 
     # -- write side ------------------------------------------------------
     def count(self, name: str, n: int = 1) -> None:
@@ -70,7 +75,7 @@ class MetricSet:
     @property
     def latencies(self) -> List[int]:
         """All latency samples in ticks, in completion order."""
-        return list(self._latencies)
+        return self._latencies.tolist()
 
     def latency_count(self) -> int:
         """Number of completed end-to-end messages."""
@@ -89,16 +94,7 @@ class MetricSet:
         definition as ``numpy.percentile``'s default), so small sample
         sets are not biased by nearest-rank rounding.
         """
-        if not self._latencies:
-            return float("nan")
-        ordered = sorted(self._latencies)
-        rank = min(1.0, max(0.0, q / 100.0)) * (len(ordered) - 1)
-        lo = int(rank)
-        frac = rank - lo
-        value = ordered[lo]
-        if frac:
-            value += (ordered[lo + 1] - ordered[lo]) * frac
-        return value / TICKS_PER_US
+        return _percentile_us(sorted(self._latencies), q)
 
     def latency_std_us(self) -> float:
         """Standard deviation of latency in microseconds."""
@@ -142,11 +138,15 @@ class MetricSet:
 
     def summary(self) -> Dict[str, float]:
         """A flat dict of the headline numbers (for experiment tables)."""
+        return self._summary(sorted(self._latencies))
+
+    def _summary(self, ordered: Sequence[int]) -> Dict[str, float]:
+        """:meth:`summary`, with the samples already sorted."""
         return {
             "messages": float(self.latency_count()),
             "mean_latency_us": self.mean_latency_us(),
-            "p50_latency_us": self.latency_percentile_us(50),
-            "p95_latency_us": self.latency_percentile_us(95),
+            "p50_latency_us": _percentile_us(ordered, 50),
+            "p95_latency_us": _percentile_us(ordered, 95),
             "latency_std_us": self.latency_std_us(),
             "curiosity_probes": float(self.counter("curiosity_probes")),
             "probes_per_message": self.probes_per_message(),
@@ -178,14 +178,15 @@ class MetricSet:
             value = float(value)
             return value if math.isfinite(value) else None
 
+        ordered = sorted(self._latencies)  # one sort for every percentile
         latency = {"count": self.latency_count()}
-        if self._latencies:
+        if ordered:
             latency.update({
                 "mean_us": finite(self.mean_latency_us()),
-                "p50_us": finite(self.latency_percentile_us(50)),
-                "p95_us": finite(self.latency_percentile_us(95)),
-                "p99_us": finite(self.latency_percentile_us(99)),
-                "p999_us": finite(self.latency_percentile_us(99.9)),
+                "p50_us": finite(_percentile_us(ordered, 50)),
+                "p95_us": finite(_percentile_us(ordered, 95)),
+                "p99_us": finite(_percentile_us(ordered, 99)),
+                "p999_us": finite(_percentile_us(ordered, 99.9)),
                 "std_us": finite(self.latency_std_us()),
             })
         return {
@@ -197,9 +198,23 @@ class MetricSet:
                              for k in sorted(self.accumulators)},
             "latency": latency,
             "channels": self.channel_counters(),
-            "summary": {k: finite(v) for k, v in self.summary().items()},
+            "summary": {k: finite(v)
+                        for k, v in self._summary(ordered).items()},
         }
 
     def __repr__(self) -> str:
         return (f"MetricSet(messages={self.latency_count()}, "
                 f"mean={self.mean_latency_us():.1f}us)")
+
+
+def _percentile_us(ordered: Sequence[int], q: float) -> float:
+    """The q-percentile (0..100) of sorted tick samples, in microseconds."""
+    if not ordered:
+        return float("nan")
+    rank = min(1.0, max(0.0, q / 100.0)) * (len(ordered) - 1)
+    lo = int(rank)
+    frac = rank - lo
+    value = ordered[lo]
+    if frac:
+        value += (ordered[lo + 1] - ordered[lo]) * frac
+    return value / TICKS_PER_US

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.calibration import DriftMonitor, LinearRegressionCalibrator
 from repro.errors import ComponentError
@@ -124,3 +126,46 @@ class TestDriftMonitor:
     def test_rejects_tiny_window(self):
         with pytest.raises(ComponentError):
             DriftMonitor(window=1)
+
+
+class ListDriftModel:
+    """The drift monitor as two lists popped at the front and re-summed."""
+
+    def __init__(self, window, threshold_fraction):
+        self.window = window
+        self.threshold_fraction = threshold_fraction
+        self.errors, self.actuals = [], []
+
+    def observe(self, estimated, actual):
+        self.errors.append(estimated - actual)
+        self.actuals.append(actual)
+        if len(self.errors) > self.window:
+            self.errors.pop(0)
+            self.actuals.pop(0)
+
+    def drifting(self):
+        if len(self.errors) < self.window:
+            return False
+        mean_actual = sum(self.actuals) / len(self.actuals)
+        if mean_actual <= 0:
+            return False
+        mean_error = sum(self.errors) / len(self.errors)
+        return abs(mean_error) > self.threshold_fraction * mean_actual
+
+    def mean_error(self):
+        return sum(self.errors) / len(self.errors) if self.errors else 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(window=st.integers(2, 12),
+       threshold=st.sampled_from([0.0, 0.01, 0.05, 0.5]),
+       samples=st.lists(st.tuples(st.integers(-50, 10**6),
+                                  st.integers(-50, 10**6)), max_size=60))
+def test_drift_monitor_matches_the_list_model(window, threshold, samples):
+    monitor = DriftMonitor(window, threshold)
+    model = ListDriftModel(window, threshold)
+    for estimated, actual in samples:
+        monitor.observe(estimated, actual)
+        model.observe(estimated, actual)
+        assert monitor.drifting() == model.drifting()
+        assert monitor.mean_error() == model.mean_error()

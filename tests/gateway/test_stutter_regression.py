@@ -110,7 +110,7 @@ def test_failover_replay_preserves_stream_and_stamps():
     assert stream_of(dep.consumers["sink"]) \
         == stream_of(ref.consumers["sink"])
     consumer = dep.consumers["sink"]
-    assert len(consumer.raw_outputs) \
+    assert consumer.deliveries \
         == len(consumer.effective_outputs) + consumer.stutter
 
 

@@ -45,7 +45,8 @@ def _sha(obj) -> str:
 
 def _digests(deployment):
     sink = next(iter(deployment.consumers.values()))
-    return _sha(deployment.metrics.latencies), _sha(sink.effective_outputs)
+    return (_sha(deployment.metrics.latencies),
+            _sha(list(sink.effective_outputs)))
 
 
 def _run(mode: str, seed: int, chunk=None):

@@ -187,7 +187,8 @@ class TestExternalConsumer:
         assert consumer.stutter == 1
         assert metrics.counter("output_stutter") == 1
         assert len(consumer.effective_outputs) == 1
-        assert len(consumer.raw_outputs) == 2
+        assert consumer.deliveries == 2
+        assert consumer.stutter_outputs == [(0, 8_000, {"birth": 0}, 0)]
 
     def test_gap_is_a_protocol_error(self):
         sim, metrics, consumer = self.make_consumer()
@@ -200,6 +201,22 @@ class TestExternalConsumer:
         consumer.receive(DataMessage(4, 0, 1_000, {"birth": 0, "x": 1}))
         consumer.receive(DataMessage(4, 1, 2_000, {"birth": 0, "x": 2}))
         assert [p["x"] for p in consumer.payloads()] == [1, 2]
+
+    def test_effective_outputs_are_records_read_from_the_columns(self):
+        sim, metrics, consumer = self.make_consumer()
+        outputs = consumer.effective_outputs
+        sim.at(3_000, lambda: consumer.receive(DataMessage(4, 0, 1_000, "a")))
+        sim.at(5_000, lambda: consumer.receive(DataMessage(4, 1, 2_000, "b")))
+        sim.run()
+        # The view handed out before the deliveries follows them.
+        assert outputs == [(0, 1_000, "a", 3_000), (1, 2_000, "b", 5_000)]
+        assert list(outputs) == [outputs[0], outputs[-1]]
+        assert outputs[1:] == [(1, 2_000, "b", 5_000)]
+        assert len(outputs) == 2
+        with pytest.raises(IndexError):
+            outputs[2]
+        assert outputs != [(0, 1_000, "a", 3_000)]
+        assert consumer.arrival_ticks() == [3_000, 5_000]
 
     def test_non_data_items_ignored(self):
         sim, metrics, consumer = self.make_consumer()

@@ -91,7 +91,7 @@ class TestCollectionCost:
                 raise AssertionError("truncation must not index the log")
 
         log = ExternalMessageLog(1)
-        log._live = CountingDeque()
+        log._payloads = CountingDeque()
         for i in range(1000):
             log.append(i, f"p{i}")
         assert log.truncate_through(899) == 900

@@ -142,3 +142,47 @@ class TestDumpJson:
                                            "replica.chain_len": 3.0}
         assert m.dump_json(wall_clock=False)["gauges"] == {
             "replica.chain_len": 3.0}
+
+    def test_dump_json_is_pinned_and_sorts_the_samples_once(self, monkeypatch):
+        import json
+        from array import array
+
+        from repro.runtime import metrics as metrics_module
+
+        m = MetricSet()
+        for i in range(37):
+            m.record_latency(1_000 * i, 1_000 * i + (i * 7_919) % 5_003 + 250)
+        m.count("curiosity_probes", 11)
+        m.count("messages_processed", 40)
+        m.count("out_of_order_arrivals", 3)
+        m.count("chan.e1.items_resent", 2)
+        m.add("pessimism_delay_ticks", 12_345)
+        m.gauge("cadence_ms", 2.5)
+        sample_sorts = []
+
+        def counting_sorted(values, **kwargs):
+            if isinstance(values, array):
+                sample_sorts.append(len(values))
+            return sorted(values, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "sorted", counting_sorted,
+                            raising=False)
+        # The document the list-of-samples MetricSet wrote, byte for byte.
+        assert json.dumps(m.dump_json()) == (
+            '{"counters": {"chan.e1.items_resent": 2, "curiosity_probes": 11,'
+            ' "messages_processed": 40, "out_of_order_arrivals": 3},'
+            ' "gauges": {"cadence_ms": 2.5},'
+            ' "accumulators": {"pessimism_delay_ticks": 12345},'
+            ' "latency": {"count": 37, "mean_us": 2.8432162162162165,'
+            ' "p50_us": 2.737, "p95_us": 5.1718, "p99_us": 5.21356,'
+            ' "p999_us": 5.222956, "std_us": 1.5026942679943462},'
+            ' "channels": {"e1": {"items_resent": 2}},'
+            ' "summary": {"messages": 37.0,'
+            ' "mean_latency_us": 2.8432162162162165, "p50_latency_us": 2.737,'
+            ' "p95_latency_us": 5.1718, "latency_std_us": 1.5026942679943462,'
+            ' "curiosity_probes": 11.0,'
+            ' "probes_per_message": 0.2972972972972973,'
+            ' "out_of_order_arrivals": 3.0, "pessimism_events": 0.0,'
+            ' "pessimism_delay_us": 12.345, "duplicates_discarded": 0.0,'
+            ' "messages_replayed": 0.0, "determinism_faults": 0.0}}')
+        assert sample_sorts == [37]
