@@ -117,14 +117,12 @@ class CheckpointAck:
 
     ``replica_id`` identifies the acknowledging follower so an engine
     shipping its chain to several followers can wait for *all* of them
-    before declaring a checkpoint stable.  Empty (the pre-group legacy
-    form) means "the engine's only replica" and counts as a full
-    acknowledgement.
+    before declaring a checkpoint stable.
     """
 
     engine_id: str
     cp_seq: int
-    replica_id: str = ""
+    replica_id: str
 
 
 @dataclass(frozen=True)

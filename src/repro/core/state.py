@@ -65,12 +65,6 @@ class ValueCell:
         self._value = copy.deepcopy(snap)
         self._dirty = False
 
-    def apply_delta(self, delta: Tuple[bool, Any]) -> None:
-        """Apply a delta snapshot on a replica's shadow state."""
-        changed, value = delta
-        if changed:
-            self._value = copy.deepcopy(value)
-
     def __repr__(self) -> str:
         return f"ValueCell({self.name}={self._value!r})"
 
@@ -160,14 +154,6 @@ class MapCell:
         self._data = copy.deepcopy(snap)
         self.mark_clean()
 
-    def apply_delta(self, delta: Dict) -> None:
-        """Apply a delta snapshot on a replica's shadow state."""
-        for k, v in delta.items():
-            if isinstance(v, str) and v == _DELETED:
-                self._data.pop(k, None)
-            else:
-                self._data[k] = copy.deepcopy(v)
-
     def dirty_count(self) -> int:
         """Number of entries the next delta checkpoint will carry."""
         return len(self._dirty_keys) + len(self._deleted_keys)
@@ -241,13 +227,3 @@ class StateRegistry:
                     f"{self.component_name}: checkpoint missing cell '{name}'"
                 )
             cell.restore_full(snap[name])
-
-    def apply_delta(self, delta: Dict[str, Any]) -> None:
-        """Apply a delta snapshot (replica shadow-state maintenance)."""
-        for name, cell_delta in delta.items():
-            cell = self._cells.get(name)
-            if cell is None:
-                raise StateError(
-                    f"{self.component_name}: delta for unknown cell '{name}'"
-                )
-            cell.apply_delta(cell_delta)

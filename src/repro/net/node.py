@@ -342,7 +342,7 @@ def engine_audit_report(engine: ExecutionEngine):
         report["cadence"] = {
             "interval_ticks": cadence.interval,
             "predicted_replay_ticks": cadence.predicted_replay_ticks(),
-            "budget_ticks": cadence._budget_ticks(),
+            "budget_ticks": float(cadence.budget_ticks),
             "adjustments": cadence.adjustments,
         }
     return report

@@ -220,11 +220,8 @@ class ClusterSpec:
                     "(both ride on the checkpoint chain)"
                 )
             return EngineConfig()
-        target = None
-        if self.recovery_target_ms is not None:
-            from repro.runtime.cadence import RecoveryTarget
-
-            target = RecoveryTarget(max_replay_ticks=ms(self.recovery_target_ms))
+        target = (None if self.recovery_target_ms is None
+                  else ms(self.recovery_target_ms))
         return EngineConfig(
             checkpoint_interval=ms(self.checkpoint_interval_ms),
             full_checkpoint_every=self.full_checkpoint_every,

@@ -63,8 +63,7 @@ CORRUPTION_KEY = "__chaos_bitflip__"
 class DivergenceAuditor:
     """Audits one engine's live state against its checkpoint chain."""
 
-    def __init__(self, engine, mode: str = "heal", every: int = 1,
-                 cadence=None):
+    def __init__(self, engine, mode: str = "heal", every: int = 1):
         if mode not in ("raise", "heal"):
             raise StateError(f"unknown audit mode {mode!r}")
         if every < 1:
@@ -72,12 +71,10 @@ class DivergenceAuditor:
         self.engine = engine
         self.mode = mode
         self.every = int(every)
-        self.cadence = cadence
         #: Materialized chain: component name -> full snapshot dict, or
         #: None until the first checkpoint is mirrored.
         self._base: Optional[Dict[str, dict]] = None
         self._base_cp_seq = -1
-        self._base_captured_at = -1
         self._captures_since_audit = 0
         # Outcome counters (also exported as metrics / gauges).
         self.checks = 0
@@ -99,7 +96,6 @@ class DivergenceAuditor:
         else:
             self._base = fold_chain(self._base, [decoded])
         self._base_cp_seq = cp_seq
-        self._base_captured_at = self.engine.sim.now
         self._captures_since_audit += 1
 
     # -- audit -----------------------------------------------------------
@@ -140,9 +136,6 @@ class DivergenceAuditor:
         self.checks += 1
         metrics.count("audit.checks")
         metrics.gauge("audit.rebuild_us", rebuild_us, wall_clock=True)
-        if self.cadence is not None:
-            span = engine.sim.now - self._base_captured_at
-            self.cadence.observe_replay(span, rebuild_us / 1000.0)
         if not diverged:
             return "clean"
         self.divergences += 1

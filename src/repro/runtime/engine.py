@@ -46,10 +46,14 @@ from repro.core.silence_policy import (
 from repro.errors import RecoveryError, SchedulingError, TransportError, WiringError
 from repro.runtime import checkpoint as cpser
 from repro.runtime.audit import AUDIT_MODES, DivergenceAuditor
-from repro.runtime.cadence import CadenceController, RecoveryTarget
+from repro.runtime.cadence import CadenceController
 from repro.runtime.metrics import MetricSet
 from repro.sim.jitter import JitterModel, NoJitter
 from repro.sim.kernel import Processor, ProcessorPool, Simulator
+
+#: Consecutive mid-call checkpoint retries before the engine records a
+#: stall and backs off to the full interval.
+CHECKPOINT_MAX_RETRIES = 16
 
 
 @dataclass
@@ -99,19 +103,16 @@ class EngineConfig:
     #: "vt-lag" dynamically prioritises the thread whose virtual time
     #: lags real time the most.
     priority_mode: str = "static"
-    #: Recovery-time objective driving adaptive checkpoint cadence; when
+    #: Replay budget in ticks driving adaptive checkpoint cadence; when
     #: set, :attr:`checkpoint_interval` becomes the controller's initial
     #: interval rather than a fixed period (see ``repro.runtime.cadence``).
-    recovery_target: Optional[RecoveryTarget] = None
+    recovery_target: Optional[int] = None
     #: Continuous divergence audit mode: "off", "raise" (fail loudly on
     #: divergence), or "heal" (install the chain rebuild and bump the
     #: incarnation epoch).  See ``repro.runtime.audit``.
     audit: str = "off"
     #: Audit before every Nth checkpoint capture.
     audit_every: int = 1
-    #: Consecutive mid-call checkpoint retries before the engine records
-    #: a stall and backs off to the full interval.
-    checkpoint_max_retries: int = 16
 
     def __post_init__(self):
         ids = tuple(self.replica_ids)
@@ -141,17 +142,17 @@ class EngineConfig:
                 f"heartbeat_miss_limit must be >= 1, got "
                 f"{self.heartbeat_miss_limit}"
             )
-        if self.checkpoint_max_retries < 1:
-            raise ValueError(
-                f"checkpoint_max_retries must be >= 1, got "
-                f"{self.checkpoint_max_retries}"
-            )
         if self.audit not in AUDIT_MODES:
             raise ValueError(
                 f"audit must be one of {AUDIT_MODES}, got {self.audit!r}"
             )
         if self.audit_every < 1:
             raise ValueError(f"audit_every must be >= 1, got {self.audit_every}")
+        if self.recovery_target is not None and self.recovery_target <= 0:
+            raise ValueError(
+                f"recovery_target must be a positive tick count, got "
+                f"{self.recovery_target}"
+            )
         if self.recovery_target is not None and self.checkpoint_interval is None:
             raise ValueError(
                 "recovery_target requires checkpoint_interval (the "
@@ -237,9 +238,8 @@ class ExecutionEngine:
             )
         self.auditor: Optional[DivergenceAuditor] = None
         if config.audit != "off":
-            self.auditor = DivergenceAuditor(
-                self, config.audit, config.audit_every, cadence=self.cadence
-            )
+            self.auditor = DivergenceAuditor(self, config.audit,
+                                             config.audit_every)
 
         self._pool: Optional[ProcessorPool] = None
         if config.shared_cpus is not None:
@@ -450,7 +450,7 @@ class ExecutionEngine:
             # surfaces as a counted stall instead of a silent hot loop.
             self._cp_retries += 1
             self.metrics.count("checkpoint.retries")
-            if self._cp_retries >= self.config.checkpoint_max_retries:
+            if self._cp_retries >= CHECKPOINT_MAX_RETRIES:
                 self.metrics.count("checkpoint.stalls")
                 self._cp_retries = 0
                 self.sim.after(interval, self._checkpoint_tick,
@@ -529,15 +529,14 @@ class ExecutionEngine:
         return self._cp_seq
 
     def _on_checkpoint_ack(self, ack: CheckpointAck) -> None:
-        if ack.replica_id:
-            # Group form: a checkpoint is stable only once *every*
-            # follower holds it — trimming upstream buffers earlier
-            # would strand a surviving-but-lagging follower's replay.
-            acked = self._cp_acked.setdefault(ack.cp_seq, set())
-            acked.add(ack.replica_id)
-            if not set(self.config.replica_ids) <= acked:
-                return
-            self._cp_acked.pop(ack.cp_seq, None)
+        # A checkpoint is stable only once *every* follower holds it —
+        # trimming upstream buffers earlier would strand a
+        # surviving-but-lagging follower's replay.
+        acked = self._cp_acked.setdefault(ack.cp_seq, set())
+        acked.add(ack.replica_id)
+        if not set(self.config.replica_ids) <= acked:
+            return
+        self._cp_acked.pop(ack.cp_seq, None)
         captured_at = self._cp_captured_at.pop(ack.cp_seq, None)
         if captured_at is not None and self.cadence is not None:
             self.cadence.observe_ack(self.sim.now - captured_at)

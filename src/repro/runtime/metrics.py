@@ -168,11 +168,7 @@ class MetricSet:
         the output is valid strict JSON).  This is what ``--metrics-out``
         writes at shutdown and what flight-recorder bundles embed, the
         latter without the :attr:`wall_clock` gauges (``wall_clock``
-        false) so that a seed's bundle repeats byte for byte.  That
-        holds unless a wall-clock recovery target
-        (``RecoveryTarget.max_recovery_wall_ms``) sets the checkpoint
-        interval: then when checkpoints are taken depends on the wall
-        clock too.
+        false) so that a seed's bundle repeats byte for byte.
         """
         def finite(value):
             value = float(value)

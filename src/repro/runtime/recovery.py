@@ -77,9 +77,8 @@ class RecoveryManager:
         self.deployment.metrics.count("failovers_completed")
         self.deployment.metrics.add("failover_downtime_ticks",
                                     active_at - failed_at)
-        # Close the cadence loop: the promoted engine's controller learns
-        # what a real failover cost, so its interval choice reflects
-        # observed (not assumed) recovery behaviour.
+        # The promoted engine's controller records what the failover
+        # cost (a gauge; the interval is worked out from ticks alone).
         successor = self.deployment.engines[engine_id]
         if successor.cadence is not None:
             successor.cadence.observe_failover(active_at - failed_at)

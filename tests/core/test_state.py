@@ -1,9 +1,16 @@
-"""Unit tests for checkpointable state cells."""
+"""Unit tests for checkpointable state cells.
+
+Deltas are folded through :mod:`repro.runtime.state_merge`, the fold
+that promotion and the divergence auditor use.
+"""
 
 import pytest
 
 from repro.core.state import MapCell, StateRegistry, ValueCell
-from repro.errors import StateError
+from repro.errors import RecoveryError, StateError
+from repro.runtime.state_merge import merge_cell, merge_component_snapshots
+
+from tests.helpers import cells_snapshot
 
 
 class TestValueCell:
@@ -35,10 +42,11 @@ class TestValueCell:
 
     def test_apply_delta(self):
         cell = ValueCell("x", 0)
-        cell.apply_delta((False, None))
-        assert cell.get() == 0
-        cell.apply_delta((True, 9))
-        assert cell.get() == 9
+        base = cell.full_snapshot()
+        cell.mark_clean()
+        assert merge_cell(base, cell.delta_snapshot()) == 0
+        cell.set(9)
+        assert merge_cell(base, cell.delta_snapshot()) == 9
 
 
 class TestMapCell:
@@ -75,28 +83,21 @@ class TestMapCell:
         cell.mark_clean()
         del cell["a"]
         delta = cell.delta_snapshot()
-        other = MapCell("m", {"a": 1, "b": 2})
-        other.apply_delta(delta)
-        assert "a" not in other
-        assert other["b"] == 2
+        assert merge_cell({"a": 1, "b": 2}, delta) == {"b": 2}
 
     def test_set_after_delete_is_not_a_deletion(self):
         cell = MapCell("m", {"a": 1})
         cell.mark_clean()
         del cell["a"]
         cell["a"] = 5
-        other = MapCell("m", {"a": 1})
-        other.apply_delta(cell.delta_snapshot())
-        assert other["a"] == 5
+        assert merge_cell({"a": 1}, cell.delta_snapshot()) == {"a": 5}
 
     def test_clear(self):
         cell = MapCell("m", {"a": 1, "b": 2})
         cell.mark_clean()
         cell.clear()
         assert len(cell) == 0
-        other = MapCell("m", {"a": 1, "b": 2})
-        other.apply_delta(cell.delta_snapshot())
-        assert len(other) == 0
+        assert merge_cell({"a": 1, "b": 2}, cell.delta_snapshot()) == {}
 
     def test_incremental_equals_full_after_mutations(self):
         # Property at the heart of incremental checkpointing: base + delta
@@ -108,9 +109,7 @@ class TestMapCell:
             cell[f"k{i % 7}"] = i
             if i % 5 == 0 and f"k{(i + 1) % 7}" in cell:
                 del cell[f"k{(i + 1) % 7}"]
-        shadow = MapCell("m", base)
-        shadow.apply_delta(cell.delta_snapshot())
-        assert shadow.full_snapshot() == cell.full_snapshot()
+        assert merge_cell(base, cell.delta_snapshot()) == cell.full_snapshot()
 
     def test_full_snapshot_is_deep(self):
         cell = MapCell("m", {"a": [1]})
@@ -157,8 +156,10 @@ class TestStateRegistry:
     def test_apply_delta_unknown_cell_rejected(self):
         reg = StateRegistry("comp")
         reg.value("a")
-        with pytest.raises(StateError):
-            reg.apply_delta({"zz": (True, 1)})
+        base = cells_snapshot(reg.full_snapshot(), incremental=False)
+        delta = cells_snapshot({"zz": (True, 1)}, incremental=True)
+        with pytest.raises(RecoveryError, match="unknown cell 'zz'"):
+            merge_component_snapshots(base, delta)
 
     def test_delta_roundtrip_through_registry(self):
         reg = StateRegistry("comp")
@@ -170,12 +171,10 @@ class TestStateRegistry:
         m["x"] = 1
         delta = reg.delta_snapshot()
 
-        shadow = StateRegistry("comp")
-        shadow.value("v", 0)
-        shadow.map("m")
-        shadow.restore_full(base)
-        shadow.apply_delta(delta)
-        assert shadow.full_snapshot() == reg.full_snapshot()
+        merged = merge_component_snapshots(
+            cells_snapshot(base, incremental=False),
+            cells_snapshot(delta, incremental=True))
+        assert merged["cells"] == reg.full_snapshot()
 
     def test_mark_clean_applies_to_all_cells(self):
         reg = StateRegistry("comp")

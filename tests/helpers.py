@@ -22,6 +22,7 @@ from repro.core.ports import WireSpec
 from repro.core.scheduler import ComponentRuntime, RuntimeServices
 from repro.core.silence_policy import CuriositySilencePolicy
 from repro.runtime.metrics import MetricSet
+from repro.runtime.state_merge import _METADATA_FIELDS
 from repro.sim.jitter import NoJitter
 from repro.sim.kernel import Processor, Simulator
 from repro.sim.rng import RngRegistry
@@ -140,3 +141,22 @@ def wire(wire_id: int, kind: str = "data", src=None, src_port=None,
 def collected(payloads):
     """Extract the payloads from a list of DataMessages."""
     return [m.payload for m in payloads]
+
+
+def cells_snapshot(cells: dict, incremental: bool) -> dict:
+    """State cells in the component-snapshot shape that
+    :func:`~repro.runtime.state_merge.merge_component_snapshots` folds,
+    with empty runtime metadata."""
+    return {"cells": cells, "cells_incremental": incremental,
+            **dict.fromkeys(_METADATA_FIELDS)}
+
+
+def profiled_calls(profile) -> int:
+    """Every call a :class:`cProfile.Profile` recorded.
+
+    ``pstats`` keys functions by ``(file, line, name)``, so functions
+    that share a key — every dataclass ``__init__`` is ``<string>:2`` —
+    collapse into one entry and the others' calls are lost.
+    ``Profile.getstats()`` keeps one entry per code object.
+    """
+    return sum(entry.callcount for entry in profile.getstats())

@@ -3,8 +3,9 @@
 Every message a live cluster moves goes ``item_body`` -> ``encode_batch``
 on the sender and ``decode_frame_payload`` -> ``batch_items`` ->
 ``decode_message`` on the receiver.  What that costs is guarded here by
-the number of Python-visible calls per item, which repeats exactly for
-an interpreter, so the guard cannot flake on a noisy host.  The run
+the number of Python-visible calls per item
+(:func:`tests.helpers.profiled_calls`), which repeats exactly for an
+interpreter, so the guard cannot flake on a noisy host.  The run
 measures 48 calls per item; the budget leaves about 10 % of headroom.
 (Wire version 1 measured 179 on the same items.)
 """
@@ -15,6 +16,8 @@ import random
 
 from repro.core.message import DataMessage
 from repro.net import codec
+
+from tests.helpers import profiled_calls
 
 MAX_CALLS_PER_ITEM = 53
 BATCH = 32
@@ -45,9 +48,9 @@ def test_one_item_stays_within_its_call_budget():
     finally:
         profile.disable()
     assert restored == messages
-    stats = pstats.Stats(profile)
-    calls = stats.total_calls / BATCH
+    calls = profiled_calls(profile) / BATCH
     if calls > MAX_CALLS_PER_ITEM:
+        stats = pstats.Stats(profile)
         top = sorted(stats.stats.items(), key=lambda kv: -kv[1][1])[:10]
         callees = "\n".join(
             f"  {ncalls / BATCH:7.2f}/item  {name}  ({filename}:{line})"

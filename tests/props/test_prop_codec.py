@@ -65,7 +65,8 @@ messages = st.one_of(
     st.builds(CheckpointData, engine_id=names, cp_seq=ids,
               incremental=st.booleans(),
               blob=payloads.map(cpser.dumps)),
-    st.builds(CheckpointAck, engine_id=names, cp_seq=ids),
+    st.builds(CheckpointAck, engine_id=names, cp_seq=ids,
+              replica_id=names),
     st.builds(DeterminismFaultRecord, component=names, handler=names,
               effective_vt=vts,
               coefficients=st.tuples(st.integers(0, 1000),

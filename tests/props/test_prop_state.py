@@ -1,15 +1,19 @@
 """Property tests: incremental checkpointing equals full state.
 
 The core invariant of paper II.F.2's incremental checkpoints: for ANY
-sequence of mutations and checkpoint boundaries, replaying (base full
-snapshot + all deltas since) onto a shadow reconstructs the live state
-exactly.
+sequence of mutations and checkpoint boundaries, folding (base full
+snapshot + all deltas since) through :mod:`repro.runtime.state_merge` —
+the fold promotion and the divergence auditor use — reconstructs the
+live state exactly.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.state import MapCell, StateRegistry, ValueCell
+from repro.runtime.state_merge import merge_cell, merge_component_snapshots
+
+from tests.helpers import cells_snapshot
 
 keys = st.sampled_from(["a", "b", "c", "d", "e"])
 values = st.one_of(st.integers(), st.text(max_size=5),
@@ -28,8 +32,7 @@ map_ops = st.lists(
 @given(map_ops)
 def test_map_cell_base_plus_deltas_equals_live(ops):
     live = MapCell("m")
-    shadow = MapCell("m")
-    shadow.restore_full(live.full_snapshot())
+    shadow = live.full_snapshot()
     live.mark_clean()
     for op, key, value in ops:
         if op == "set":
@@ -38,10 +41,10 @@ def test_map_cell_base_plus_deltas_equals_live(ops):
             if key in live:
                 del live[key]
         else:  # checkpoint boundary: ship the delta, clean the live cell
-            shadow.apply_delta(live.delta_snapshot())
+            shadow = merge_cell(shadow, live.delta_snapshot())
             live.mark_clean()
-    shadow.apply_delta(live.delta_snapshot())
-    assert shadow.full_snapshot() == live.full_snapshot()
+    shadow = merge_cell(shadow, live.delta_snapshot())
+    assert shadow == live.full_snapshot()
 
 
 value_ops = st.lists(
@@ -56,17 +59,16 @@ value_ops = st.lists(
 @given(value_ops)
 def test_value_cell_base_plus_deltas_equals_live(ops):
     live = ValueCell("v", 0)
-    shadow = ValueCell("v", 0)
-    shadow.restore_full(live.full_snapshot())
+    shadow = live.full_snapshot()
     live.mark_clean()
     for op, value in ops:
         if op == "set":
             live.set(value)
         else:
-            shadow.apply_delta(live.delta_snapshot())
+            shadow = merge_cell(shadow, live.delta_snapshot())
             live.mark_clean()
-    shadow.apply_delta(live.delta_snapshot())
-    assert shadow.get() == live.get()
+    shadow = merge_cell(shadow, live.delta_snapshot())
+    assert shadow == live.get()
 
 
 registry_ops = st.lists(
@@ -87,9 +89,12 @@ def test_registry_level_incremental_checkpointing(ops):
         return reg, reg.map("m"), reg.value("v", 0)
 
     live_reg, live_map, live_val = build()
-    shadow_reg, _shadow_map, _shadow_val = build()
-    shadow_reg.restore_full(live_reg.full_snapshot())
+    shadow = cells_snapshot(live_reg.full_snapshot(), incremental=False)
     live_reg.mark_clean()
+
+    def ship(shadow):
+        delta = cells_snapshot(live_reg.delta_snapshot(), incremental=True)
+        return merge_component_snapshots(shadow, delta)
 
     for op, key, value in ops:
         if op == "map_set":
@@ -100,7 +105,6 @@ def test_registry_level_incremental_checkpointing(ops):
         elif op == "value_set":
             live_val.set(value)
         else:
-            shadow_reg.apply_delta(live_reg.delta_snapshot())
+            shadow = ship(shadow)
             live_reg.mark_clean()
-    shadow_reg.apply_delta(live_reg.delta_snapshot())
-    assert shadow_reg.full_snapshot() == live_reg.full_snapshot()
+    assert ship(shadow)["cells"] == live_reg.full_snapshot()

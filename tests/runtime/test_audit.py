@@ -15,7 +15,7 @@ from repro.errors import DivergenceError, StateError
 from repro.runtime import checkpoint as cpser
 from repro.runtime.app import Deployment
 from repro.runtime.audit import CORRUPTION_KEY, corrupt_component_state
-from repro.runtime.engine import EngineConfig
+from repro.runtime.engine import CHECKPOINT_MAX_RETRIES, EngineConfig
 from repro.runtime.placement import Placement
 from repro.runtime.transport import LinkParams
 from repro.sim.distributions import Constant
@@ -202,8 +202,7 @@ class TestCheckpointRetryCap:
         app = build_callgraph_app()
         dep = Deployment(
             app, Placement({"frontend": "E1", "directory": "E2"}),
-            engine_config=EngineConfig(checkpoint_interval=ms(1),
-                                       checkpoint_max_retries=4),
+            engine_config=EngineConfig(checkpoint_interval=ms(1)),
             default_link=LinkParams(delay=Constant(ms(50))),
             control_delay=us(5), birth_of=birth_of,
         )
@@ -211,7 +210,8 @@ class TestCheckpointRetryCap:
         dep.ingress("requests").offer({"key": "k", "birth": 0})
         dep.run(until=ms(60))
         assert dep.runtime("frontend").mid_call
-        assert dep.metrics.counter("checkpoint.retries") >= 4
+        assert (dep.metrics.counter("checkpoint.retries")
+                >= CHECKPOINT_MAX_RETRIES)
         assert dep.metrics.counter("checkpoint.stalls") >= 1
         # Once the call completes, checkpoints flow again.
         dep.run(until=ms(250))

@@ -1,44 +1,42 @@
-"""Unit tests for the recovery-target cadence controller.
+"""Unit tests for the replay-budget cadence controller.
 
 Covers the control law (budget minus fixed overheads), hysteresis,
-clamping, wall-clock budgets through the observed replay rate, the
-``cadence.*`` gauge exports, and the EngineConfig validation that
-guards the new knobs.
+clamping, the ``cadence.*`` gauge exports, the EngineConfig validation
+that guards the budget, and the claim that adaptation cannot perturb
+deterministic replay.
 """
+
+import dataclasses
 
 import pytest
 
+from repro.chaos.schedule import generate_schedule
 from repro.errors import RecoveryError
-from repro.runtime.cadence import CadenceController, RecoveryTarget
+from repro.net.topology import (
+    pipeline_spec,
+    simulated_twin,
+    streams_of,
+    twin_horizon,
+)
+from repro.runtime.cadence import CLAMP, CadenceController
 from repro.runtime.engine import EngineConfig
 from repro.runtime.metrics import MetricSet
 from repro.sim.kernel import ms
 
 
 class TestRecoveryTarget:
-    def test_needs_at_least_one_budget(self):
-        with pytest.raises(RecoveryError):
-            RecoveryTarget()
-
     def test_rejects_non_positive_budgets(self):
         with pytest.raises(RecoveryError):
-            RecoveryTarget(max_replay_ticks=0)
-        with pytest.raises(RecoveryError):
-            RecoveryTarget(max_recovery_wall_ms=-1.0)
-
-    def test_rejects_bad_hysteresis_and_clamp(self):
-        with pytest.raises(RecoveryError):
-            RecoveryTarget(max_replay_ticks=ms(10), hysteresis=1.0)
-        with pytest.raises(RecoveryError):
-            RecoveryTarget(max_replay_ticks=ms(10), min_interval=0)
-        with pytest.raises(RecoveryError):
-            RecoveryTarget(max_replay_ticks=ms(10), max_interval=-5)
+            CadenceController(0, base_interval=ms(10))
+        with pytest.raises(ValueError):
+            EngineConfig(checkpoint_interval=ms(10), recovery_target=0)
+        with pytest.raises(ValueError):
+            EngineConfig(checkpoint_interval=ms(10), recovery_target=-ms(5))
 
 
 class TestCadenceController:
     def test_interval_fills_budget_minus_overheads(self):
-        target = RecoveryTarget(max_replay_ticks=ms(40), hysteresis=0.0)
-        ctl = CadenceController(target, base_interval=ms(10),
+        ctl = CadenceController(ms(40), base_interval=ms(10),
                                 detect_ticks=ms(6))
         ctl.observe_ack(ms(2))
         assert ctl.next_interval() == ms(40) - ms(6) - ms(2)
@@ -46,8 +44,7 @@ class TestCadenceController:
         assert ctl.predicted_replay_ticks() == pytest.approx(ms(40))
 
     def test_hysteresis_suppresses_small_corrections(self):
-        target = RecoveryTarget(max_replay_ticks=ms(40), hysteresis=0.2)
-        ctl = CadenceController(target, base_interval=ms(36))
+        ctl = CadenceController(ms(40), base_interval=ms(36))
         # Desired is 40ms, an ~11% change from 36ms: below hysteresis.
         assert ctl.next_interval() == ms(36)
         assert ctl.adjustments == 0
@@ -57,48 +54,14 @@ class TestCadenceController:
         assert ctl.adjustments == 1
 
     def test_clamped_to_band_around_base(self):
-        tight = RecoveryTarget(max_replay_ticks=1, hysteresis=0.0)
-        ctl = CadenceController(tight, base_interval=ms(8))
-        assert ctl.next_interval() == ms(8) // 8  # floor of default band
-        loose = RecoveryTarget(max_replay_ticks=ms(10_000), hysteresis=0.0)
-        ctl = CadenceController(loose, base_interval=ms(8))
-        assert ctl.next_interval() == ms(8) * 8  # ceiling of default band
-
-    def test_explicit_clamp_overrides_default_band(self):
-        target = RecoveryTarget(max_replay_ticks=ms(10_000),
-                                min_interval=ms(1), max_interval=ms(12),
-                                hysteresis=0.0)
-        ctl = CadenceController(target, base_interval=ms(8))
-        assert ctl.next_interval() == ms(12)
-        with pytest.raises(RecoveryError):
-            CadenceController(
-                RecoveryTarget(max_replay_ticks=ms(10), min_interval=10,
-                               max_interval=5),
-                base_interval=ms(8),
-            )
-
-    def test_wall_budget_converts_through_observed_replay_rate(self):
-        # 5 ms wall budget at a measured 2 ticks/ms replay rate = 10
-        # ticks of replay budget.
-        target = RecoveryTarget(max_recovery_wall_ms=5.0, hysteresis=0.0,
-                                min_interval=1, max_interval=10**12)
-        ctl = CadenceController(target, base_interval=1000,
-                                replay_rate_prior_ticks_per_ms=1.0)
-        assert ctl._budget_ticks() == pytest.approx(5.0)
-        for _ in range(50):  # drive the EWMA to the measured rate
-            ctl.observe_replay(span_ticks=20, wall_ms=10.0)
-        assert ctl._budget_ticks() == pytest.approx(10.0, rel=0.01)
-
-    def test_tighter_of_two_budgets_governs(self):
-        target = RecoveryTarget(max_replay_ticks=ms(3),
-                                max_recovery_wall_ms=1e9, hysteresis=0.0)
-        ctl = CadenceController(target, base_interval=ms(3))
-        assert ctl._budget_ticks() == float(ms(3))
+        ctl = CadenceController(1, base_interval=ms(8))
+        assert ctl.next_interval() == ms(8) // CLAMP  # floor of the band
+        ctl = CadenceController(ms(10_000), base_interval=ms(8))
+        assert ctl.next_interval() == ms(8) * CLAMP  # ceiling of the band
 
     def test_gauges_exported(self):
         metrics = MetricSet()
-        target = RecoveryTarget(max_replay_ticks=ms(40), hysteresis=0.0)
-        ctl = CadenceController(target, base_interval=ms(10),
+        ctl = CadenceController(ms(40), base_interval=ms(10),
                                 detect_ticks=ms(6), metrics=metrics)
         ctl.observe_checkpoint(span_ticks=ms(10), messages=50,
                                capture_us=120.0, blob_bytes=4096)
@@ -106,36 +69,19 @@ class TestCadenceController:
         for gauge in ("cadence.interval_ticks", "cadence.budget_ticks",
                       "cadence.detect_ticks", "cadence.ack_lag_ticks",
                       "cadence.predicted_replay_ticks",
-                      "cadence.replay_rate_ticks_per_ms",
                       "cadence.growth_msgs_per_tick",
                       "cadence.predicted_replay_msgs",
                       "cadence.capture_us", "cadence.checkpoint_bytes"):
             assert gauge in metrics.gauges, gauge
         assert metrics.gauge_value("cadence.budget_ticks") == float(ms(40))
         assert metrics.counters.get("cadence.adjustments", 0) == 1
-        assert metrics.wall_clock == {"cadence.capture_us",
-                                      "cadence.replay_rate_ticks_per_ms"}
-
-    def test_a_wall_clock_budget_marks_what_it_steers(self):
-        metrics = MetricSet()
-        target = RecoveryTarget(max_recovery_wall_ms=5.0)
-        ctl = CadenceController(target, base_interval=ms(10),
-                                metrics=metrics)
-        ctl.observe_checkpoint(span_ticks=ms(10), messages=50,
-                               capture_us=120.0, blob_bytes=4096)
-        ctl.next_interval()
-        assert metrics.wall_clock == {
-            "cadence.capture_us", "cadence.replay_rate_ticks_per_ms",
-            "cadence.interval_ticks", "cadence.budget_ticks",
-            "cadence.predicted_replay_ticks",
-            "cadence.predicted_replay_msgs"}
+        assert metrics.wall_clock == {"cadence.capture_us"}
 
     def test_rejects_bad_construction(self):
-        target = RecoveryTarget(max_replay_ticks=ms(10))
         with pytest.raises(RecoveryError):
-            CadenceController(target, base_interval=0)
+            CadenceController(ms(10), base_interval=0)
         with pytest.raises(RecoveryError):
-            CadenceController(target, base_interval=10, detect_ticks=-1)
+            CadenceController(ms(10), base_interval=10, detect_ticks=-1)
 
 
 class TestEngineConfigValidation:
@@ -150,8 +96,6 @@ class TestEngineConfigValidation:
             EngineConfig(heartbeat_interval=0)
         with pytest.raises(ValueError):
             EngineConfig(heartbeat_miss_limit=0)
-        with pytest.raises(ValueError):
-            EngineConfig(checkpoint_max_retries=0)
 
     def test_none_still_disables_the_features(self):
         config = EngineConfig(checkpoint_interval=None,
@@ -162,12 +106,44 @@ class TestEngineConfigValidation:
         with pytest.raises(ValueError):
             EngineConfig(audit="heal")  # no checkpoint_interval
         with pytest.raises(ValueError):
-            EngineConfig(recovery_target=RecoveryTarget(
-                max_replay_ticks=ms(10)))
+            EngineConfig(recovery_target=ms(10))
         with pytest.raises(ValueError):
             EngineConfig(checkpoint_interval=ms(10), audit="sometimes")
         with pytest.raises(ValueError):
             EngineConfig(checkpoint_interval=ms(10), audit_every=0)
         # Valid combinations construct fine.
         EngineConfig(checkpoint_interval=ms(10), audit="heal",
-                     recovery_target=RecoveryTarget(max_replay_ticks=ms(40)))
+                     recovery_target=ms(40))
+
+
+class TestAdaptationKeepsReplayDeterministic:
+    """The simulated twin of CI's live ``--kill-active --recovery-target
+    60 --audit heal`` step: the controller moves the checkpoint timer and
+    nothing else."""
+
+    @staticmethod
+    def run(spec, schedule):
+        twin = simulated_twin(spec, schedule)
+        twin.run(until=twin_horizon(spec, schedule))
+        return twin
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_a_target_changes_no_stream_and_repeats(self, seed):
+        spec = pipeline_spec(messages=160, master_seed=7, replicas=1,
+                             recovery_target_ms=60, audit="heal")
+        schedule = generate_schedule(seed, spec, "kill_active")
+        first = self.run(spec, schedule)
+        again = self.run(spec, schedule)
+        plain = self.run(dataclasses.replace(spec, recovery_target_ms=None),
+                         schedule)
+        assert first.metrics.counter("failovers_completed") == 1
+        assert first.metrics.counter("cadence.adjustments") >= 1
+        assert streams_of(first) == streams_of(plain)
+        assert streams_of(first)["sink"]
+
+        dumped = first.metrics.dump_json(wall_clock=False)
+        assert dumped == again.metrics.dump_json(wall_clock=False)
+        assert "cadence.interval_ticks" in dumped["gauges"]
+        # Only measured durations read the wall clock.
+        assert first.metrics.wall_clock == {"cadence.capture_us",
+                                            "audit.rebuild_us"}

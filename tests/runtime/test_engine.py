@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.wordcount import birth_of, build_wordcount_app, sentence_factory
 from repro.core.estimators import LinearEstimator
+from repro.core.message import CheckpointAck, StableNotice
 from repro.apps.wordcount import make_merger_class, make_sender_class
 from repro.errors import RecoveryError, TransportError
 from repro.runtime.app import Deployment
@@ -82,6 +83,25 @@ class TestCheckpointing:
         dep.run(until=seconds(1))
         log = dep.ingress("ext1").log
         assert log.truncated_through > 100
+
+    def test_an_ack_names_its_follower(self, monkeypatch):
+        # A checkpoint is stable once every follower acked it; an ack
+        # that names no follower is none of them and stabilises nothing.
+        dep = make_deployment(checkpoint_interval=seconds(10))
+        dep.run(until=ms(50))
+        engine = dep.engine("E1")
+        (follower,) = engine.config.replica_ids
+        sent = []
+        monkeypatch.setattr(engine, "_send_control",
+                            lambda spec, control, toward_src:
+                            sent.append(control))
+        cp_seq = engine.capture_checkpoint()
+        engine.receive(CheckpointAck("E1", cp_seq, replica_id=""))
+        assert sent == []
+        assert dep.metrics.counter("checkpoints_stable") == 0
+        engine.receive(CheckpointAck("E1", cp_seq, replica_id=follower))
+        assert sent and all(isinstance(c, StableNotice) for c in sent)
+        assert dep.metrics.counter("checkpoints_stable") == 1
 
     def test_checkpointing_requires_replica(self):
         app = build_wordcount_app(1)

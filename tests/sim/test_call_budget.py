@@ -4,9 +4,13 @@ Every replay oracle, chaos judge and time-travel seek is a run of
 ``sim.kernel`` + ``core.scheduler`` + ``runtime.link``.  What that run
 costs per dispatched message is guarded here by two counts that repeat
 exactly for a seed and an interpreter — Python-visible calls and fired
-kernel events — so the guard cannot flake on a noisy host.  The run
-measures 210.5 calls and 3.52 events per dispatch; the budgets leave
-about 1 % and 2 % of headroom.
+kernel events — so the guard cannot flake on a noisy host.  Every
+call counts (:func:`tests.helpers.profiled_calls`), whatever ran before.
+The run measures 214.27 calls per dispatch on Python 3.10 and 3.11,
+213.67 on 3.12 and 3.13, and 3.52 events per dispatch on each.  The
+call budget leaves 0.73 calls of headroom on 3.10 and 3.11, so one
+more call per dispatch fails it there; the event budget leaves about
+2 %.
 """
 
 import cProfile
@@ -15,7 +19,9 @@ import pstats
 from repro.experiments.common import Fig1Params, build_fig1
 from repro.sim.kernel import ms
 
-MAX_CALLS_PER_DISPATCH = 213
+from tests.helpers import profiled_calls
+
+MAX_CALLS_PER_DISPATCH = 215
 MAX_EVENTS_PER_DISPATCH = 3.6
 
 
@@ -28,12 +34,12 @@ def test_fig1_stays_within_its_call_and_event_budget():
         deployment.sim.run(until=ms(500))
     finally:
         profile.disable()
-    stats = pstats.Stats(profile)
     dispatched = deployment.metrics.counter("messages_processed")
     assert dispatched > 2000
-    calls = stats.total_calls / dispatched
+    calls = profiled_calls(profile) / dispatched
     events = deployment.sim.events_executed / dispatched
     if calls > MAX_CALLS_PER_DISPATCH or events > MAX_EVENTS_PER_DISPATCH:
+        stats = pstats.Stats(profile)
         top = sorted(stats.stats.items(), key=lambda kv: -kv[1][1])[:10]
         callees = "\n".join(
             f"  {ncalls / dispatched:7.2f}/dispatch  {name}  ({filename}:{line})"
