@@ -314,7 +314,7 @@ class GatewayServer:
                 ingress = self.ingresses[input_id]
                 try:
                     seq = ingress.offer(payload, stamp=_stamp_birth)
-                    vt = ingress.log.last_vt()
+                    vt = ingress.log.last_vt
                     self.shadow[input_id].append(
                         (seq, vt, _stamp_birth(vt, payload))
                     )

@@ -11,7 +11,7 @@ gives no bound once the ack round trip or the detection time grows.
 budget, the worst-case replay span in virtual-time ticks
 (``EngineConfig.recovery_target``; ``recovery_target_ms`` in a cluster
 spec), and the controller schedules the *next* checkpoint so the worst
-case stays under it:
+case stays under it whenever the clamp below allows:
 
 ``worst-case replay span  =  interval + ack lag + detection time``
 
@@ -27,11 +27,13 @@ exponentially weighted means too and exported — they do not change the
 tick arithmetic but they make the predicted replay *work* visible
 (``cadence.predicted_replay_msgs``).
 
-The controller applies hysteresis (a correction smaller than
-:data:`HYSTERESIS` of the current interval is ignored, so the interval
-does not flap) and clamps the result to ``[base // CLAMP, base * CLAMP]``
-around the configured base interval.  All control-loop state is exported
-as ``cadence.*`` gauges through :class:`~repro.runtime.metrics.MetricSet`.
+The controller applies hysteresis to growth only (a lengthening smaller
+than :data:`HYSTERESIS` of the current interval is ignored, so the
+interval does not flap); a shortening always applies, since the current
+interval's worst case then exceeds the budget.  The result is clamped to
+``[base // CLAMP, base * CLAMP]`` around the configured base interval.
+All control-loop state is exported as ``cadence.*`` gauges through
+:class:`~repro.runtime.metrics.MetricSet`.
 Every input of the interval is a count of ticks or messages, so a seed
 checkpoints at the same ticks on every run, and the controller writes
 only the checkpoint timer — never message timestamps — so adaptation
@@ -45,7 +47,7 @@ from typing import Optional
 
 from repro.errors import RecoveryError
 
-#: Relative change below which the current interval is kept.
+#: Relative growth below which the current interval is kept.
 HYSTERESIS = 0.2
 #: The interval stays within [base // CLAMP, base * CLAMP].
 CLAMP = 8
@@ -131,7 +133,10 @@ class CadenceController:
         # Fixed overheads eat into the budget; the interval gets the rest.
         overhead = self.detect_ticks + (self._ack_lag_ticks.value or 0.0)
         desired = self._clamp(int(self.budget_ticks - overhead))
-        if abs(desired - self._interval) / self._interval >= HYSTERESIS:
+        # A shorter interval is always taken: the current one no longer
+        # fits the budget.  Growth waits until it is worth a change.
+        if (desired < self._interval
+                or desired - self._interval >= HYSTERESIS * self._interval):
             self._interval = desired
             self.adjustments += 1
             if self.metrics is not None:

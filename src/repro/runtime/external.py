@@ -20,6 +20,7 @@ producer of input, and at least one external consumer."
 
 from __future__ import annotations
 
+import marshal
 from array import array
 from collections.abc import Sequence
 from typing import Any, Callable, Iterator, List, Optional, Tuple
@@ -27,7 +28,7 @@ from typing import Any, Callable, Iterator, List, Optional, Tuple
 from repro.core.message import CuriosityProbe, DataMessage, ReplayRequest, SilenceAdvance, StableNotice
 from repro.core.ports import WireSpec
 from repro.errors import TransportError
-from repro.runtime.message_log import ExternalMessageLog
+from repro.runtime.message_log import ExternalMessageLog, unencodable
 from repro.sim.distributions import Distribution, Exponential
 from repro.vt.ticks import TickStreamReceiver
 
@@ -60,24 +61,29 @@ class ExternalIngress:
         assigned virtual time *before* it is logged (the gateway embeds
         ``birth = vt`` so latency is measured from the admission stamp).
         Because stamping happens pre-log, replaying the log re-delivers
-        the already-stamped payload byte-identically — a re-delivery can
-        never be stamped twice.
+        the already-stamped payload byte-identically: the log holds the
+        payload's bytes as they were when offered, so neither a second
+        stamp nor a handler that mutates its input can change a
+        re-delivery.  A payload the log refuses raises
+        :class:`~repro.errors.StateError` and is not delivered.
         """
-        vt = max(self.sim.now, self.log.last_vt() + 1)
+        vt = self.sim.now
+        if vt <= self.log.last_vt:
+            vt = self.log.last_vt + 1
         if stamp is not None:
             payload = stamp(vt, payload)
         seq = self.log.append(vt, payload)
-        self._deliver(DataMessage(self.spec.wire_id, seq, vt, payload))
+        self.network.send(self.node_id, self.dst_engine_id,
+                          DataMessage(self.spec.wire_id, seq, vt, payload))
         return seq
-
-    def _deliver(self, msg: DataMessage) -> None:
-        self.network.send(self.node_id, self.dst_engine_id, msg)
 
     def receive(self, item: Any) -> None:
         """Handle control traffic addressed to this ingress."""
         if isinstance(item, ReplayRequest):
             for seq, vt, payload in self.log.entries_from(item.from_seq):
-                self._deliver(DataMessage(self.spec.wire_id, seq, vt, payload))
+                self.network.send(
+                    self.node_id, self.dst_engine_id,
+                    DataMessage(self.spec.wire_id, seq, vt, payload))
             # Trailing advance: sound because it travels FIFO behind the
             # replayed data, and it tells the restored engine the replay
             # is complete (re-enabling its local external-horizon bound).
@@ -147,15 +153,15 @@ class PoissonProducer:
 class OutputRecords(Sequence):
     """Read-only ``(seq, vt, payload, tick)`` view of a consumer's columns.
 
-    Each record is built when read: iterating yields them one at a time,
-    and ``len`` reads the payload column.  The view follows the consumer
-    as it receives more.  It compares equal to another view or a list
-    holding the same records.
+    Each record is built, and its payload decoded, when read: iterating
+    yields them one at a time, and ``len`` reads the payload column.  The
+    view follows the consumer as it receives more.  It compares equal to
+    another view or a list holding the same records.
     """
 
     __slots__ = ("_vts", "_payloads", "_ticks")
 
-    def __init__(self, vts: array, payloads: List[Any], ticks: array):
+    def __init__(self, vts: array, payloads: List[bytes], ticks: array):
         self._vts = vts
         self._payloads = payloads
         self._ticks = ticks
@@ -164,14 +170,15 @@ class OutputRecords(Sequence):
         return len(self._payloads)
 
     def __iter__(self) -> Iterator[Tuple[int, int, Any, int]]:
-        return zip(range(len(self._payloads)), self._vts, self._payloads,
-                   self._ticks)
+        return zip(range(len(self._payloads)), self._vts,
+                   map(marshal.loads, self._payloads), self._ticks)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         seq = range(len(self._payloads))[index]
-        return (seq, self._vts[seq], self._payloads[seq], self._ticks[seq])
+        return (seq, self._vts[seq], marshal.loads(self._payloads[seq]),
+                self._ticks[seq])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, OutputRecords):
@@ -191,12 +198,14 @@ class ExternalConsumer:
 
     The effective output — the first delivery of each sequence number —
     is kept in columns: virtual times and arrival ticks in two
-    ``array('q')`` and payloads in a list.  The sequence number is not
-    stored: the wire starts at 0 and a gap raises, so the n-th effective
-    output has seq n.  One output costs its payload, a list slot and 16
-    bytes of ``array('q')`` (a ``(seq, vt, payload, tick)`` tuple with
-    three boxed ints, listed twice, cost about 190).  Re-deliveries
-    (output stutter) are rare and keep whole records in
+    ``array('q')`` and payloads, encoded by ``marshal`` on arrival, in a
+    list.  The sequence number is not stored: the wire starts at 0 and a
+    gap raises, so the n-th effective output has seq n.  One output
+    costs its payload's bytes, a list slot and 16 bytes of ``array('q')``;
+    readers get decoded copies, so the sink never aliases an object the
+    sender still holds.  A payload ``marshal`` cannot hold raises
+    :class:`~repro.errors.StateError` before anything is recorded.
+    Re-deliveries (output stutter) are rare and keep whole records in
     :attr:`stutter_outputs`.
     """
 
@@ -209,7 +218,7 @@ class ExternalConsumer:
         self.birth_of = birth_of
         self._receiver: Optional[TickStreamReceiver] = None
         self._vts = array("q")
-        self._payloads: List[Any] = []
+        self._payloads: List[bytes] = []
         self._ticks = array("q")
         #: First delivery of each sequence number, as
         #: ``(seq, vt, payload, real_time)`` records built when read.
@@ -230,6 +239,10 @@ class ExternalConsumer:
         """Record a delivered output message."""
         if not isinstance(item, DataMessage):
             return  # consumers ignore control traffic (e.g. silence)
+        try:
+            blob = marshal.dumps(item.payload)
+        except ValueError:
+            raise unencodable(item.payload, item.wire_id) from None
         if self._receiver is None:
             self._receiver = TickStreamReceiver(item.wire_id)
         self.deliveries += 1
@@ -248,7 +261,7 @@ class ExternalConsumer:
                 f"consumer {self.node_id}: output gap at seq {item.seq}"
             )
         self._vts.append(item.vt)
-        self._payloads.append(item.payload)
+        self._payloads.append(blob)
         self._ticks.append(self.sim.now)
         if self.birth_of is not None:
             birth = self.birth_of(item.payload)
@@ -257,7 +270,7 @@ class ExternalConsumer:
 
     def payloads(self) -> List[Any]:
         """Effective output payloads in delivery order."""
-        return list(self._payloads)
+        return list(map(marshal.loads, self._payloads))
 
     def arrival_ticks(self) -> List[int]:
         """Arrival tick of each effective output, in delivery order."""

@@ -120,7 +120,7 @@ def test_gateway_offer_after_failover_continues_vt_chain():
 
     # A new admission after the failover keeps the strictly-increasing
     # vt contract on the same log.
-    last_vt = ingress.log.last_vt()
+    last_vt = ingress.log.last_vt
     holder = {}
 
     def stamp(vt, p):
@@ -132,4 +132,4 @@ def test_gateway_offer_after_failover_continues_vt_chain():
     assert seq == N_MESSAGES
     assert holder["vt"] >= last_vt + 1
     assert holder["stamped"]["birth"] == holder["vt"]
-    assert ingress.log.last_vt() == holder["vt"]
+    assert ingress.log.last_vt == holder["vt"]

@@ -14,7 +14,9 @@ import pytest
 from repro.apps.callgraph import build_callgraph_app, request_factory
 from repro.apps.pipeline import build_pipeline_app, reading_factory
 from repro.apps.wordcount import birth_of, build_wordcount_app, sentence_factory
-from repro.runtime.app import Deployment
+from repro.core.component import Component, on_message
+from repro.core.cost import fixed_cost
+from repro.runtime.app import Application, Deployment
 from repro.runtime.engine import EngineConfig
 from repro.runtime.failure import FailureInjector
 from repro.runtime.placement import Placement
@@ -215,3 +217,57 @@ class TestLinkFaults:
         clean = wordcount_deployment()
         clean.run(until=seconds(2))
         assert effective(dep) == effective(clean)
+
+
+class TestInputAliasing:
+    """The stable log keeps each input as it was offered.
+
+    A handler that mutates its input in place must not rewrite the log:
+    replay after a failover re-delivers the payload as offered, so the
+    replayed handler computes what the first one did.
+    """
+
+    def _deployment(self, offered, received):
+        class Mutator(Component):
+            def setup(self):
+                self.out = self.output_port("out")
+
+            @on_message("input", cost=fixed_cost(us(10)))
+            def handle(self, payload):
+                received.append(dict(payload))
+                payload["n"] += 1_000  # in place, on the delivered object
+                self.out.send({"n": payload["n"], "birth": payload["birth"]})
+
+        def factory(rng, i, now):
+            offered.append({"n": i, "birth": now})
+            return {"n": i, "birth": now}
+
+        app = Application("mutate")
+        app.add_component("mutator", Mutator)
+        app.external_input("in", "mutator", "input")
+        app.external_output("mutator", "out", "sink")
+        dep = Deployment(app, Placement({"mutator": "E1"}),
+                         default_link=LinkParams(delay=Constant(us(100))),
+                         control_delay=us(10), birth_of=birth_of)
+        dep.add_poisson_producer("in", factory, mean_interarrival=ms(1),
+                                 max_messages=200)
+        return dep
+
+    def test_a_handler_mutating_its_input_does_not_rewrite_the_log(self):
+        offered, received = [], []
+        dep = self._deployment(offered, received)
+        FailureInjector(dep).kill_host("E1", at=ms(100), promote=True)
+        dep.run(until=ms(400))
+        log = dep.ingress("in").log
+        assert [p for _seq, _vt, p in log.entries_from(0)] == offered
+        assert dep.recovery.failover_count() == 1
+        # Without a checkpoint the replica replays the log from seq 0:
+        # every input it saw, first delivery or replay, was as offered.
+        assert len(received) > len(offered)
+        assert all(p in offered for p in received)
+        clean = self._deployment([], [])
+        clean.run(until=ms(400))
+        # Same outputs as the failure-free run; only arrival ticks differ.
+        got = dep.consumer("sink").effective_outputs
+        want = clean.consumer("sink").effective_outputs
+        assert [r[:3] for r in got] == [r[:3] for r in want]

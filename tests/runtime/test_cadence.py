@@ -53,6 +53,18 @@ class TestCadenceController:
         assert ctl.next_interval() < ms(36)
         assert ctl.adjustments == 1
 
+    def test_a_correction_back_under_budget_is_always_applied(self):
+        # A live cluster's shape: 60 ms budget, 30 ms interval, 29 ms
+        # detection and ~1.9 ms of ack lag predict 60.9 ms of replay; the
+        # needed cut (~3 %) is under the hysteresis but is taken.
+        ctl = CadenceController(60_000_000, base_interval=30_000_000,
+                                detect_ticks=29_000_000)
+        ctl.observe_ack(1_902_609)
+        assert ctl.predicted_replay_ticks() == 60_902_609
+        assert ctl.next_interval() == 30_000_000 - 902_609
+        assert ctl.predicted_replay_ticks() == 60_000_000
+        assert ctl.adjustments == 1
+
     def test_clamped_to_band_around_base(self):
         ctl = CadenceController(1, base_interval=ms(8))
         assert ctl.next_interval() == ms(8) // CLAMP  # floor of the band

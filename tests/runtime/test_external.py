@@ -11,7 +11,7 @@ from repro.core.message import (
     StableNotice,
 )
 from repro.core.ports import WireSpec
-from repro.errors import TransportError
+from repro.errors import StateError, TransportError
 from repro.runtime.external import ExternalConsumer, ExternalIngress, PoissonProducer
 from repro.runtime.metrics import MetricSet
 from repro.runtime.transport import Network
@@ -53,6 +53,13 @@ class TestIngress:
         (msg, at), = engine.items
         assert msg == DataMessage(7, 0, 5_000, "hello")
         assert at == 5_000  # zero-delay boundary
+
+    def test_refused_payload_is_neither_logged_nor_delivered(self):
+        sim, net, engine, ingress = make_ingress()
+        with pytest.raises(StateError, match="wire 7: .*type object"):
+            ingress.offer(object())
+        sim.run()
+        assert len(ingress.log) == 0 and engine.items == []
 
     def test_sequences_increment(self):
         sim, net, engine, ingress = make_ingress()
@@ -217,6 +224,26 @@ class TestExternalConsumer:
             outputs[2]
         assert outputs != [(0, 1_000, "a", 3_000)]
         assert consumer.arrival_ticks() == [3_000, 5_000]
+
+    def test_unencodable_payload_is_refused_whole(self):
+        sim, metrics, consumer = self.make_consumer()
+        consumer.receive(DataMessage(4, 0, 1_000, {"birth": 0}))
+        with pytest.raises(StateError, match="wire 4: .*type object"):
+            consumer.receive(DataMessage(4, 1, 2_000, object()))
+        # Nothing recorded, and seq 1 is still the one expected next.
+        assert consumer.deliveries == 1 and len(consumer) == 1
+        assert metrics.latencies == [0]
+        consumer.receive(DataMessage(4, 1, 2_000, {"birth": 0}))
+        assert consumer.payloads() == [{"birth": 0}, {"birth": 0}]
+        assert consumer.stutter == 0
+
+    def test_outputs_do_not_alias_the_delivered_payload(self):
+        sim, metrics, consumer = self.make_consumer()
+        payload = {"birth": 0, "items": [1]}
+        consumer.receive(DataMessage(4, 0, 1_000, payload))
+        payload["items"].append(2)
+        assert consumer.payloads() == [{"birth": 0, "items": [1]}]
+        assert consumer.effective_outputs[0][2] == {"birth": 0, "items": [1]}
 
     def test_non_data_items_ignored(self):
         sim, metrics, consumer = self.make_consumer()

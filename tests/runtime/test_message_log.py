@@ -1,10 +1,11 @@
 """Unit tests for the stable external-message log."""
 
 from collections import deque
+from enum import IntEnum
 
 import pytest
 
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, StateError
 from repro.runtime.message_log import ExternalMessageLog
 
 
@@ -14,7 +15,7 @@ class TestAppend:
         assert log.append(100, "a") == 0
         assert log.append(200, "b") == 1
         assert len(log) == 2
-        assert log.last_vt() == 200
+        assert log.last_vt == 200
 
     def test_equal_vts_allowed(self):
         log = ExternalMessageLog(1)
@@ -26,6 +27,31 @@ class TestAppend:
         log.append(100, "a")
         with pytest.raises(RecoveryError):
             log.append(99, "b")
+
+    @pytest.mark.parametrize("payload", [object(), IntEnum("E", "A").A,
+                                         {"nested": [object()]}])
+    def test_unencodable_payload_is_refused_whole(self, payload):
+        log = ExternalMessageLog(3)
+        log.append(100, "a")
+        with pytest.raises(StateError, match=r"wire 3: .*type (object|E|dict)"):
+            log.append(200, payload)
+        # Nothing moved: the next append takes the refused one's place.
+        assert len(log) == 1 and log.last_vt == 100
+        assert log.append(150, "b") == 1
+        assert log.live_entries() == [(0, 100, "a"), (1, 150, "b")]
+
+    def test_payloads_are_held_as_appended(self):
+        log = ExternalMessageLog(1)
+        payload = {"b": 1, "a": (True, 2.5, None), "c": [1, 2]}
+        log.append(10, payload)
+        payload["c"].append(3)
+        payload["d"] = 0
+        (entry,) = log.entries_from(0)
+        assert entry == (0, 10, {"b": 1, "a": (True, 2.5, None), "c": [1, 2]})
+        # Types and insertion order round-trip exactly.
+        assert list(entry[2]) == ["b", "a", "c"]
+        assert entry[2]["a"][0] is True
+        assert entry[2] is not log.entries_from(0)[0][2]
 
 
 class TestReplay:
