@@ -40,7 +40,7 @@ from repro.core.silence_policy import (
     PreProbingCuriositySilencePolicy,
     SilencePolicy,
 )
-from repro.runtime.tracing import ExecutionTracer, explain_hold, render_hold_report
+from repro.runtime.tracing import explain_hold, render_hold_report
 from repro.errors import TartError
 from repro.runtime.app import Application, Deployment
 from repro.runtime.engine import EngineConfig
@@ -60,7 +60,6 @@ __all__ = [
     "Application",
     "BiasSilencePolicy",
     "Component",
-    "ExecutionTracer",
     "ConstantEstimator",
     "CostModel",
     "CuriositySilencePolicy",

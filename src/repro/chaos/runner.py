@@ -38,10 +38,9 @@ from repro.net.topology import (
     plan_cluster_nodes,
     reference_run,
     simulated_twin,
-    streams_of,
     twin_horizon,
 )
-from repro.tools.verify_determinism import verify_trace_equivalence
+from repro.tools.verify_determinism import streams_of, verify_trace_equivalence
 
 
 def _stderr(line: str) -> None:

@@ -31,10 +31,11 @@ tell it what to checkpoint.  The handler body itself stays ordinary
 Python.
 
 Restrictions enforced (paper II.B): no shared memory (all interaction
-through ports; payloads may be deep-copied at the wire), one message at a
-time (the runtime serialises), no non-deterministic operations (the only
-time source offered is :meth:`Component.now`, which returns *virtual*
-time), and no blocking except two-way calls (``yield port.call(...)``).
+through ports; payloads are values, see :mod:`repro.core.message`), one
+message at a time (the runtime serialises), no non-deterministic
+operations (the only time source offered is :meth:`Component.now`, which
+returns *virtual* time), and no blocking except two-way calls (``yield
+port.call(...)``).
 """
 
 from __future__ import annotations

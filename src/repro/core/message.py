@@ -7,8 +7,10 @@ curiosity, replay, and checkpoint shipping.
 
 All payloads are required to be values (no shared mutable objects) — the
 Python analogue of the paper's "components do not share memory"
-restriction, enforced by deep-copying payloads at the wire in strict
-mode (see :class:`repro.runtime.transport.Transport`).
+restriction.  It is a contract, not a copy: an in-process wire hands the
+receiver the sender's object, a socket (:mod:`repro.net.codec`) delivers
+a decoded copy, and the external-input log and the sinks keep each
+payload as ``marshal`` bytes, handing out decoded copies.
 """
 
 from __future__ import annotations

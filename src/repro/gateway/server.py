@@ -41,7 +41,7 @@ hide the failover from anything upstream of them.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import TransportError
@@ -73,17 +73,11 @@ class GatewayConfig:
 
     @classmethod
     def from_spec(cls, spec: ClusterSpec) -> "GatewayConfig":
+        """The spec's ``gateway`` dict over the defaults above, each
+        value present cast to its default's type."""
         gw = spec.gateway
-        return cls(
-            host=gw.get("host", "127.0.0.1"),
-            port=int(gw.get("port", 0)),
-            max_inflight_msgs=int(gw.get("max_inflight_msgs", 1024)),
-            max_inflight_bytes=int(gw.get("max_inflight_bytes",
-                                          8 * 1024 * 1024)),
-            rate_msgs_per_s=float(gw.get("rate_msgs_per_s", 2000.0)),
-            rate_burst=float(gw.get("rate_burst", 200.0)),
-            retry_ms=float(gw.get("retry_ms", 50.0)),
-        )
+        return cls(**{f.name: type(f.default)(gw[f.name])
+                      for f in fields(cls) if f.name in gw})
 
 
 @dataclass

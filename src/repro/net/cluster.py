@@ -60,8 +60,8 @@ from repro.net.topology import (
     pipeline_spec,
     plan_cluster_nodes,
     reference_run,
-    streams_of,
 )
+from repro.tools.verify_determinism import streams_of
 
 #: Seconds each child gets to bind its socket and print READY, and
 #: then to answer its control channel's HELLO and acknowledge GO.

@@ -99,8 +99,6 @@ boundary.  :func:`read_frame` returns ``None`` for that case alone; a
 connection that dies after part of a frame was read (mid-header or
 mid-payload) raises :class:`~repro.errors.TransportError`, so transports
 count a reset instead of mistaking a torn frame for an orderly close.
-:meth:`FrameSplitter.eof` mirrors the same distinction for non-asyncio
-byte streams.
 """
 
 from __future__ import annotations
@@ -308,27 +306,6 @@ def _decode_tail(tag: int, buf: bytes, start: int, stop: int
     if type(fields) is not dict:
         raise CodecError(f"message fields are not a dict (tag {tag})")
     return fields
-
-
-def encode_message_bytes(msg: Any) -> bytes:
-    """Canonical bytes of one message: its tag byte and record tail."""
-    tag = message_tag(msg)
-    try:
-        fixed, blob = _encode_tail(tag, message_fields(msg))
-        return bytes((tag,)) + fixed + blob
-    except struct.error as exc:
-        raise CodecError(f"field out of range in {msg!r}: {exc}") from exc
-
-
-def decode_message_bytes(blob: bytes) -> Any:
-    """Inverse of :func:`encode_message_bytes`."""
-    if not blob:
-        raise CodecError("empty message")
-    try:
-        fields = _decode_tail(blob[0], blob, 1, len(blob))
-    except StateError as exc:
-        raise CodecError(f"malformed message: {exc}") from exc
-    return decode_message({"k": blob[0], "f": fields})
 
 
 # ----------------------------------------------------------------------
@@ -569,53 +546,6 @@ def batch_items(body: Dict[str, Any]) -> list:
     if not isinstance(items, list):
         raise CodecError(f"malformed batch frame: {sorted(body)}")
     return items
-
-
-class FrameSplitter:
-    """Incremental splitter: feed raw bytes, get complete frames out.
-
-    Used by tests and anywhere a non-asyncio byte stream needs framing;
-    the asyncio path uses :func:`read_frame` instead.
-    """
-
-    def __init__(self):
-        self._buf = bytearray()
-
-    def feed(self, data: bytes):
-        """Consume ``data``; return the list of completed ``(frame_tag,
-        body)`` pairs (empty while a frame is still partial)."""
-        self._buf.extend(data)
-        frames = []
-        while True:
-            if len(self._buf) < _LEN.size:
-                return frames
-            (length,) = _LEN.unpack_from(self._buf)
-            if length > MAX_FRAME_BYTES:
-                raise CodecError(f"frame too large: {length} bytes")
-            if len(self._buf) < _LEN.size + length:
-                return frames
-            payload = bytes(self._buf[_LEN.size:_LEN.size + length])
-            del self._buf[:_LEN.size + length]
-            frames.append(decode_frame_payload(payload))
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes of the partial frame buffered so far (0 at a boundary)."""
-        return len(self._buf)
-
-    def eof(self) -> None:
-        """Declare the byte stream ended; raise if it tore a frame.
-
-        Mirrors :func:`read_frame`'s distinction: an EOF on a frame
-        boundary is an orderly close (returns quietly), an EOF with a
-        partial frame buffered is a truncation and raises
-        :class:`~repro.errors.TransportError`.
-        """
-        if self._buf:
-            raise TransportError(
-                f"stream ended mid-frame with {len(self._buf)} "
-                f"unframed byte(s) buffered"
-            )
 
 
 async def read_frame_sized(reader

@@ -43,6 +43,7 @@ from repro.runtime.placement import (
 )
 from repro.runtime.transport import Transport
 from repro.sim.kernel import Simulator, ms
+from repro.tools.verify_determinism import streams_of
 
 #: Engine ids must stay out of the separators used by node/process
 #: naming (``replica:<id>.<rank>`` nodes, ``replica-<id>.<rank>``
@@ -466,20 +467,6 @@ def attach_workload(dep: Deployment, spec: ClusterSpec) -> None:
             mean_interarrival=ms(params["mean_interarrival_ms"]),
             max_messages=int(params["n_messages"]),
         )
-
-
-def stream_of(consumer) -> List[Tuple]:
-    """A consumer's effective output as comparable (seq, vt, payload)."""
-    from repro.tools.verify_determinism import freeze_payload
-
-    return [(seq, vt, freeze_payload(payload))
-            for seq, vt, payload, _t in consumer.effective_outputs]
-
-
-def streams_of(deployment: Deployment) -> Dict[str, List[Tuple]]:
-    """Every sink's effective output stream (see :func:`stream_of`)."""
-    return {sink: stream_of(consumer)
-            for sink, consumer in deployment.consumers.items()}
 
 
 #: Simulated drain margin after the last replayed external message.

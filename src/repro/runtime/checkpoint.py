@@ -150,8 +150,3 @@ def loads(blob: bytes) -> Any:
         raise StateError(f"corrupt checkpoint: {len(text) - end} "
                          f"characters after the value")
     return obj
-
-
-def checkpoint_size(blob: bytes) -> int:
-    """Size in bytes (convenience for overhead accounting)."""
-    return len(blob)

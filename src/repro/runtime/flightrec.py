@@ -178,7 +178,7 @@ class FlightRecorder:
             logs, truncated = external_logs_of(dep)
         replay_mode = "workload" if self.spec.workload else "external"
 
-        from repro.net.topology import streams_of
+        from repro.tools.verify_determinism import streams_of
 
         streams = streams_of(dep)
         manifest = {

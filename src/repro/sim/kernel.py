@@ -221,41 +221,6 @@ class Simulator:
         return heap[0][0] if heap else None
 
 
-class Timer:
-    """A restartable one-shot timer bound to a simulator.
-
-    Used by schedulers for timeout-style behaviour (e.g. aggressive
-    silence heartbeats): ``restart`` cancels any pending firing and
-    schedules a new one.
-    """
-
-    def __init__(self, sim: Simulator, fn: Callable[[], None], label: str = "timer"):
-        self._sim = sim
-        self._fn = fn
-        self._label = label
-        self._event: Optional[Event] = None
-
-    def restart(self, delay: int) -> None:
-        """(Re)arm the timer to fire ``delay`` ticks from now."""
-        self.cancel()
-        self._event = self._sim.after(delay, self._fire, self._label)
-
-    def cancel(self) -> None:
-        """Disarm the timer if armed."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    @property
-    def armed(self) -> bool:
-        """Whether the timer currently has a pending firing."""
-        return self._event is not None and not self._event.cancelled
-
-    def _fire(self) -> None:
-        self._event = None
-        self._fn()
-
-
 class Processor:
     """A single logical processor that serves work items one at a time.
 

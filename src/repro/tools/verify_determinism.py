@@ -72,14 +72,6 @@ class DeterminismReport:
         return "\n".join(lines)
 
 
-def _vt_stream(deployment) -> Dict[str, List[Tuple]]:
-    return {
-        sink: [(seq, vt, freeze_payload(payload)) for seq, vt, payload, _t in
-               consumer.effective_outputs]
-        for sink, consumer in deployment.consumers.items()
-    }
-
-
 def freeze_payload(payload):
     """A hashable, order-insensitive-for-dicts view of one payload.
 
@@ -94,6 +86,16 @@ def freeze_payload(payload):
     if isinstance(payload, (list, tuple)):
         return tuple(freeze_payload(v) for v in payload)
     return payload
+
+
+def streams_of(deployment) -> Dict[str, List[Tuple]]:
+    """Every sink's effective output as comparable ``(seq, vt,
+    payload)`` triples, payloads frozen by :func:`freeze_payload`."""
+    return {
+        sink: [(seq, vt, freeze_payload(payload)) for seq, vt, payload, _t in
+               consumer.effective_outputs]
+        for sink, consumer in deployment.consumers.items()
+    }
 
 
 def compare_streams(
@@ -196,7 +198,7 @@ def verify_determinism(
 
     reference_dep = deployment_factory()
     reference_dep.run(until=until)
-    reference = _vt_stream(reference_dep)
+    reference = streams_of(reference_dep)
     compared = sum(len(v) for v in reference.values())
 
     divergences: List[Divergence] = []
@@ -204,6 +206,6 @@ def verify_determinism(
         deployment = deployment_factory()
         perturb(deployment)
         deployment.run(until=until)
-        observed = _vt_stream(deployment)
+        observed = streams_of(deployment)
         divergences.extend(compare_streams(reference, observed, name))
     return DeterminismReport(list(trials), compared, divergences)

@@ -12,7 +12,10 @@ which bounds the encoded size regardless of run length.
 Clocks are *pure observation*: they are computed by an attached
 :class:`ReplayClockTracer` from the message stream and never ride on the
 wire or influence scheduling, so traced and untraced runs stay
-byte-identical (asserted by test, like ``ExecutionTracer``).
+byte-identical (asserted by test).  It is the one observer of a run:
+the flight recorder records its event stream, ``timetravel`` queries
+the recording, and :func:`repro.runtime.tracing.explain_hold` reads its
+clocks.
 
 ``merge`` is the lattice join and is commutative and associative
 (hypothesis-checked in ``tests/props``): epochs max, per-component

@@ -1,9 +1,11 @@
 """Gateway wire frames, sized reads, and spec plumbing."""
 
 import asyncio
+import dataclasses
 
 import pytest
 
+from repro.gateway.server import GatewayConfig
 from repro.net import codec
 from repro.net.cluster import with_addresses
 from repro.net.topology import ClusterSpec
@@ -109,6 +111,17 @@ class TestSpecPlumbing:
 
     def test_disabled_by_default(self):
         assert not ClusterSpec().gateway_enabled()
+
+    def test_config_from_spec_casts_over_the_defaults(self):
+        assert GatewayConfig.from_spec(ClusterSpec(gateway={})) \
+            == GatewayConfig()
+        full = {"host": "0.0.0.0", "port": 9999, "max_inflight_msgs": 64,
+                "max_inflight_bytes": 4096, "rate_msgs_per_s": 100,
+                "rate_burst": 5, "retry_ms": 20}
+        config = GatewayConfig.from_spec(ClusterSpec(gateway=full))
+        assert dataclasses.asdict(config) == full
+        assert [type(getattr(config, key)) for key in full] \
+            == [str, int, int, int, float, float, float]
 
     def test_with_addresses_skips_disabled_gateway(self):
         run_spec = with_addresses(ClusterSpec(workload={}))

@@ -15,9 +15,10 @@ the shadow is the durable evidence that nothing was stamped twice.
 """
 
 from repro.core.message import ReplayRequest
-from repro.net.topology import ClusterSpec, build_deployment, stream_of
+from repro.net.topology import ClusterSpec, build_deployment
 from repro.sim.kernel import ms
 from repro.gateway.server import _stamp_birth
+from repro.tools.verify_determinism import streams_of
 
 #: replicas=0 disables checkpointing, so the ingress log is never
 #: truncated and can be inspected whole; failover tests use replicas=1.
@@ -81,7 +82,7 @@ def test_stamp_embeds_vt_as_birth():
 def test_replay_request_redelivers_stamped_bytes_without_restamp():
     dep, shadow = run_spec(STABLE_SPEC)
     ingress = dep.ingresses["readings"]
-    before_stream = stream_of(dep.consumers["sink"])
+    before_stream = streams_of(dep)["sink"]
 
     # A full replay from seq 0, as a recovering engine would request.
     ingress.receive(ReplayRequest(ingress.spec.wire_id, 0))
@@ -91,7 +92,7 @@ def test_replay_request_redelivers_stamped_bytes_without_restamp():
     assert ingress.log.entries_from(0) == shadow
     # Consumer stream byte-identical: the duplicate deliveries were
     # absorbed upstream, nothing was emitted twice.
-    assert stream_of(dep.consumers["sink"]) == before_stream
+    assert streams_of(dep)["sink"] == before_stream
 
 
 def test_failover_replay_preserves_stream_and_stamps():
@@ -107,8 +108,7 @@ def test_failover_replay_preserves_stream_and_stamps():
     assert shadow == ref_shadow
     # Effective output identical to the undisturbed twin; re-delivery
     # surfaced only as counted stutter.
-    assert stream_of(dep.consumers["sink"]) \
-        == stream_of(ref.consumers["sink"])
+    assert streams_of(dep)["sink"] == streams_of(ref)["sink"]
     consumer = dep.consumers["sink"]
     assert consumer.deliveries \
         == len(consumer.effective_outputs) + consumer.stutter

@@ -8,6 +8,7 @@ controllable delays.  Full-stack tests use real deployments instead.
 
 from __future__ import annotations
 
+import asyncio
 from typing import Dict, List, Optional
 
 from repro.core.message import (
@@ -21,6 +22,7 @@ from repro.core.message import (
 from repro.core.ports import WireSpec
 from repro.core.scheduler import ComponentRuntime, RuntimeServices
 from repro.core.silence_policy import CuriositySilencePolicy
+from repro.net import codec
 from repro.runtime.metrics import MetricSet
 from repro.runtime.state_merge import _METADATA_FIELDS
 from repro.sim.jitter import NoJitter
@@ -160,3 +162,40 @@ def profiled_calls(profile) -> int:
     ``Profile.getstats()`` keeps one entry per code object.
     """
     return sum(entry.callcount for entry in profile.getstats())
+
+
+def read_frames(*chunks: bytes) -> list:
+    """Every ``(frame_tag, body)`` :func:`repro.net.codec.read_frame`
+    reads from a stream fed ``chunks`` one per loop turn, then closed.
+
+    A frame may straddle chunks; a stream torn mid-frame raises as
+    ``read_frame`` does.
+    """
+    async def scenario():
+        reader = asyncio.StreamReader()
+
+        async def feed():
+            for chunk in chunks:
+                reader.feed_data(chunk)
+                await asyncio.sleep(0)
+            reader.feed_eof()
+
+        feeder = asyncio.create_task(feed())
+        frames = []
+        try:
+            while (frame := await codec.read_frame(reader)) is not None:
+                frames.append(frame)
+        finally:
+            await feeder
+        return frames
+
+    return asyncio.run(scenario())
+
+
+def item_roundtrip(msg):
+    """``(frame bytes, decoded message)`` of ``msg`` sent in an ITEM
+    frame, the one encoding a message has on the wire."""
+    raw = codec.encode_item(0, "src", msg)
+    _tag, body = codec.decode_frame_payload(raw[4:])
+    (item,) = codec.batch_items(body)
+    return raw, codec.decode_message(item["msg"])

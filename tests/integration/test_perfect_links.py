@@ -11,9 +11,10 @@ import pytest
 
 from repro.chaos.schedule import generate_schedule
 from repro.experiments.common import Fig1Params, build_fig1
-from repro.net.topology import simulated_twin, streams_of, twin_horizon
+from repro.net.topology import simulated_twin, twin_horizon
 from repro.runtime.flightrec import checkpoint_manifests
 from repro.sim.kernel import ms
+from repro.tools.verify_determinism import streams_of
 
 from tests.net.test_chaos_smoke import chaos_spec
 

@@ -9,7 +9,10 @@ from repro.core.message import (
     WIRE_MESSAGE_TYPES,
 )
 from repro.net import codec
+from repro.errors import TransportError
 from repro.runtime.detector import Heartbeat
+
+from tests.helpers import item_roundtrip, read_frames
 
 
 def test_frame_roundtrips():
@@ -111,25 +114,23 @@ def test_every_wire_type_has_a_permanent_tag():
 def test_message_bytes_roundtrip():
     msg = CheckpointData(engine_id="e0", cp_seq=4, incremental=True,
                          blob=b"\x00\x01state")
-    blob = codec.encode_message_bytes(msg)
-    restored = codec.decode_message_bytes(blob)
+    raw, restored = item_roundtrip(msg)
     assert restored == msg
     assert type(restored) is CheckpointData
     # Canonical: re-encoding the decoded message is byte-identical.
-    assert codec.encode_message_bytes(restored) == blob
+    assert item_roundtrip(restored)[0] == raw
 
 
 def test_corrupt_request_roundtrip_and_pinned_tag():
     msg = codec.CorruptRequest(engine_id="e0", component="enricher")
-    restored = codec.decode_message_bytes(codec.encode_message_bytes(msg))
+    _raw, restored = item_roundtrip(msg)
     assert restored == msg
     assert type(restored) is codec.CorruptRequest
     # Tag 35 is permanent: renumbering is a wire format break.
     assert codec.MESSAGE_TAGS[35] is codec.CorruptRequest
     # Empty component (= auto-pick) survives the trip.
     bare = codec.CorruptRequest(engine_id="e1")
-    assert codec.decode_message_bytes(
-        codec.encode_message_bytes(bare)) == bare
+    assert item_roundtrip(bare)[1] == bare
 
 
 def test_splitter_reassembles_byte_by_byte():
@@ -139,10 +140,7 @@ def test_splitter_reassembles_byte_by_byte():
                                                  through_vt=500)),
         codec.encode_ack(1),
     ]
-    splitter = codec.FrameSplitter()
-    out = []
-    for byte in b"".join(frames):
-        out.extend(splitter.feed(bytes([byte])))
+    out = read_frames(*(bytes([byte]) for byte in b"".join(frames)))
     assert [tag for tag, _ in out] == [codec.FRAME_HELLO,
                                        codec.FRAME_ITEM,
                                        codec.FRAME_ACK]
@@ -157,16 +155,14 @@ def test_splitter_reassembles_byte_by_byte():
 
 def test_splitter_handles_coalesced_frames():
     frames = b"".join(codec.encode_ack(i) for i in range(10))
-    splitter = codec.FrameSplitter()
-    out = splitter.feed(frames)
+    out = read_frames(frames)
     assert [body["upto"] for _, body in out] == list(range(10))
 
 
 def test_oversized_frame_rejected():
-    splitter = codec.FrameSplitter()
     header = (codec.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
     with pytest.raises(codec.CodecError, match="too large"):
-        splitter.feed(header)
+        read_frames(header)
 
 def test_batch_frame_roundtrip():
     encoder = codec.FrameEncoder()
@@ -224,21 +220,15 @@ def test_error_frame_roundtrip():
 
 
 def test_splitter_eof_mid_frame_raises():
-    from repro.errors import TransportError
-
-    splitter = codec.FrameSplitter()
     raw = codec.encode_ack(7)
-    splitter.feed(raw[:5])  # full header + 1 payload byte
-    assert splitter.pending_bytes == 5
-    with pytest.raises(TransportError, match="mid-frame"):
-        splitter.eof()
+    # A whole frame, then a full header + 1 payload byte of the next.
+    with pytest.raises(TransportError, match="mid-frame: 1 of 10"):
+        read_frames(raw, raw[:5])
 
 
 def test_splitter_eof_on_boundary_is_clean():
-    splitter = codec.FrameSplitter()
-    assert splitter.feed(codec.encode_ack(7))  # complete frame consumed
-    assert splitter.pending_bytes == 0
-    splitter.eof()  # no raise
+    raw = codec.encode_ack(7)
+    assert read_frames(raw[:5], raw[5:]) == [(codec.FRAME_ACK, {"upto": 7})]
 
 
 def _socketpair_streams():
@@ -275,8 +265,6 @@ def test_read_frame_clean_eof_returns_none():
 def test_read_frame_torn_mid_payload_raises():
     import asyncio
 
-    from repro.errors import TransportError
-
     async def scenario():
         reader, writer, peer = await _socketpair_streams()()
         raw = codec.encode_item(0, "a",
@@ -292,8 +280,6 @@ def test_read_frame_torn_mid_payload_raises():
 
 def test_read_frame_torn_mid_header_raises():
     import asyncio
-
-    from repro.errors import TransportError
 
     async def scenario():
         reader, writer, peer = await _socketpair_streams()()
@@ -362,7 +348,7 @@ def test_v2_layout_golden_bytes():
     lambda: codec.encode_item(0, "n" * 256, SilenceAdvance(1, 1)),
     lambda: codec.encode_ack(-1),
     lambda: codec.encode_ack(2**64),
-    lambda: codec.encode_message_bytes(SilenceAdvance(2**63, 0)),
+    lambda: codec.encode_item(0, "a", SilenceAdvance(2**63, 0)),
 ])
 def test_out_of_range_fields_are_codec_errors_at_encode(build):
     with pytest.raises(codec.CodecError):
@@ -454,7 +440,3 @@ def test_message_of_unknown_tag_parses_then_fails_at_decode_message():
     (item,) = codec.batch_items(body)
     with pytest.raises(codec.CodecError, match="unknown message tag 200"):
         codec.decode_message(item["msg"])
-    with pytest.raises(codec.CodecError):
-        codec.decode_message_bytes(b"")
-    with pytest.raises(codec.CodecError):
-        codec.decode_message_bytes(b"\x1f{")

@@ -24,7 +24,6 @@ from repro.net.topology import (
     pipeline_spec,
     plan_cluster_nodes,
     reference_run,
-    streams_of,
 )
 from repro.runtime.app import Deployment
 from repro.runtime.audit import corrupt_component_state
@@ -34,6 +33,7 @@ from repro.runtime.transport import LinkParams, Network, Transport
 from repro.sim.distributions import Constant
 from repro.sim.kernel import Simulator, ms
 from repro.sim.rng import RngRegistry
+from repro.tools.verify_determinism import streams_of
 
 
 class MemoryTransport:

@@ -1,6 +1,7 @@
 """Property tests: the wire codec is a lossless canonical codec.
 
-Two properties for every message type that can cross a socket:
+Two properties for every message type that can cross a socket, sent
+the one way a message is encoded, in an ITEM frame:
 
 * **round-trip identity** — decoding an encoded message restores an
   equal message of the exact same type;
@@ -8,6 +9,9 @@ Two properties for every message type that can cross a socket:
   matter how their payload dicts were built (insertion order must not
   leak into the wire format, because the byte-level determinism checks
   compare across processes).
+
+Frames are read back with :func:`repro.net.codec.read_frame`, whatever
+chunks the byte stream arrives in.
 """
 
 from hypothesis import given, settings
@@ -28,6 +32,8 @@ from repro.core.message import (
 from repro.net import codec
 from repro.runtime import checkpoint as cpser
 from repro.runtime.detector import Heartbeat
+
+from tests.helpers import item_roundtrip, read_frames
 
 ids = st.integers(min_value=0, max_value=2**31)
 vts = st.integers(min_value=0, max_value=2**62)
@@ -78,18 +84,15 @@ messages = st.one_of(
 
 @given(messages)
 def test_roundtrip_identity(msg):
-    restored = codec.decode_message_bytes(codec.encode_message_bytes(msg))
+    _raw, restored = item_roundtrip(msg)
     assert restored == msg
     assert type(restored) is type(msg)
 
 
 @given(messages)
 def test_byte_stability(msg):
-    blob = codec.encode_message_bytes(msg)
-    again = codec.encode_message_bytes(
-        codec.decode_message_bytes(blob)
-    )
-    assert again == blob
+    raw, restored = item_roundtrip(msg)
+    assert item_roundtrip(restored)[0] == raw
 
 
 @given(st.dictionaries(st.text(max_size=6), scalars,
@@ -101,18 +104,16 @@ def test_dict_insertion_order_never_reaches_the_wire(payload, wire, seq,
         wire_id=wire, seq=seq, vt=vt,
         payload=dict(reversed(list(payload.items()))),
     )
-    assert (codec.encode_message_bytes(forward)
-            == codec.encode_message_bytes(shuffled))
+    assert (codec.encode_item(0, "src", forward)
+            == codec.encode_item(0, "src", shuffled))
 
 
 @settings(max_examples=40)
 @given(messages, st.integers(0, 2**64 - 1), names)
 def test_item_frame_roundtrip(msg, seq, src):
     raw = codec.encode_item(seq, src, msg)
-    splitter = codec.FrameSplitter()
-    frames = splitter.feed(raw)
-    assert len(frames) == 1
-    tag, body = frames[0]
+    (frame,) = read_frames(raw)
+    tag, body = frame
     assert tag == codec.FRAME_ITEM
     (item,) = codec.batch_items(body)
     assert item == codec.item_body(seq, src, "anywhere", msg)
@@ -135,9 +136,7 @@ def test_checkpoint_chain_roundtrip(full_state, delta_state, cp_seq,
                        incremental=True, blob=cpser.dumps(delta_state)),
     ]
     for cp in chain:
-        restored = codec.decode_message_bytes(
-            codec.encode_message_bytes(cp)
-        )
+        _raw, restored = item_roundtrip(cp)
         assert restored == cp
         assert cpser.loads(restored.blob) == cpser.loads(cp.blob)
 
@@ -157,7 +156,8 @@ def test_batch_and_item_interleaving_roundtrip(bursts, data):
 
     Each burst is either one FRAME_BATCH of N items or N singleton
     FRAME_ITEMs; the byte stream is re-split at arbitrary points before
-    feeding the splitter, so frames straddle feed() calls.
+    it reaches ``read_frame``, so frames straddle the chunks, and it
+    ends on a frame boundary: a clean EOF.
     """
     encoder = codec.FrameEncoder()
     wire = bytearray()
@@ -176,15 +176,14 @@ def test_batch_and_item_interleaving_roundtrip(bursts, data):
         expected.extend((tag, seq + i, m) for i, m in enumerate(msgs))
         seq += len(msgs)
 
-    splitter = codec.FrameSplitter()
-    got = []
+    chunks = []
     cursor = 0
     while cursor < len(wire):
         step = data.draw(st.integers(1, max(1, len(wire) - cursor)),
                          label="chunk")
-        got.extend(splitter.feed(bytes(wire[cursor:cursor + step])))
+        chunks.append(bytes(wire[cursor:cursor + step]))
         cursor += step
-    splitter.eof()  # boundary: clean
+    got = read_frames(*chunks)
 
     items = [(tag, item) for tag, body in got
              for item in codec.batch_items(body)]

@@ -15,13 +15,13 @@ from repro.errors import RecoveryError
 from repro.net.topology import (
     pipeline_spec,
     simulated_twin,
-    streams_of,
     twin_horizon,
 )
 from repro.runtime.cadence import CLAMP, CadenceController
 from repro.runtime.engine import EngineConfig
 from repro.runtime.metrics import MetricSet
 from repro.sim.kernel import ms
+from repro.tools.verify_determinism import streams_of
 
 
 class TestRecoveryTarget:

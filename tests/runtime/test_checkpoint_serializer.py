@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StateError
-from repro.runtime.checkpoint import checkpoint_size, dumps, loads
+from repro.runtime.checkpoint import dumps, loads
 
 
 class TestRoundtrip:
@@ -64,11 +64,6 @@ class TestErrors:
     def test_set_rejected(self):
         with pytest.raises(StateError):
             dumps({1, 2, 3})
-
-
-def test_checkpoint_size():
-    blob = dumps({"a": 1})
-    assert checkpoint_size(blob) == len(blob) > 0
 
 
 class TestPlainDictFastPath:

@@ -1,11 +1,9 @@
-"""Tests for execution tracing and hold diagnosis."""
+"""Tests for observing a run and for hold diagnosis."""
 
 import ast
 import hashlib
 import inspect
 from pathlib import Path
-
-import pytest
 
 import repro
 from repro.apps.wordcount import birth_of, build_wordcount_app, sentence_factory
@@ -14,24 +12,21 @@ from repro.core.cost import fixed_cost
 from repro.core.message import DataMessage, SilenceAdvance
 from repro.core.scheduler import ComponentRuntime
 from repro.core.silence_policy import LazySilencePolicy
+from repro.runtime import checkpoint as cpser
 from repro.runtime.app import Deployment
 from repro.runtime.engine import EngineConfig, ExecutionEngine
 from repro.runtime.failure import FailureInjector
 from repro.runtime.placement import Placement, single_engine_placement
-from repro.runtime.tracing import (
-    ExecutionTracer,
-    TraceEvent,
-    explain_hold,
-    render_hold_report,
-)
+from repro.runtime.tracing import explain_hold, render_hold_report
 from repro.runtime.transport import LinkParams
 from repro.sim.distributions import Constant
 from repro.sim.jitter import NormalTickJitter
 from repro.sim.kernel import ms, seconds, us
+from repro.vt.repcl import ReplayClockTracer
 
 from tests.helpers import Hub, wire
 
-#: SHA-256 of ``ExecutionTracer.dump(path)`` after 100 ms of
+#: SHA-256 of :meth:`HoldRecorder.dump` after 100 ms of
 #: ``two_engine_deployment(policy_factory=LazySilencePolicy)``: 775
 #: events, of which 359 dispatch, 357 complete and 59 hold.
 LAZY_TRACE_DIGEST = (
@@ -66,86 +61,65 @@ def two_engine_deployment(**config):
     return dep
 
 
+class HoldRecorder:
+    """Observer keeping every hold / dispatch / complete event, in order,
+    as ``(real_time, component, kind, wire, seq, vt, detail, index)``."""
+
+    def __init__(self):
+        self.events = []
+
+    def _record(self, runtime, kind, msg, vt, detail=""):
+        self.events.append((runtime.services.sim.now, runtime.component.name,
+                            kind, msg.wire_id, msg.seq, vt, detail,
+                            len(self.events)))
+
+    def on_arrival(self, runtime, msg):
+        pass
+
+    def on_emit(self, runtime, spec, msg):
+        pass
+
+    def on_hold(self, runtime, msg):
+        self._record(runtime, "hold", msg, msg.vt)
+
+    def on_dispatch(self, runtime, msg):
+        self._record(runtime, "dispatch", msg, msg.vt)
+
+    def on_complete(self, runtime, busy, end_vt):
+        self._record(runtime, "complete", busy.message, end_vt,
+                     f"actual={busy.actual_ticks}")
+
+    def dump(self) -> bytes:
+        return cpser.dumps({"format": 1, "capacity": 10_000,
+                            "next_index": len(self.events),
+                            "events": self.events})
+
+
 class TestExecutionTracer:
+    """Observing a run through ``ComponentRuntime.observers``."""
+
     def test_records_dispatch_and_complete(self):
         dep = traced_deployment()
-        tracer = ExecutionTracer()
-        tracer.attach(dep)
+        tracer = ReplayClockTracer().attach(dep)
         dep.run(until=ms(30))
-        dispatches = tracer.events(kind="dispatch")
-        completes = tracer.events(kind="complete")
+        dispatches = [e for e in tracer.events if e["kind"] == "dispatch"]
+        completes = [e for e in tracer.events if e["kind"] == "complete"]
         assert len(dispatches) > 20
         assert len(completes) > 20
-        assert {e.component for e in dispatches} >= {"sender1", "merger"}
-
-    def test_filtering(self):
-        dep = traced_deployment()
-        tracer = ExecutionTracer()
-        tracer.attach(dep)
-        dep.run(until=ms(30))
-        merger_only = tracer.events(component="merger")
-        assert merger_only
-        assert all(e.component == "merger" for e in merger_only)
-
-    def test_capacity_bound(self):
-        tracer = ExecutionTracer(capacity=10)
-        for i in range(25):
-            tracer.record(TraceEvent(i, "c", "dispatch"))
-        assert len(tracer) == 10
-        assert tracer.events()[0].real_time == 15
-
-    def test_dump_renders(self):
-        dep = traced_deployment()
-        tracer = ExecutionTracer()
-        tracer.attach(dep)
-        dep.run(until=ms(10))
-        text = tracer.dump(limit=5)
-        assert "dispatch" in text or "complete" in text
+        assert {e["component"] for e in dispatches} >= {"sender1", "merger"}
 
     def test_tracing_does_not_perturb_execution(self):
         plain = traced_deployment()
         plain.run(until=ms(200))
         traced = traced_deployment()
-        ExecutionTracer().attach(traced)
+        ReplayClockTracer().attach(traced)
+        traced.observers.append(HoldRecorder())
         traced.run(until=ms(200))
         want = [(s, p["total"]) for s, _v, p, _t in
                 plain.consumer("sink").effective_outputs]
         got = [(s, p["total"]) for s, _v, p, _t in
                traced.consumer("sink").effective_outputs]
         assert got == want
-
-    def test_monotonic_index_assigned_on_record(self):
-        tracer = ExecutionTracer(capacity=10)
-        for i in range(25):
-            tracer.record(TraceEvent(i, "c", "dispatch"))
-        indices = [e.index for e in tracer.events()]
-        # The ring dropped the first 15 events, but indices keep
-        # counting: post-hoc order survives eviction.
-        assert indices == list(range(15, 25))
-
-    def test_dump_load_roundtrip(self, tmp_path):
-        dep = traced_deployment()
-        tracer = ExecutionTracer()
-        tracer.attach(dep)
-        dep.run(until=ms(20))
-        path = tmp_path / "trace.bin"
-        tracer.dump(path=str(path))
-        loaded = ExecutionTracer.load(str(path))
-        assert loaded.capacity == tracer.capacity
-        assert loaded.events() == tracer.events()
-        # A reloaded tracer keeps numbering where the original left off.
-        loaded.record(TraceEvent(0, "x", "dispatch"))
-        assert loaded.events()[-1].index == tracer._next_index
-
-    def test_load_rejects_unknown_format(self, tmp_path):
-        from repro.errors import TartError
-        from repro.runtime import checkpoint as cpser
-
-        path = tmp_path / "bad.bin"
-        path.write_bytes(cpser.dumps({"format": 99, "capacity": 1,
-                                      "next_index": 0, "events": []}))
-        with pytest.raises(TartError):
-            ExecutionTracer.load(str(path))
 
     def test_holds_recorded_under_lazy_policy(self):
         app = build_wordcount_app(2)
@@ -155,42 +129,40 @@ class TestExecutionTracer:
                              jitter=NormalTickJitter(),
                              policy_factory=LazySilencePolicy),
                          control_delay=us(10), birth_of=birth_of)
-        tracer = ExecutionTracer()
-        tracer.attach(dep)
+        recorder = HoldRecorder()
+        dep.observers.append(recorder)
         factory = sentence_factory()
         for i in (1, 2):
             dep.add_poisson_producer(f"ext{i}", factory,
                                      mean_interarrival=ms(1))
         dep.run(until=ms(100))
-        assert tracer.events(component="merger", kind="hold")
+        assert any(e[1:3] == ("merger", "hold") for e in recorder.events)
 
-    def test_lazy_trace_dump_is_golden(self, tmp_path):
+    def test_lazy_trace_dump_is_golden(self):
         # Pins the hold / dispatch / complete events in count, order and
-        # content, whatever mechanism delivers them to the tracer.
+        # content, whatever mechanism delivers them to the observer.
         dep = two_engine_deployment(policy_factory=LazySilencePolicy)
-        tracer = ExecutionTracer()
-        tracer.attach(dep)
+        recorder = HoldRecorder()
+        dep.observers.append(recorder)
         dep.run(until=ms(100))
-        counts = {kind: len(tracer.events(kind=kind))
+        counts = {kind: sum(1 for e in recorder.events if e[2] == kind)
                   for kind in ("dispatch", "complete", "hold")}
-        assert len(tracer) == 775
+        assert len(recorder.events) == 775
         assert counts == {"dispatch": 359, "complete": 357, "hold": 59}
-        path = tmp_path / "trace.bin"
-        tracer.dump(path=str(path))
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = hashlib.sha256(recorder.dump()).hexdigest()
         assert digest == LAZY_TRACE_DIGEST
 
     def test_follows_a_promoted_engine(self):
         dep = two_engine_deployment()
-        tracer = ExecutionTracer(capacity=100_000)
-        tracer.attach(dep)
+        tracer = ReplayClockTracer().attach(dep)
         FailureInjector(dep).kill_engine("E2", at=ms(500),
                                          detection_delay=ms(2))
         dep.run(until=seconds(1))
         assert dep.recovery.failover_count() == 1
-        merger = tracer.events(component="merger", kind="dispatch")
-        assert any(e.real_time < ms(500) for e in merger)
-        assert any(e.real_time > ms(500) for e in merger)
+        merger = [e["vt"] for e in tracer.events
+                  if e["component"] == "merger" and e["kind"] == "dispatch"]
+        assert any(vt < ms(500) for vt in merger)
+        assert any(vt > ms(510) for vt in merger)
 
 
 def test_no_method_of_a_runtime_engine_or_deployment_is_reassigned():
@@ -270,8 +242,6 @@ class TestExplainHold:
         assert "executing" in render_hold_report(report)
 
     def test_candidate_carries_repcl_when_tracer_attached(self):
-        from repro.vt.repcl import ReplayClockTracer
-
         hub, merger = self._held_merger()
         ReplayClockTracer().attach_runtime(merger, "e0")
         merger.on_data(DataMessage(1, 0, us(100), "x"))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.kernel import Processor, Simulator, Timer, ms, seconds, us
+from repro.sim.kernel import Processor, Simulator, ms, seconds, us
 
 
 class TestScheduling:
@@ -140,25 +140,26 @@ class TestUnits:
 
 
 class TestTimer:
+    """A timer is ``Simulator.after`` plus ``Event.cancel``."""
+
     def test_restart_replaces_pending_firing(self):
         sim = Simulator()
         fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.restart(10)
+        timer = sim.after(10, lambda: fired.append(sim.now))
         sim.run(until=5)
-        timer.restart(10)
+        timer.cancel()
+        sim.after(10, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [15]
 
     def test_cancel_disarms(self):
         sim = Simulator()
         fired = []
-        timer = Timer(sim, lambda: fired.append(1))
-        timer.restart(10)
+        timer = sim.after(10, lambda: fired.append(1))
         timer.cancel()
+        assert sim.pending() == 0
         sim.run()
         assert fired == []
-        assert not timer.armed
 
 
 class TestProcessor:
