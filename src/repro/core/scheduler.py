@@ -217,6 +217,11 @@ class ComponentRuntime:
         # Unique handler specs across the in-wires (many wires share one
         # handler), for the idle-case minimum-cost estimate.
         self._wired_handler_specs: List[HandlerSpec] = []
+        #: What the last :meth:`capture` took (receivers, reply
+        #: receivers, silence, pending, sender marks), or None: the base
+        #: of the next incremental snapshot.  Without one, an incremental
+        #: snapshot ships everything but the cells whole.
+        self._captured: Optional[tuple] = None
         self.policy.bind(self)
 
     # ------------------------------------------------------------------
@@ -861,7 +866,26 @@ class ComponentRuntime:
         (prepended to its wire's pending queue) so the restored engine
         re-executes it; its state effects have not been applied yet, so
         the snapshot is consistent.
+
+        An incremental snapshot is a delta against the last
+        :meth:`capture`: dirty cells, sender entries that say what was
+        emitted and trimmed since, and only the receivers, pending
+        queues and silence map that differ from that capture (see
+        :func:`repro.runtime.state_merge.merge_component_snapshots`).
+        Taking one changes nothing, so the auditor may take its own.
         """
+        return self._snapshot(incremental)[0]
+
+    def capture(self, incremental: bool) -> dict:
+        """:meth:`snapshot` for the checkpoint chain: what it captures
+        becomes the base of the next incremental snapshot."""
+        snap, self._captured = self._snapshot(incremental)
+        self.component.state.mark_clean()
+        return snap
+
+    def _snapshot(self, incremental: bool) -> Tuple[dict, tuple]:
+        """The snapshot, and the capture it would make (see
+        :attr:`_captured`)."""
         if self.mid_call:
             raise SchedulingError(
                 f"{self.component.name}: snapshot requested mid-call"
@@ -872,28 +896,51 @@ class ComponentRuntime:
         if self._busy is not None:
             msg = self._busy.message
             pending[msg.wire_id].insert(0, encode_message(msg))
-        cells = (
-            self.component.state.delta_snapshot()
-            if incremental
-            else self.component.state.full_snapshot()
-        )
-        return {
-            "cells": cells,
+        receivers = {w: s.receiver.snapshot() for w, s in self.in_wires.items()}
+        reply_receivers = {w: r.snapshot()
+                           for w, r in self._reply_receivers.items()}
+        silence = self.silence.snapshot()
+        senders = self.out_senders
+        marks = {w: s.capture_mark() for w, s in senders.items()}
+        snap = {
+            "cells": (self.component.state.delta_snapshot() if incremental
+                      else self.component.state.full_snapshot()),
             "cells_incremental": incremental,
             "component_vt": self.component_vt,
             "max_arrived_vt": self._max_arrived_vt,
             "next_call_id": self._next_call_id,
-            "receivers": {w: s.receiver.snapshot() for w, s in self.in_wires.items()},
-            "reply_receivers": {w: r.snapshot()
-                                for w, r in self._reply_receivers.items()},
-            "senders": {w: s.snapshot(encode_message)
-                        for w, s in self.out_senders.items()},
-            "silence": self.silence.snapshot(),
-            "pending": pending,
         }
+        base = self._captured
+        if incremental and base is not None:
+            old_receivers, old_replies, old_silence, old_pending, old_marks = base
+            for field, now, then in (
+                    ("receivers", receivers, old_receivers),
+                    ("reply_receivers", reply_receivers, old_replies),
+                    ("pending", pending, old_pending)):
+                changed = {w: v for w, v in now.items() if then[w] != v}
+                if changed:
+                    snap[field] = changed
+            changed = {}
+            for w, sender in senders.items():
+                entry = sender.delta_snapshot(old_marks[w], encode_message)
+                if entry is not None:
+                    changed[w] = entry
+            if changed:
+                snap["senders"] = changed
+            if silence != old_silence:
+                snap["silence"] = silence
+        else:
+            snap["receivers"] = receivers
+            snap["reply_receivers"] = reply_receivers
+            snap["senders"] = {w: s.snapshot(encode_message)
+                               for w, s in senders.items()}
+            snap["silence"] = silence
+            snap["pending"] = pending
+        return snap, (receivers, reply_receivers, silence, pending, marks)
 
     def restore(self, snap: dict) -> None:
         """Load a full (already delta-merged) snapshot into this runtime."""
+        self._captured = None
         self.component.state.restore_full(snap["cells"])
         self.component_vt = snap["component_vt"]
         self._max_arrived_vt = snap["max_arrived_vt"]

@@ -1,4 +1,4 @@
-"""Canonical binary wire format (wire version 2).
+"""Canonical binary wire format (wire version 3).
 
 Every frame on a :mod:`repro.net` socket is::
 
@@ -49,13 +49,18 @@ same framing, same version byte, disjoint tag block, JSON bodies):
 
     DataMessage      int64 wire_id, int64 seq, int64 vt, cpser(payload)
     SilenceAdvance   int64 wire_id, int64 through_vt
+    CheckpointData   int64 cp_seq, uint8 incremental, uint8 id_len,
+                     engine_id (UTF-8, id_len bytes), blob (raw)
     any other tag    cpser(field dict)
 
 The two messages a busy wire is made of get a fixed layout and pay the
-serializer only for the application payload; heartbeats, checkpoints
-and control messages are rare and keep a schema-free field dict.  The
-destination node is *not* in the record: the HELLO binds a connection to
-one destination and its incarnation, and the receiver delivers there.
+serializer only for the application payload.  A checkpoint's blob is
+already canonical bytes, so it rides raw after a fixed head: an engine
+ships one every checkpoint interval to each follower, and on a live
+engine those bytes outweigh its data items.  Heartbeats and control
+messages are rare and keep a schema-free field dict.  The destination
+node is *not* in the record: the HELLO binds a connection to one
+destination and its incarnation, and the receiver delivers there.
 ``repro.vt.time.NEVER`` (``2**62``) fits the signed 64-bit fields; a
 value that does not is a :class:`CodecError` at encode time.
 
@@ -88,7 +93,9 @@ cpser tag — and nothing else, so connection handlers that catch
 :class:`CodecError` hang up on hostile bytes instead of dying.
 
 **Versioning.**  Version 1 carried every body, items included, as one
-cpser JSON dict (with a per-item ``dst``).  No process speaks both: a
+cpser JSON dict (with a per-item ``dst``); version 2 carried a
+checkpoint's blob base64-encoded inside a cpser field dict.  No process
+speaks two versions: a
 frame with another version byte is refused at the header with
 :class:`WireVersionError`, and the server answers a HELLO that
 mismatches — by version byte or by its ``proto`` field — with a
@@ -110,6 +117,7 @@ from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.core.message import (
     WIRE_MESSAGE_TYPES,
+    CheckpointData,
     DataMessage,
     SilenceAdvance,
     message_fields,
@@ -119,7 +127,7 @@ from repro.runtime import checkpoint as cpser
 from repro.runtime.detector import Heartbeat
 
 #: Version byte carried by every frame.  Bump on incompatible changes.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 #: Hard cap on one frame's byte count (a corrupt length prefix must not
 #: make a reader allocate gigabytes).
@@ -134,6 +142,7 @@ _REC_HEAD = struct.Struct(">IQBB")
 _REC_HEAD_COUNTED = _REC_HEAD.size - 4
 _DATA_TAIL = struct.Struct(">qqq")  # wire_id, seq, vt
 _SILENCE_TAIL = struct.Struct(">qq")  # wire_id, through_vt
+_CHECKPOINT_TAIL = struct.Struct(">qBB")  # cp_seq, incremental, id_len
 _ACK_BODY = struct.Struct(">Q")  # upto
 
 FRAME_HELLO = 1
@@ -234,9 +243,10 @@ MESSAGE_TAGS: Dict[int, Type] = {
 }
 
 _TAG_OF: Dict[Type, int] = {cls: tag for tag, cls in MESSAGE_TAGS.items()}
-#: The two message tags whose record tail has a fixed layout.
+#: The message tags whose record tail has a fixed layout.
 _TAG_DATA = _TAG_OF[DataMessage]
 _TAG_SILENCE = _TAG_OF[SilenceAdvance]
+_TAG_CHECKPOINT = _TAG_OF[CheckpointData]
 
 
 def message_tag(msg: Any) -> int:
@@ -281,6 +291,15 @@ def _encode_tail(tag: int, fields: Dict[str, Any]) -> Tuple[bytes, bytes]:
     if tag == _TAG_SILENCE:
         return (_SILENCE_TAIL.pack(fields["wire_id"],
                                    fields["through_vt"]), b"")
+    if tag == _TAG_CHECKPOINT:
+        engine_id = fields["engine_id"].encode("utf-8")
+        blob = fields["blob"]
+        if type(blob) is not bytes:
+            raise CodecError(f"checkpoint blob is {type(blob).__name__}, "
+                             f"not bytes")
+        return (_CHECKPOINT_TAIL.pack(fields["cp_seq"],
+                                      bool(fields["incremental"]),
+                                      len(engine_id)) + engine_id, blob)
     return b"", cpser.dumps(fields)
 
 
@@ -302,10 +321,29 @@ def _decode_tail(tag: int, buf: bytes, start: int, stop: int
             )
         wire_id, through_vt = _SILENCE_TAIL.unpack_from(buf, start)
         return {"wire_id": wire_id, "through_vt": through_vt}
+    if tag == _TAG_CHECKPOINT:
+        return _decode_checkpoint_tail(buf, start, stop)
     fields = cpser.loads(buf[start:stop])
     if type(fields) is not dict:
         raise CodecError(f"message fields are not a dict (tag {tag})")
     return fields
+
+
+def _decode_checkpoint_tail(buf: bytes, start: int, stop: int
+                            ) -> Dict[str, Any]:
+    id_at = start + _CHECKPOINT_TAIL.size
+    if id_at > stop:
+        raise CodecError("checkpoint record shorter than its fixed tail")
+    cp_seq, incremental, id_len = _CHECKPOINT_TAIL.unpack_from(buf, start)
+    blob_at = id_at + id_len
+    if blob_at > stop:
+        raise CodecError(f"checkpoint engine id of {id_len} bytes overruns "
+                         f"its record")
+    if incremental > 1:
+        raise CodecError(f"checkpoint incremental flag is {incremental}")
+    return {"engine_id": buf[id_at:blob_at].decode("utf-8"),
+            "cp_seq": cp_seq, "incremental": bool(incremental),
+            "blob": buf[blob_at:stop]}
 
 
 # ----------------------------------------------------------------------

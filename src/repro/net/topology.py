@@ -530,8 +530,17 @@ def reference_run(spec: ClusterSpec, schedule=None,
     """Run the spec's simulated twin; return per-sink output streams.
 
     These streams are the byte-level ground truth for the networked
-    runs.
+    runs.  Without a ``schedule`` nothing fails, so the twin is the
+    paper's unreplicated deployment: no followers, hence no checkpoint
+    is captured, shipped or folded.  Replication is output-transparent,
+    so the streams are the ones the replicated twin would give (tier-1
+    checks this), and a live cluster, followers included, is judged
+    against the deployment it must be indistinguishable from.  A twin
+    that lowers a schedule keeps its followers: a kill promotes one.
     """
+    if schedule is None:
+        spec = dataclasses.replace(spec, replicas=0, recovery_target_ms=None,
+                                   audit="off")
     dep = simulated_twin(spec, schedule, external)
     dep.run(until=twin_horizon(spec, schedule, external))
     return streams_of(dep)

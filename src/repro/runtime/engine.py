@@ -491,10 +491,8 @@ class ExecutionEngine:
             self.metrics.count("audit.full_deferred")
         started = time.perf_counter()
         components = {
-            name: rt.snapshot(incremental) for name, rt in self.runtimes.items()
+            name: rt.capture(incremental) for name, rt in self.runtimes.items()
         }
-        for rt in self.runtimes.values():
-            rt.component.state.mark_clean()
         self._cp_ever_full = True
         blob = cpser.dumps({"components": components})
         capture_us = (time.perf_counter() - started) * 1e6

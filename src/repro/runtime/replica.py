@@ -17,6 +17,14 @@ The stored chain is garbage-collected: once it grows past
 full checkpoint — bounding both entry count and retained bytes on long
 runs — and the ``replica.chain_len`` / ``replica.chain_bytes`` gauges
 expose the current footprint.
+
+That bounds what a promotion pays: it folds at most ``gc_fold_threshold``
+entries, each incremental one the size of what changed between two
+captures, and the newest entry is always a valid replay starting point
+(upstream senders keep every message it has not yet acknowledged), so
+the replay covers only the inputs since that capture: the bounded
+window of "Availability Guarantee for Deterministic Replay Starting
+Points in Real-Time Systems".
 """
 
 from __future__ import annotations
@@ -55,6 +63,8 @@ class PassiveReplica:
         self.bytes_received = 0
         #: Chain-GC folds performed (diagnostics).
         self.gc_folds = 0
+        #: Redelivered delta checkpoints ignored (diagnostics).
+        self.duplicates = 0
         #: Optional heartbeat detector fed by this replica's receive().
         self.detector = None
 
@@ -88,8 +98,20 @@ class PassiveReplica:
                     f"replica {self.node_id}: delta checkpoint {item.cp_seq} "
                     f"without a base"
                 )
-            self._chain.append((item.cp_seq, True, decoded))
-            self._chain_sizes.append(len(item.blob))
+            last = self._chain[-1][0]
+            if item.cp_seq > last + 1:
+                # A delta is taken against the capture just before it.
+                raise RecoveryError(
+                    f"replica {self.node_id}: delta checkpoint {item.cp_seq} "
+                    f"does not follow {last}"
+                )
+            if item.cp_seq <= last:
+                # Redelivered after a reconnect (the sender resends its
+                # unacked tail): folding it again would regress the chain.
+                self.duplicates += 1
+            else:
+                self._chain.append((item.cp_seq, True, decoded))
+                self._chain_sizes.append(len(item.blob))
         self.bytes_received += len(item.blob)
         if len(self._chain) > self.gc_fold_threshold:
             self._gc_fold()

@@ -21,6 +21,7 @@ timestamps and will be discarded" — II.F.4).
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Callable, Deque, List, Optional
 
 from repro.errors import SilenceViolationError, VirtualTimeError
@@ -163,6 +164,45 @@ class TickStreamSender:
             "recent_vts": list(self._recent_vts),
         }
 
+    def capture_mark(self) -> tuple:
+        """The positions a later :meth:`delta_snapshot` is taken against.
+
+        Retained messages leave only from the front (trim) and arrive
+        only at the back (emit), and the recent-vts window moves only on
+        emit, so these few numbers say exactly what changed since.
+        """
+        retained = self._retained
+        return (self.next_seq, self.last_data_vt, self.silence_promised,
+                self.floor_vt,
+                retained[0].seq if retained else self.next_seq,
+                len(self._recent_vts))
+
+    def delta_snapshot(self, mark: tuple,
+                       encode: Callable[[object], object]) -> Optional[dict]:
+        """What changed since ``mark`` (a :meth:`capture_mark`), or None.
+
+        The entry carries the scalars, the trim floor (the seq of the
+        oldest message still retained) and the messages emitted since
+        the mark, never the retained window itself; see
+        :func:`repro.runtime.state_merge.merge_sender`.
+        """
+        now = self.capture_mark()
+        if now == mark:
+            return None
+        emitted = self.next_seq - mark[0]
+        entry = {
+            "next_seq": self.next_seq,
+            "last_data_vt": self.last_data_vt,
+            "silence_promised": self.silence_promised,
+            "floor_vt": self.floor_vt,
+            "trim_floor": now[4],
+            "appended": [encode(m) for m in _tail(self._retained, emitted)],
+        }
+        if self.recent_window is not None:
+            entry["recent_len"] = now[5]
+            entry["recent_vts"] = _tail(self._recent_vts, emitted)
+        return entry
+
     @classmethod
     def restore(cls, snap: dict,
                 decode: Optional[Callable[[object], object]] = None) -> "TickStreamSender":
@@ -177,6 +217,13 @@ class TickStreamSender:
         obj.recent_window = snap.get("recent_window")
         obj._recent_vts = deque(snap.get("recent_vts", []))
         return obj
+
+
+def _tail(items: Deque, n: int) -> list:
+    """The last ``n`` items of a deque (all of them if it is shorter)."""
+    tail = list(islice(reversed(items), n))
+    tail.reverse()
+    return tail
 
 
 class TickStreamReceiver:

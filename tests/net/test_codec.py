@@ -293,11 +293,11 @@ def test_read_frame_torn_mid_header_raises():
 
 
 # ----------------------------------------------------------------------
-# Wire v2: pinned bytes, range checks, hostile input
+# Wire v3: pinned bytes, range checks, hostile input
 # ----------------------------------------------------------------------
 
 
-def test_v2_layout_golden_bytes():
+def test_v3_layout_golden_bytes():
     """The record layout, byte for byte (all integers big-endian)."""
     from repro.vt.time import NEVER
 
@@ -310,7 +310,7 @@ def test_v2_layout_golden_bytes():
             wire_id=2, seq=6, vt=-1, payload=None)),
     ])
     assert batch.hex() == (
-        "000000ac" "02" "06"                    # length, version, BATCH
+        "000000ac" "03" "06"                    # length, version, BATCH
         "00000070" "0000000000000005" "03" "0c"  # rec_len, seq, tag, src_len
         "6578743a72656164696e6773"               # "ext:readings"
         "0000000000000002" "0000000000000005" "00000000000f4245"
@@ -326,18 +326,26 @@ def test_v2_layout_golden_bytes():
     silence = codec.encode_item(
         7, "e0", SilenceAdvance(wire_id=2, through_vt=NEVER))
     assert silence.hex() == (
-        "00000022" "02" "04"
+        "00000022" "03" "04"
         "0000001c" "0000000000000007" "04" "02" "6530"
         "0000000000000002" "4000000000000000"
     )
     heartbeat = codec.encode_item(0, "e0", Heartbeat(engine_id="e0", seq=3))
     assert heartbeat.hex() == (
-        "0000002c" "02" "04"
+        "0000002c" "03" "04"
         "00000026" "0000000000000000" "1f" "02" "6530"
         # {"engine_id":"e0","seq":3}
         "7b22656e67696e655f6964223a226530222c22736571223a337d"
     )
-    assert codec.encode_ack(8).hex() == "0000000a" "02" "05" "0000000000000008"
+    checkpoint = codec.encode_item(1, "e0", CheckpointData(
+        engine_id="e0", cp_seq=9, incremental=True, blob=b"{}"))
+    assert checkpoint.hex() == (
+        "00000020" "03" "04"
+        "0000001a" "0000000000000001" "08" "02" "6530"
+        "0000000000000009" "01" "02" "6530"      # cp_seq, incremental, "e0"
+        "7b7d"                                   # the blob, raw
+    )
+    assert codec.encode_ack(8).hex() == "0000000a" "03" "05" "0000000000000008"
 
 
 @pytest.mark.parametrize("build", [
@@ -349,6 +357,8 @@ def test_v2_layout_golden_bytes():
     lambda: codec.encode_ack(-1),
     lambda: codec.encode_ack(2**64),
     lambda: codec.encode_item(0, "a", SilenceAdvance(2**63, 0)),
+    lambda: codec.encode_item(0, "a", CheckpointData("e0", 1, True, "{}")),
+    lambda: codec.encode_item(0, "a", CheckpointData("e" * 256, 1, True, b"")),
 ])
 def test_out_of_range_fields_are_codec_errors_at_encode(build):
     with pytest.raises(codec.CodecError):
@@ -402,6 +412,14 @@ HOSTILE_PAYLOADS = {
     "data with a bad payload": _payload(
         codec.FRAME_ITEM, _record(tag=3, tail=b"\0" * 24 + b"{oops")),
     "bad utf-8 in src": _payload(codec.FRAME_ITEM, _record(src=b"\xff")),
+    "short checkpoint tail": _payload(codec.FRAME_ITEM,
+                                      _record(tag=8, tail=b"\0" * 9)),
+    "checkpoint engine id overruns its record": _payload(
+        codec.FRAME_ITEM, _record(tag=8, tail=b"\0" * 9 + b"\x05e0")),
+    "bad utf-8 in checkpoint engine id": _payload(
+        codec.FRAME_ITEM, _record(tag=8, tail=b"\0" * 9 + b"\x01\xff")),
+    "checkpoint incremental flag not 0 or 1": _payload(
+        codec.FRAME_ITEM, _record(tag=8, tail=b"\0" * 8 + b"\x02\x00")),
     "generic tail, bad json": _payload(codec.FRAME_ITEM,
                                        _record(tag=31, tail=b"{")),
     "generic tail, not a dict": _payload(codec.FRAME_ITEM,

@@ -192,7 +192,7 @@ def test_v1_hello_gets_structured_error():
     tag, body = frame
     assert tag == codec.FRAME_ERROR
     assert "unsupported wire protocol 1" in body["error"]
-    assert body["proto"] == codec.WIRE_VERSION == 2
+    assert body["proto"] == codec.WIRE_VERSION == 3
     assert eof is None  # no WELCOME, no incarnation leaked
     assert runtime.proto_rejects == 1
 

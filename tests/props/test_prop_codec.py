@@ -69,8 +69,7 @@ messages = st.one_of(
     st.builds(ReplayRequest, wire_id=ids, from_seq=ids),
     st.builds(StableNotice, wire_id=ids, through_seq=ids),
     st.builds(CheckpointData, engine_id=names, cp_seq=ids,
-              incremental=st.booleans(),
-              blob=payloads.map(cpser.dumps)),
+              incremental=st.booleans(), blob=st.binary(max_size=64)),
     st.builds(CheckpointAck, engine_id=names, cp_seq=ids,
               replica_id=names),
     st.builds(DeterminismFaultRecord, component=names, handler=names,
@@ -139,6 +138,43 @@ def test_checkpoint_chain_roundtrip(full_state, delta_state, cp_seq,
         _raw, restored = item_roundtrip(cp)
         assert restored == cp
         assert cpser.loads(restored.blob) == cpser.loads(cp.blob)
+
+
+def _item_payload(tag: int, tail: bytes) -> bytes:
+    """An ITEM frame payload holding one record from ``e0`` with ``tail``."""
+    body = (0).to_bytes(8, "big") + bytes([tag, 2]) + b"e0" + tail
+    return (bytes([codec.WIRE_VERSION, codec.FRAME_ITEM])
+            + len(body).to_bytes(4, "big") + body)
+
+
+@given(st.builds(CheckpointData, engine_id=names, cp_seq=ids,
+                 incremental=st.booleans(), blob=st.binary(max_size=32)),
+       st.data())
+def test_hostile_checkpoint_tails_raise_codec_error_only(msg, data):
+    """A checkpoint record's fixed tail, cut short; an engine-id length
+    that overruns the record; bad UTF-8 in the engine id: each is a
+    :class:`CodecError`, and the unmutated record decodes."""
+    tag, blob = codec.message_tag(msg), msg.blob
+    fixed = msg.cp_seq.to_bytes(8, "big") + bytes([msg.incremental])
+    engine_id = msg.engine_id.encode("utf-8")
+    whole = fixed + bytes([len(engine_id)]) + engine_id + blob
+    _tag, body = codec.decode_frame_payload(_item_payload(tag, whole))
+    (item,) = codec.batch_items(body)
+    assert codec.decode_message(item["msg"]) == msg
+
+    cut = data.draw(st.integers(0, len(fixed)), label="cut")
+    overrun = data.draw(st.integers(len(engine_id + blob) + 1, 255),
+                        label="id_len")
+    bad_id = data.draw(st.sampled_from([b"\xff", b"\xc3", b"a\xed\xa0\x80"]),
+                       label="bad_id")
+    for tail in (whole[:cut],
+                 fixed + bytes([overrun]) + engine_id + blob,
+                 fixed + bytes([len(bad_id)]) + bad_id + blob):
+        try:
+            codec.decode_frame_payload(_item_payload(tag, tail))
+        except codec.CodecError:
+            continue
+        raise AssertionError(f"decoded a hostile tail {tail!r}")
 
 
 @settings(max_examples=30)

@@ -10,17 +10,26 @@ that is the byte comparison the auditor performs.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.pipeline import build_pipeline_app, reading_factory
+from repro.core.message import DataMessage
+from repro.core.scheduler import encode_message
 from repro.core.state import MapCell, StateRegistry, ValueCell
 from repro.errors import RecoveryError
 from repro.runtime import checkpoint as cpser
+from repro.runtime.app import Deployment
+from repro.runtime.engine import EngineConfig
+from repro.runtime.placement import Placement
 from repro.runtime.state_merge import (
     fold_chain,
     merge_cell,
     merge_component_snapshots,
+    merge_sender,
 )
+from repro.sim.kernel import ms
+from repro.vt.ticks import TickStreamSender
 
 keys = st.sampled_from(["a", "b", "c", "d", "e"])
 values = st.one_of(st.integers(), st.text(max_size=5),
@@ -157,3 +166,108 @@ def test_malformed_deltas_raise_structured_errors():
     with pytest.raises(RecoveryError):
         fold_chain(base, [{"ghost": _component_snapshot(
             reg, incremental=True, vt=1)}])
+
+
+# A sender's op stream: emit, trim, promise, and the two capture kinds.
+sender_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("emit"), st.integers(1, 5)),
+        st.tuples(st.just("trim"), st.integers(0, 4)),
+        st.tuples(st.just("promise"), st.integers(0, 8)),
+        st.tuples(st.just("bind"), st.integers(0, 8)),
+        st.tuples(st.just("checkpoint"), st.none()),
+        st.tuples(st.just("full_checkpoint"), st.none()),
+    ),
+    max_size=80,
+)
+
+
+@given(sender_ops, st.sampled_from([None, 3, 12]), st.booleans())
+def test_sender_deltas_fold_to_the_full_entry(op_list, window, retain):
+    """An incremental sender entry carries the messages emitted since
+    the previous capture and the trim floor, never the retained window;
+    the full entry plus the chain of such deltas folds to the full entry
+    taken at the same instant, byte for byte."""
+    sender = TickStreamSender(1, retain=retain)
+    sender.recent_window = window
+    folded = sender.snapshot(encode_message)
+    mark = sender.capture_mark()
+    for op, arg in op_list:
+        if op == "emit":
+            vt = max(sender.last_data_vt, sender.silence_promised,
+                     sender.floor_vt) + arg
+            sender.emit_message(DataMessage(1, sender.next_seq, vt,
+                                            {"n": sender.next_seq}))
+        elif op == "trim":
+            sender.trim_through(sender.next_seq - 1 - arg)
+        elif op in ("promise", "bind"):
+            sender.promise_silence(sender.silence_promised + arg,
+                                   binding=(op == "bind"))
+        else:
+            if op == "full_checkpoint":
+                folded = cpser.loads(cpser.dumps(
+                    sender.snapshot(encode_message)))
+            else:
+                delta = sender.delta_snapshot(mark, encode_message)
+                if delta is not None:
+                    assert "retained" not in delta
+                    folded = merge_sender(
+                        folded, cpser.loads(cpser.dumps(delta)))
+            mark = sender.capture_mark()
+    delta = sender.delta_snapshot(mark, encode_message)
+    if delta is not None:
+        folded = merge_sender(folded, delta)
+    assert cpser.dumps(folded) == cpser.dumps(sender.snapshot(encode_message))
+
+
+def test_an_unchanged_sender_ships_nothing():
+    sender = TickStreamSender(1)
+    sender.emit_message(DataMessage(1, 0, 5, None))
+    mark = sender.capture_mark()
+    assert sender.delta_snapshot(mark, encode_message) is None
+    sender.trim_through(0)
+    delta = sender.delta_snapshot(mark, encode_message)
+    assert delta["appended"] == [] and delta["trim_floor"] == 1
+
+
+def test_a_malformed_sender_delta_is_a_recovery_error():
+    with pytest.raises(RecoveryError):
+        merge_sender({"retained": []}, {"appended": []})
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([1, 10]),
+       st.sampled_from([2, 4, 8]), st.sampled_from([3, 7, 25]),
+       st.lists(st.integers(1, 40), min_size=1, max_size=6))
+def test_a_live_chain_folds_to_a_full_capture(seed, window, full_every,
+                                              interval_ms, pauses_ms):
+    """A replicated pipeline whose auditor byte-diffs the folded chain
+    plus a fresh delta against a full capture at every capture (``raise``
+    mode), and again at arbitrary instants between captures; at the end
+    the follower's folded chain equals a full capture of the engine."""
+    app = build_pipeline_app(window=window)
+    dep = Deployment(
+        app, Placement({"parser": "E1", "enricher": "E1",
+                        "aggregator": "E2"}),
+        engine_config=EngineConfig(checkpoint_interval=ms(interval_ms),
+                                   full_checkpoint_every=full_every,
+                                   audit="raise"),
+        master_seed=seed,
+    )
+    dep.add_poisson_producer("readings", reading_factory(),
+                             mean_interarrival=ms(1), max_messages=150)
+    engine = dep.engine("E1")
+    for pause in pauses_ms:
+        dep.run(until=dep.sim.now + ms(pause))
+        if engine.auditor.due() and not any(
+                rt.mid_call for rt in engine.runtimes.values()):
+            assert engine.auditor.audit_once() == "clean"
+    dep.run(until=dep.sim.now + ms(400))  # traffic over, acks settled
+    cp_seq = engine.capture_checkpoint()
+    dep.run(until=dep.sim.now + ms(2))
+    live = {name: rt.snapshot(incremental=False)
+            for name, rt in engine.runtimes.items()}
+    replica = dep.followers["E1"][0]
+    assert replica.last_cp_seq >= cp_seq
+    assert cpser.dumps(replica.materialize()) == cpser.dumps(live)
+    assert engine.auditor.checks > 0

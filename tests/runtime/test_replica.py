@@ -100,6 +100,32 @@ class TestReplica:
             replica.receive(cp("E1", 1, True,
                                {"c": component_snap({}, True, 0)}))
 
+    def test_redelivered_delta_is_acked_but_not_folded_again(self):
+        sim, engine, replica = make_replica()
+        replica.receive(cp("E1", 1, False,
+                           {"c": component_snap({"m": {}}, False, 10)}))
+        replica.receive(cp("E1", 2, True,
+                           {"c": component_snap({"m": {"a": 1}}, True, 20)}))
+        replica.receive(cp("E1", 3, True,
+                           {"c": component_snap({"m": {"a": 2}}, True, 30)}))
+        # A reconnect resends the unacked tail: 2 arrives again after 3.
+        replica.receive(cp("E1", 2, True,
+                           {"c": component_snap({"m": {"a": 1}}, True, 20)}))
+        sim.run()
+        snaps = replica.materialize()
+        assert snaps["c"]["cells"] == {"m": {"a": 2}}
+        assert snaps["c"]["component_vt"] == 30
+        assert replica.last_cp_seq == 3 and replica.duplicates == 1
+        assert [a.cp_seq for a in engine.acks] == [1, 2, 3, 2]
+
+    def test_delta_with_a_gap_rejected(self):
+        sim, engine, replica = make_replica()
+        replica.receive(cp("E1", 1, False,
+                           {"c": component_snap({"v": 1}, False, 10)}))
+        with pytest.raises(RecoveryError, match="does not follow 1"):
+            replica.receive(cp("E1", 3, True,
+                               {"c": component_snap({}, True, 30)}))
+
     def test_wrong_engine_rejected(self):
         sim, engine, replica = make_replica()
         with pytest.raises(RecoveryError):
