@@ -27,8 +27,8 @@ indistinguishable from the failure-free simulation:
 4. **Non-victim liveness** — on kill-only schedules, every sink whose
    upstream components avoid the victim's replication group must keep
    delivering during the failover window (kill tick → the victim
-   group's first recovered output): group failover is group-local, not
-   a cluster-wide stall.
+   group's first recovered output) wherever the reference delivers to
+   it there: group failover is group-local, not a cluster-wide stall.
 5. **Audit stayed clean under faults** — every audit report collected
    from a cleanly shut-down child is internally consistent (heal mode:
    every divergence healed; raise mode: no divergence at all), and
@@ -138,9 +138,13 @@ def liveness_violations(
     For every engine kill the schedule lowers, the failover window runs
     from the kill tick to the first output of a sink depending on the
     victim group (its first recovered byte), or to the run's last
-    arrival when the victim never recovers.  Each sink *independent* of
-    the victim must deliver at least once inside the window, unless its
-    stream was already complete before the kill.  Only enforced on
+    arrival when the victim never recovers.  A sink *independent* of the
+    victim owes a delivery inside the window only when the reference
+    delivers one of its outputs there, and its stream was not already
+    complete before the kill.  The reference is the unreplicated
+    simulation, where each output arrives at its sink at its own ``vt``
+    (tier-1 pins this), so the reference's delivery ticks are the
+    ``vt`` of its ``(seq, vt, payload)`` triples.  Only enforced on
     kill-only schedules: partition/stop/latency windows legitimately
     stall innocent groups, which would turn this into a flake.
     """
@@ -150,7 +154,6 @@ def liveness_violations(
     arrivals: Dict[str, List[int]] = result.get("arrival_ticks") or {}
     if not arrivals:
         return []
-    ref_counts = {sink: len(stream) for sink, stream in reference.items()}
     upstream = sink_upstream_engines(spec)
     violations: List[str] = []
     for event in schedule.sim_events(spec):
@@ -168,8 +171,11 @@ def liveness_violations(
             end = max((t for ts in arrivals.values() for t in ts),
                       default=kill_tick)
         for sink in sorted(others):
+            if not any(kill_tick <= vt <= end
+                       for _seq, vt, _payload in reference.get(sink, [])):
+                continue  # the reference is idle there too
             ticks = arrivals.get(sink, [])
-            if (len(ticks) >= ref_counts.get(sink, 0)
+            if (len(ticks) >= len(reference[sink])
                     and all(t < kill_tick for t in ticks)):
                 continue  # already complete before the kill
             if not any(kill_tick <= t <= end for t in ticks):

@@ -76,15 +76,16 @@ class SchedulingError(TartError):
 
 
 class DivergenceError(StateError):
-    """The live engine state diverged from the checkpoint-chain rebuild.
+    """The live engine state diverged from its checkpointed rebuild.
 
     Raised by the divergence auditor (``repro.runtime.audit``) in
     ``raise`` mode when a component's live canonical bytes no longer
-    match the state rebuilt from the last full checkpoint chain plus the
-    current delta — i.e. an untracked mutation (bit flip, out-of-band
-    write) corrupted checkpointable state.  ``engine_id`` names the
-    engine, ``cp_seq`` the checkpoint chain position audited against,
-    and ``components`` the component names whose bytes differed.
+    match the state a follower holds (every shipped delta folded in on
+    arrival) rolled forward by the current delta — i.e. an untracked
+    mutation (bit flip, out-of-band write) corrupted checkpointable
+    state.  ``engine_id`` names the engine, ``cp_seq`` the checkpoint
+    the held state was audited at, and ``components`` the component
+    names whose bytes differed.
     """
 
     def __init__(self, engine_id: str, cp_seq: int, components):

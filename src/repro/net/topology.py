@@ -71,7 +71,6 @@ class ClusterSpec:
     #: Simulated ticks per real nanosecond (0.1 => 1 ms-tick per 10 ms).
     speed: float = 0.1
     checkpoint_interval_ms: float = 25.0
-    full_checkpoint_every: int = 4
     heartbeat_interval_ms: float = 10.0
     heartbeat_miss_limit: int = 3
     #: input_id -> workload parameters for its Poisson producer.
@@ -163,8 +162,8 @@ class ClusterSpec:
         if self.backoff_max_s < self.backoff_min_s:
             bad("backoff_max_s", self.backoff_max_s,
                 f"must be >= backoff_min_s ({self.backoff_min_s})")
-        for key in ("full_checkpoint_every", "heartbeat_miss_limit",
-                    "batch_max_items", "audit_every"):
+        for key in ("heartbeat_miss_limit", "batch_max_items",
+                    "audit_every"):
             value = getattr(self, key)
             if not isinstance(value, int) or value < 1:
                 bad(key, value, "must be an integer >= 1")
@@ -225,7 +224,6 @@ class ClusterSpec:
                   else ms(self.recovery_target_ms))
         return EngineConfig(
             checkpoint_interval=ms(self.checkpoint_interval_ms),
-            full_checkpoint_every=self.full_checkpoint_every,
             heartbeat_interval=ms(self.heartbeat_interval_ms),
             heartbeat_miss_limit=self.heartbeat_miss_limit,
             recovery_target=target,

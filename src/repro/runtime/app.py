@@ -274,8 +274,7 @@ class Deployment:
                 if not self._hosts(node_id):
                     continue
                 replica = PassiveReplica(
-                    node_id, self.sim, self.network, engine_id,
-                    rank=rank, metrics=self.metrics,
+                    node_id, self.sim, self.network, engine_id, rank=rank,
                 )
                 group.append(replica)
                 self.network.register(replica)

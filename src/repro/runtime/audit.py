@@ -3,22 +3,23 @@
 The chaos plane's byte-identity invariant checks determinism *after* a
 run; nothing checks it *during* one.  Yet the recovery protocol's whole
 correctness argument rests on an equivalence the runtime never
-verifies: the state a promoted replica would rebuild (last full
-checkpoint chain + deltas + log replay) must equal the state the live
-engine actually has.  An untracked mutation — a bit flip, an
-out-of-band write that bypasses the dirty-tracking cells — breaks that
-equivalence silently: deltas never carry it, so the replica diverges
-from the live engine and every future failover resurrects a state the
-live run never produced.
+verifies: the state a promoted replica would rebuild (the state it
+holds, every shipped delta folded in on arrival, plus log replay) must
+equal the state the live engine actually has.  An untracked mutation —
+a bit flip, an out-of-band write that bypasses the dirty-tracking
+cells — breaks that equivalence silently: deltas never carry it, so
+the replica diverges from the live engine and every future failover
+resurrects a state the live run never produced.
 
 :class:`DivergenceAuditor` turns the equivalence into a runtime
-invariant.  It mirrors the engine's shipped checkpoint chain (decoding
-the very bytes the replica receives) and, at each checkpoint boundary,
-rolls the chain forward with a fresh incremental delta — exactly what a
-replica-plus-replay would compute, because a delta carries every
-*tracked* mutation since the last capture.  The rebuilt state is then
-compared component-by-component against the live engine's canonical
-:mod:`repro.runtime.checkpoint` bytes:
+invariant.  It mirrors the state a follower holds — decoding the very
+bytes the follower receives and folding each delta with the follower's
+own rule, :func:`~repro.runtime.state_merge.fold_chain` — and, at each
+checkpoint boundary, rolls that state forward with a fresh incremental
+delta: exactly what a replica-plus-replay would compute, because a
+delta carries every *tracked* mutation since the last capture.  The
+rebuilt state is then compared component-by-component against the live
+engine's canonical :mod:`repro.runtime.checkpoint` bytes:
 
 * equal bytes — the recovery path is proven equivalent to the live
   state *right now*, not just at test time;
@@ -26,10 +27,14 @@ compared component-by-component against the live engine's canonical
   the auditor throws a structured
   :class:`~repro.errors.DivergenceError`; in ``heal`` mode it
   quarantines the live cells, installs the rebuilt snapshot (the
-  checkpoint chain is the durable truth — the corrupted live copy is
-  the replica that must yield), bumps the engine's incarnation epoch,
+  state the followers hold is the durable truth — the corrupted live
+  copy is the replica that must yield), bumps the engine's incarnation epoch,
   and lets the interrupted capture proceed as a *full* checkpoint so
-  the chain restarts from healed state.
+  every follower restarts from healed state.  With a handler in flight
+  the heal is deferred; the capture that follows is a delta like any
+  other (only a heal or an incarnation's first capture is full), so
+  the corruption never reaches a follower, and the next boundary
+  retries.
 
 The audit is a pure read unless it heals, and healing restores
 byte-identical pre-corruption state at a message boundary, so audited
@@ -61,7 +66,7 @@ CORRUPTION_KEY = "__chaos_bitflip__"
 
 
 class DivergenceAuditor:
-    """Audits one engine's live state against its checkpoint chain."""
+    """Audits one engine's live state against its followers' state."""
 
     def __init__(self, engine, mode: str = "heal", every: int = 1):
         if mode not in ("raise", "heal"):
@@ -71,8 +76,8 @@ class DivergenceAuditor:
         self.engine = engine
         self.mode = mode
         self.every = int(every)
-        #: Materialized chain: component name -> full snapshot dict, or
-        #: None until the first checkpoint is mirrored.
+        #: The follower's held state: component name -> full snapshot
+        #: dict, or None until the first checkpoint is mirrored.
         self._base: Optional[Dict[str, dict]] = None
         self._base_cp_seq = -1
         self._captures_since_audit = 0
@@ -82,17 +87,18 @@ class DivergenceAuditor:
         self.heals = 0
         self.deferred = 0
 
-    # -- chain mirroring -------------------------------------------------
+    # -- mirroring the follower ------------------------------------------
     def note_checkpoint(self, cp_seq: int, incremental: bool,
                         blob: bytes) -> None:
-        """Mirror one shipped checkpoint (the same bytes the replica got)."""
+        """Mirror one shipped checkpoint (the same bytes the follower
+        got), folded as the follower folds it."""
         decoded = cpser.loads(blob)["components"]
         if not incremental or self._base is None:
             if incremental:
                 # Promotion or late attach: deltas before our first full
                 # checkpoint cannot be anchored; wait for the next full.
                 return
-            self._base = dict(decoded)
+            self._base = decoded
         else:
             self._base = fold_chain(self._base, [decoded])
         self._base_cp_seq = cp_seq
@@ -111,18 +117,19 @@ class DivergenceAuditor:
         (divergence found and repaired — the caller must follow with a
         *full* checkpoint), ``"deferred"`` (divergence found but a
         single-segment handler is in flight, so an in-place restore is
-        unsafe; the caller must avoid taking a full checkpoint, which
-        would launder the corruption into the chain, and retry at the
-        next boundary).  In ``raise`` mode a divergence raises
+        unsafe; the audit retries at the next boundary, and the delta
+        captured meanwhile cannot carry the untracked corruption).  In
+        ``raise`` mode a divergence raises
         :class:`~repro.errors.DivergenceError` instead.
         """
         engine = self.engine
         metrics = engine.metrics
         if self._base is None:
-            raise StateError(f"{engine.engine_id}: no chain to audit against")
+            raise StateError(f"{engine.engine_id}: no checkpoint to audit "
+                             f"against")
         self._captures_since_audit = 0
         started = time.perf_counter()
-        # Roll the mirrored chain forward with a fresh delta: this is the
+        # Roll the mirrored state forward with a fresh delta: this is the
         # state a replica-plus-replay would reach at this boundary.
         rebuilt: Dict[str, dict] = {}
         diverged = []

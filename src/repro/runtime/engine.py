@@ -70,15 +70,13 @@ class EngineConfig:
     jitter: JitterModel = field(default_factory=NoJitter)
     #: Soft-checkpoint period in ticks; None disables checkpointing.
     checkpoint_interval: Optional[int] = None
-    #: Every Nth checkpoint is full; the others are incremental.
-    full_checkpoint_every: int = 8
     #: Node ids of the followers in this engine's replication group,
     #: in promotion (rank) order; empty disables replication (and
     #: checkpointing requires at least one).  Checkpoints and heartbeats
     #: fan out to every entry; a checkpoint is stable (and upstream
     #: buffers may be trimmed) only once every follower acknowledged
-    #: it, so any single surviving follower can still replay from its
-    #: chain.
+    #: it, so any single surviving follower can still replay from the
+    #: state it holds.
     replica_ids: tuple = ()
     #: Enable drift-triggered determinism-fault re-calibration.  Read
     #: once per component, when ``add_component`` wires its runtime.
@@ -108,7 +106,7 @@ class EngineConfig:
     #: interval rather than a fixed period (see ``repro.runtime.cadence``).
     recovery_target: Optional[int] = None
     #: Continuous divergence audit mode: "off", "raise" (fail loudly on
-    #: divergence), or "heal" (install the chain rebuild and bump the
+    #: divergence), or "heal" (install the rebuilt state and bump the
     #: incarnation epoch).  See ``repro.runtime.audit``.
     audit: str = "off"
     #: Audit before every Nth checkpoint capture.
@@ -125,11 +123,6 @@ class EngineConfig:
                 f"checkpoint_interval must be a positive tick count, got "
                 f"{self.checkpoint_interval} (use None to disable "
                 f"checkpointing)"
-            )
-        if self.full_checkpoint_every <= 0:
-            raise ValueError(
-                f"full_checkpoint_every must be positive, got "
-                f"{self.full_checkpoint_every}"
             )
         if (self.heartbeat_interval is not None
                 and self.heartbeat_interval <= 0):
@@ -460,35 +453,29 @@ class ExecutionEngine:
                                f"cp-retry:{self.engine_id}")
             return
         self._cp_retries = 0
-        force_full = False
-        avoid_full = False
-        if self.auditor is not None and self.auditor.due():
-            outcome = self.auditor.audit_once()
-            # A heal restarts the chain from healed state; a deferred
-            # heal must not let a full capture launder the corruption
-            # into the chain.
-            force_full = outcome == "healed"
-            avoid_full = outcome == "deferred"
-        self.capture_checkpoint(force_full=force_full, avoid_full=avoid_full)
+        # A heal restarts every follower from healed state.
+        force_full = (self.auditor is not None and self.auditor.due()
+                      and self.auditor.audit_once() == "healed")
+        self.capture_checkpoint(force_full=force_full)
         self.sim.after(self._next_interval(), self._checkpoint_tick,
                        f"cp:{self.engine_id}")
 
     def capture_checkpoint(self, force_full: bool = False,
                            avoid_full: bool = False) -> int:
-        """Capture and ship one soft checkpoint; returns its cp_seq."""
+        """Capture and ship one soft checkpoint; returns its cp_seq.
+
+        The capture is full at this incarnation's first checkpoint and
+        when ``force_full`` asks for one (after an audit heal); every
+        other capture is a delta against the one before it, which each
+        follower folds into the state it holds.  ``avoid_full`` is
+        accepted and has no effect.
+        """
         if any(rt.mid_call for rt in self.runtimes.values()):
             raise SchedulingError(
                 f"{self.engine_id}: cannot checkpoint mid-call"
             )
         self._cp_seq += 1
-        incremental = self._cp_ever_full and (
-            self._cp_seq % self.config.full_checkpoint_every != 0
-        )
-        if force_full:
-            incremental = False
-        elif avoid_full and self._cp_ever_full and not incremental:
-            incremental = True
-            self.metrics.count("audit.full_deferred")
+        incremental = self._cp_ever_full and not force_full
         started = time.perf_counter()
         components = {
             name: rt.capture(incremental) for name, rt in self.runtimes.items()

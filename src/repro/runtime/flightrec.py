@@ -19,7 +19,7 @@ A bundle is a directory::
       external.bin      per-input external message logs
       state.bin         final per-component state cells + digests
       streams.bin       per-sink effective output streams
-      checkpoints.json  per-engine checkpoint-chain manifests
+      checkpoints.json  per-engine follower manifests (held cp_seq)
       metrics.json      MetricSet.dump_json() of the recorded run, less
                         its wall-clock gauges
       verdict.json      judge verdict (failure bundles)
@@ -116,21 +116,15 @@ def external_logs_of(deployment) -> Tuple[Dict[str, List[Tuple]],
 
 
 def checkpoint_manifests(deployment) -> Dict:
-    """Per-engine checkpoint-chain manifests (shape, not blobs)."""
-    manifests: Dict[str, Dict] = {}
-    for engine_id, group in deployment.followers.items():
-        manifests[engine_id] = {
-            f"rank{rank}": {
-                "node": replica.node_id,
-                "chain_len": replica.chain_len,
-                "chain_bytes": replica.chain_bytes,
-                "last_cp_seq": replica.last_cp_seq,
-                "entries": [[cp_seq, bool(incremental)]
-                            for cp_seq, incremental, _ in replica._chain],
-            }
+    """Per-engine follower manifests: which checkpoint each rank holds."""
+    return {
+        engine_id: {
+            f"rank{rank}": {"node": replica.node_id,
+                            "last_cp_seq": replica.last_cp_seq}
             for rank, replica in enumerate(group)
         }
-    return manifests
+        for engine_id, group in deployment.followers.items()
+    }
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,8 @@ replay messages."
 :class:`RecoveryManager` sequences that: when the failure injector (or a
 detector) reports an engine dead, the manager waits the detection delay,
 promotes the replica via :meth:`Deployment.rebuild_engine`, and records
-recovery-time metrics.  The heavy lifting — materializing the checkpoint
-chain, re-instantiating components, replaying determinism faults,
+recovery-time metrics.  The heavy lifting — restoring the state the
+follower holds, re-instantiating components, replaying determinism faults,
 requesting per-wire replay — lives in the deployment/engine/runtime
 layers; this class owns the *protocol sequencing* and the bookkeeping
 experiments read (failover count, recovery latency).

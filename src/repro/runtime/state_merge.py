@@ -1,4 +1,4 @@
-"""Merging incremental checkpoints into full snapshots.
+"""Folding incremental checkpoints into full snapshots.
 
 A component runtime snapshot contains the state cells plus runtime
 metadata (virtual time, tick-stream positions, pending queues).  An
@@ -130,8 +130,9 @@ def fold_chain(base: Dict[str, Dict],
 
     ``base`` maps component name to full snapshot; each element of
     ``deltas`` maps component name to a delta (or newer full) snapshot.
-    This is the single chain-materialization rule shared by the passive
-    replica (at promotion) and the divergence auditor (continuously).
+    This is the one fold rule: the passive replica folds each delta
+    into the state it holds on arrival with it, and the divergence
+    auditor folds its mirror of that state with it.
     """
     merged = dict(base)
     for delta in deltas:

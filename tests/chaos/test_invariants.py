@@ -1,5 +1,7 @@
 """The post-run invariant checker, on synthetic run results."""
 
+import dataclasses
+
 import pytest
 
 from repro.chaos.invariants import (
@@ -12,7 +14,12 @@ from repro.chaos.invariants import (
 )
 from repro.chaos.schedule import ChaosEvent, ChaosSchedule
 from repro.errors import UnrecoverableClusterError
-from repro.net.topology import ClusterSpec, pipeline_spec
+from repro.net.topology import (
+    ClusterSpec,
+    pipeline_spec,
+    simulated_twin,
+    twin_horizon,
+)
 
 
 def spec_for_tests() -> ClusterSpec:
@@ -220,7 +227,8 @@ class TestAuditViolations:
 class TestNonVictimLiveness:
     """One lane per engine: ``sink`` <- e0, ``sink1`` <- e1, ``sink2``
     <- e2.  e0 dies at 10 ms; its failover window runs from the kill to
-    ``sink``'s first recovered output."""
+    ``sink``'s first recovered output.  Reference outputs carry their
+    delivery instant as ``vt``, as the unreplicated reference does."""
 
     MS = 1_000_000
 
@@ -231,9 +239,10 @@ class TestNonVictimLiveness:
         return ChaosSchedule(events=[
             ChaosEvent("kill", 10.0, target="engine-e0")], seed=5)
 
-    def reference(self, **counts):
-        return {sink: [(seq, seq, "x") for seq in range(n)]
-                for sink, n in counts.items()}
+    def reference(self, **vts_ms):
+        return {sink: [(seq, int(t * self.MS), "x")
+                       for seq, t in enumerate(vts)]
+                for sink, vts in vts_ms.items()}
 
     def result(self, **arrivals_ms):
         return {"arrival_ticks": {
@@ -244,30 +253,37 @@ class TestNonVictimLiveness:
         violations = liveness_violations(
             self.spec(), self.kill(),
             self.result(sink=[5, 20], sink1=[5, 25], sink2=[15]),
-            self.reference(sink=2, sink1=2, sink2=1))
+            self.reference(sink=[5, 20], sink1=[5, 15], sink2=[15]))
         assert violations == [
             "sink1: no delivery during e0's failover window "
             "[10000000, 20000000] ticks"]
+
+    def test_a_sink_the_reference_leaves_idle_in_the_window_is_not_flagged(
+            self):
+        assert liveness_violations(
+            self.spec(), self.kill(),
+            self.result(sink=[5, 20], sink1=[5, 25], sink2=[15]),
+            self.reference(sink=[5, 20], sink1=[5, 25], sink2=[15])) == []
 
     def test_a_sink_complete_before_the_kill_is_excused(self):
         assert liveness_violations(
             self.spec(), self.kill(),
             self.result(sink=[5, 20], sink1=[5, 6], sink2=[15]),
-            self.reference(sink=2, sink1=2, sink2=1)) == []
+            self.reference(sink=[5, 20], sink1=[5, 15], sink2=[15])) == []
 
     def test_when_the_victim_never_recovers_the_window_runs_to_the_end(
             self):
         violations = liveness_violations(
             self.spec(), self.kill(),
             self.result(sink=[5], sink1=[5, 40], sink2=[5, 8]),
-            self.reference(sink=2, sink1=2, sink2=3))
+            self.reference(sink=[5, 20], sink1=[5, 15], sink2=[5, 8, 30]))
         assert violations == [
             "sink2: no delivery during e0's failover window "
             "[10000000, 40000000] ticks"]
 
     def test_a_harness_kill_is_judged_as_the_same_schedule_event(self):
         spec = self.spec()
-        reference = self.reference(sink=2, sink1=2, sink2=1)
+        reference = self.reference(sink=[5, 20], sink1=[5, 15], sink2=[15])
         result = dict(
             self.result(sink=[5, 20], sink1=[5, 25], sink2=[15]),
             streams=reference, complete=True, error=None,
@@ -287,3 +303,15 @@ class TestNonVictimLiveness:
         assert len(by_harness["violations"]) == 1
         # No kill and no schedule: nothing to fold in.
         assert judged_schedule(None, dict(result, killed=None)).events == []
+
+    def test_the_reference_delivers_each_output_at_its_vt(self):
+        # The rule reads the reference's delivery ticks off its vts.
+        spec = dataclasses.replace(
+            pipeline_spec(engines=3, messages=240, master_seed=8),
+            replicas=0)
+        twin = simulated_twin(spec)
+        twin.run(until=twin_horizon(spec))
+        assert sum(map(len, twin.consumers.values())) == 24
+        for consumer in twin.consumers.values():
+            assert ([vt for _seq, vt, _p, _t in consumer.effective_outputs]
+                    == consumer.arrival_ticks())

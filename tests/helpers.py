@@ -13,6 +13,7 @@ from typing import Dict, List, Optional
 
 from repro.core.message import (
     CallReply,
+    CheckpointData,
     CuriosityProbe,
     DataMessage,
     ReplayRequest,
@@ -151,6 +152,21 @@ def cells_snapshot(cells: dict, incremental: bool) -> dict:
     with empty runtime metadata."""
     return {"cells": cells, "cells_incremental": incremental,
             **dict.fromkeys(_METADATA_FIELDS)}
+
+
+def shipped_kinds(replica) -> list:
+    """A list that fills with ``(cp_seq, incremental)`` of every
+    checkpoint ``replica`` receives from now on."""
+    kinds = []
+    receive = replica.receive
+
+    def spy(item):
+        if isinstance(item, CheckpointData):
+            kinds.append((item.cp_seq, item.incremental))
+        receive(item)
+
+    replica.receive = spy
+    return kinds
 
 
 def profiled_calls(profile) -> int:

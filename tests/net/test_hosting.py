@@ -35,6 +35,8 @@ from repro.sim.kernel import Simulator, ms
 from repro.sim.rng import RngRegistry
 from repro.tools.verify_determinism import streams_of
 
+from tests.helpers import shipped_kinds
+
 
 class MemoryTransport:
     """Every share's nodes in one table, delivered on one simulator."""
@@ -161,6 +163,46 @@ def test_a_heal_after_failover_re_registers_the_engine():
     engine.bump_incarnation_epoch()
     assert net.incarnations["e0"] != before
 
+
+
+def test_a_double_failover_restores_rank_1_from_the_new_leaders_full():
+    """3 x 2: the leader dies, then the process of the rank-0 follower
+    that took over.  Rank 1 holds the promoted leader's first capture,
+    which is full, with each later delta folded in on arrival; it
+    restores that state, and the streams stay the reference's."""
+    spec = pipeline_spec(engines=3, messages=160, master_seed=11,
+                         replicas=2)
+    transport, shares = build_shares(spec)
+    rank0, rank1 = shares["replica-e0"], shares["replica-e0.1"]
+    replica = rank1.followers["e0"][0]
+    kinds = shipped_kinds(replica)
+    held_at_restore = []
+    materialize = replica.materialize
+
+    def restore():
+        held_at_restore.append(list(kinds))
+        return materialize()
+
+    replica.materialize = restore
+
+    def kill_rank0_process():
+        rank0.detectors["e0"].stop()
+        rank0.followers["e0"][0].alive = False
+        rank0.engines["e0"].halt()
+
+    def schedule_faults():
+        transport.sim.at(ms(30), shares["engine-e0"].engines["e0"].halt)
+        transport.sim.at(ms(120), kill_rank0_process)
+
+    streams = run_shares(spec, transport, shares, schedule_faults)
+    assert streams == reference_run(spec)
+    assert rank0.recovery.failover_count("e0") == 1
+    assert rank1.recovery.failover_count("e0") == 1
+    [held] = held_at_restore
+    # One full per incarnation: the first leader's, then the promoted
+    # leader's; rank 1 restored from the latter plus its deltas.
+    assert [seq for seq, inc in held if not inc] == [1, 2]
+    assert held[-1][1] and len(held) > 2
 
 def wire_table(deployment):
     """wire id -> its ``WireSpec``, the estimator reduced to its delay."""

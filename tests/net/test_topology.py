@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import WiringError
+from repro.errors import SpecValidationError, WiringError
 from repro.net.topology import (
     ClusterSpec,
     assign_addresses,
@@ -40,6 +40,11 @@ def test_spec_json_roundtrip():
 def test_spec_rejects_unknown_keys():
     with pytest.raises(WiringError, match="unknown cluster spec keys"):
         ClusterSpec.from_json('{"bogus_key": 1}')
+    # Specs recorded before periodic full checkpoints were dropped.
+    with pytest.raises(SpecValidationError, match="unknown cluster spec keys"
+                       ) as info:
+        ClusterSpec.from_json('{"full_checkpoint_every": 4}')
+    assert info.value.key == "full_checkpoint_every"
 
 
 def test_contiguous_placement_keeps_neighbours_together():

@@ -6,11 +6,14 @@ Also covers the bounded mid-call checkpoint retry (``checkpoint.retries``
 checkpoint timer into a silent hot loop.
 """
 
+import types
+
 import pytest
 
 from repro.apps.callgraph import build_callgraph_app, request_factory
 from repro.apps.pipeline import build_pipeline_app, reading_factory
 from repro.apps.wordcount import birth_of
+from repro.core.message import DataMessage
 from repro.errors import DivergenceError, StateError
 from repro.runtime import checkpoint as cpser
 from repro.runtime.app import Deployment
@@ -20,6 +23,8 @@ from repro.runtime.placement import Placement
 from repro.runtime.transport import LinkParams
 from repro.sim.distributions import Constant
 from repro.sim.kernel import ms, us
+
+from tests.helpers import shipped_kinds
 
 
 def build(audit="heal", audit_every=1, master_seed=7):
@@ -114,6 +119,18 @@ class TestHealMode:
         assert replica.last_cp_seq == cp_seq
         assert cpser.dumps(replica.materialize()) == cpser.dumps(live)
 
+    def test_a_heal_is_followed_by_exactly_one_full_capture(self):
+        dep = build(audit="heal")
+        kinds = shipped_kinds(dep.followers["E1"][0])
+        dep.run(until=ms(50))
+        corrupt_component_state(dep.engine("E1"), "enricher")
+        dep.run(until=ms(300))
+        engine = dep.engine("E1")
+        assert engine.auditor.heals == 1
+        full = [seq for seq, inc in kinds if not inc]
+        assert len(full) == 2 and full[0] == 1
+        assert len(kinds) > 25
+
     def test_value_cell_fallback_corruption_also_healed(self):
         # A flipped ValueCell is only *detectable* while the cell is
         # quiescent: once the component writes it again, the corruption
@@ -158,10 +175,6 @@ class TestDeferredHeal:
         dep.run(until=ms(50))
         engine = dep.engine("E1")
         corrupt_component_state(engine, "enricher")
-        import types
-
-        from repro.core.message import DataMessage
-
         rt = dep.runtime("parser")
         # A busy single-segment handler: busy_info set, mid_call False.
         wid = next(iter(rt.in_wires))
@@ -178,6 +191,36 @@ class TestDeferredHeal:
         # Detection stood; once the handler clears, the heal lands.
         assert engine.auditor.audit_once() == "healed"
         assert engine.auditor.heals == 1
+
+    def test_a_deferred_heal_ships_no_full_capture(self):
+        dep = build(audit="heal")
+        kinds = shipped_kinds(dep.followers["E1"][0])
+        # Step off the 10ms tick grid: only the ticks driven below run
+        # until the next multiple of 10ms.
+        dep.run(until=ms(53))
+        engine = dep.engine("E1")
+        corrupt_component_state(engine, "enricher")
+        rt = dep.runtime("parser")
+        wid = next(iter(rt.in_wires))
+        rt._busy = types.SimpleNamespace(
+            generator=None, awaiting_reply=False,
+            message=DataMessage(wid, 999_999, dep.sim.now, {"x": 1}),
+        )
+        try:
+            for _ in range(4):
+                engine._checkpoint_tick()
+        finally:
+            rt._busy = None
+        dep.run(until=ms(56))
+        assert engine.auditor.deferred == 4
+        assert engine.auditor.heals == 0
+        assert [seq for seq, inc in kinds if not inc] == [1]
+        assert kinds[-4:] == [(seq, True) for seq in
+                              range(engine._cp_seq - 3, engine._cp_seq + 1)]
+        # The next boundary heals, and that capture is full.
+        dep.run(until=ms(200))
+        assert engine.auditor.heals == 1
+        assert len([seq for seq, inc in kinds if not inc]) == 2
 
 
 class TestCorruptComponentState:

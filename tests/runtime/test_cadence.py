@@ -103,8 +103,6 @@ class TestEngineConfigValidation:
         with pytest.raises(ValueError):
             EngineConfig(checkpoint_interval=-ms(5))
         with pytest.raises(ValueError):
-            EngineConfig(full_checkpoint_every=0)
-        with pytest.raises(ValueError):
             EngineConfig(heartbeat_interval=0)
         with pytest.raises(ValueError):
             EngineConfig(heartbeat_miss_limit=0)

@@ -9,11 +9,14 @@ from repro.apps.wordcount import make_merger_class, make_sender_class
 from repro.errors import RecoveryError, TransportError
 from repro.runtime.app import Deployment
 from repro.runtime.engine import EngineConfig
+from repro.runtime.failure import FailureInjector
 from repro.runtime.placement import Placement, single_engine_placement
 from repro.runtime.transport import LinkParams
 from repro.sim.distributions import Constant
 from repro.sim.jitter import NormalTickJitter
 from repro.sim.kernel import ms, seconds, us
+
+from tests.helpers import shipped_kinds
 
 
 def make_deployment(checkpoint_interval=ms(20), duration=None, seed=0,
@@ -53,18 +56,28 @@ class TestCheckpointing:
 
     def test_first_checkpoint_full_then_incremental(self):
         dep = make_deployment(checkpoint_interval=ms(20))
-        replica = dep.followers["E1"][0]
+        kinds = shipped_kinds(dep.followers["E1"][0])
         dep.run(until=ms(100))
-        chain = replica._chain
-        assert chain[0][1] is False        # full base
-        assert any(inc for _, inc, _ in chain[1:])  # deltas follow
+        assert kinds[0] == (1, False)  # full base
+        assert any(inc for _, inc in kinds[1:])  # deltas follow
 
-    def test_full_checkpoint_every_n(self):
-        dep = make_deployment(checkpoint_interval=ms(10),
-                              config_kwargs={"full_checkpoint_every": 4})
-        dep.run(until=ms(200))
-        # Chain resets on each full checkpoint: its length stays < 4 + 1.
-        assert 1 <= len(dep.followers["E1"][0]._chain) <= 4
+    def test_only_an_incarnations_first_capture_is_full(self):
+        dep = make_deployment(checkpoint_interval=ms(10))
+        kinds = {engine_id: shipped_kinds(group[0])
+                 for engine_id, group in dep.followers.items()}
+        dep.run(until=seconds(1))
+        engine = dep.engine("E1")
+        for shipped in kinds.values():
+            assert len(shipped) > 90
+            assert [seq for seq, inc in shipped if not inc] == [1]
+        # A promoted engine is a new incarnation: its first capture is
+        # full, and only that one.
+        del kinds["E1"][:]
+        FailureInjector(dep).kill_engine("E1")
+        dep.run(until=seconds(2))
+        assert dep.engine("E1") is not engine
+        full = [seq for seq, inc in kinds["E1"] if not inc]
+        assert full == [kinds["E1"][0][0]] and len(kinds["E1"]) > 90
 
     def test_stable_ack_trims_retained_buffers(self):
         dep = make_deployment(checkpoint_interval=ms(10))

@@ -137,11 +137,11 @@ class TestDumpJson:
         m = MetricSet()
         m.gauge("audit.rebuild_us", 150.0, wall_clock=True)
         m.gauge("audit.rebuild_us", 140.0)  # the mark sticks to the name
-        m.gauge("replica.chain_len", 3.0)
+        m.gauge("audit.incarnation_epoch", 3.0)
         assert m.dump_json()["gauges"] == {"audit.rebuild_us": 140.0,
-                                           "replica.chain_len": 3.0}
+                                           "audit.incarnation_epoch": 3.0}
         assert m.dump_json(wall_clock=False)["gauges"] == {
-            "replica.chain_len": 3.0}
+            "audit.incarnation_epoch": 3.0}
 
     def test_dump_json_is_pinned_and_sorts_the_samples_once(self, monkeypatch):
         import json

@@ -150,20 +150,13 @@ class TestReplica:
 
 
 class TestChainGC:
-    def make_replica_with_metrics(self, threshold=4):
-        from repro.runtime.metrics import MetricSet
+    """No chain is kept: each delta folds into the one held state on
+    arrival, so a long run leaves one full snapshot behind."""
 
-        sim = Simulator()
-        net = Network(sim, RngRegistry(0))
-        engine = EngineStub("E1", sim)
-        net.register(engine)
-        metrics = MetricSet()
-        replica = PassiveReplica("replica:E1", sim, net, "E1",
-                                 metrics=metrics,
-                                 gc_fold_threshold=threshold)
-        net.register(replica)
+    def make_replica_with_engine(self):
+        sim, engine, replica = make_replica()
         self.sim = sim
-        return engine, replica, metrics
+        return engine, replica
 
     def feed(self, replica, n_deltas):
         replica.receive(cp("E1", 0, False,
@@ -174,43 +167,32 @@ class TestChainGC:
                                                     True, seq * 10)}))
 
     def test_long_delta_tail_folds_to_one_entry(self):
-        engine, replica, metrics = self.make_replica_with_metrics(4)
+        engine, replica = self.make_replica_with_engine()
         self.feed(replica, 20)
-        assert replica.chain_len <= 4
-        assert replica.gc_folds >= 1
-        assert metrics.counter("replica.gc_folds") == replica.gc_folds
+        held = replica.materialize()
+        assert list(held) == ["c"]
+        assert held["c"]["cells_incremental"] is False
+        assert held["c"]["cells"] == {"v": 20}
 
     def test_fold_preserves_materialized_state_and_seq(self):
-        engine, replica, metrics = self.make_replica_with_metrics(3)
+        engine, replica = self.make_replica_with_engine()
         self.feed(replica, 12)
         assert replica.last_cp_seq == 12
         assert replica.materialize()["c"]["cells"] == {"v": 12}
         assert replica.materialize()["c"]["component_vt"] == 120
 
-    def test_gauges_track_chain_footprint(self):
-        engine, replica, metrics = self.make_replica_with_metrics(4)
-        self.feed(replica, 2)
-        assert metrics.gauge_value("replica.chain_len") == replica.chain_len
-        assert (metrics.gauge_value("replica.chain_bytes")
-                == replica.chain_bytes > 0)
-        self.feed(replica, 20)  # fresh full resets, then folds again
-        assert metrics.gauge_value("replica.chain_len") == replica.chain_len
-        assert replica.chain_bytes == sum(replica._chain_sizes)
-
     def test_chain_bytes_bounded_by_fold(self):
-        engine, replica, metrics = self.make_replica_with_metrics(4)
+        engine, replica = self.make_replica_with_engine()
         self.feed(replica, 50)
-        # Folding keeps at most threshold entries alive; retained bytes
-        # stay in the same ballpark as a handful of checkpoints, not 51.
+        # The held state is one snapshot, not 51 of them.
         single = len(cpser.dumps(
             {"components": {"c": component_snap({"v": 1}, False, 10)}}
         ))
-        assert replica.chain_bytes <= (replica.gc_fold_threshold + 1) * (
-            2 * single
-        )
+        held = len(cpser.dumps({"components": replica.materialize()}))
+        assert held <= 2 * single < replica.bytes_received
 
     def test_acks_carry_replica_identity(self):
-        engine, replica, metrics = self.make_replica_with_metrics(4)
+        engine, replica = self.make_replica_with_engine()
         self.feed(replica, 3)
         self.sim.run()
         assert engine.acks and all(
